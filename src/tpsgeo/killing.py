@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .curvature import MetricSpec, lie_derivative_metric
 from .fields import VectorField, bracket
-from .linalg import fraction_matrix_inverse, rref_fraction, solve_exact
+from .linalg import Elimination, solve_exact
 from .poly import Chart, LaurentPoly
 
 
@@ -50,51 +50,6 @@ def _basis_field(chart: Chart, k: int, alpha: tuple[int, ...]) -> VectorField:
     return VectorField(chart, comps)
 
 
-def _sparse_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
-    """Kernel basis of a sparse rational matrix, one dict per basis vector,
-    in the reduced-echelon normal form (each free column carries a 1)."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = Fraction(1) / row[c]
-                pivots[c] = {cc: vv * inv for cc, vv in row.items()}
-                break
-            factor = row[c]
-            for cc, vv in piv.items():
-                newv = row.get(cc, Fraction(0)) - factor * vv
-                if newv:
-                    row[cc] = newv
-                else:
-                    row.pop(cc, None)
-    # back-eliminate to full reduced echelon form
-    for c in sorted(pivots, reverse=True):
-        piv = pivots[c]
-        for c2, row2 in pivots.items():
-            if c2 == c or c not in row2:
-                continue
-            factor = row2[c]
-            for cc, vv in piv.items():
-                newv = row2.get(cc, Fraction(0)) - factor * vv
-                if newv:
-                    row2[cc] = newv
-                else:
-                    row2.pop(cc, None)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = {f: Fraction(1)}
-        for c, row in pivots.items():
-            v = row.get(f)
-            if v:
-                vec[c] = -v
-        basis.append(vec)
-    return basis
-
-
 def killing_solve(metric: MetricSpec, max_degree: int) -> list[VectorField]:
     """All Killing fields of the metric with polynomial components of total
     degree <= max_degree; exact, deterministic basis."""
@@ -118,7 +73,7 @@ def killing_solve(metric: MetricSpec, max_degree: int) -> list[VectorField]:
             rows[row_index[key]][u] = coef
 
     fields = []
-    for vec in _sparse_kernel(rows, len(unknowns)):
+    for vec in Elimination(rows).kernel(range(len(unknowns))):
         comps = [LaurentPoly.zero(chart) for _ in range(chart.dim)]
         for u, coef in vec.items():
             k, alpha = unknowns[u]
@@ -168,8 +123,18 @@ def span_contains(span: Sequence[VectorField], field: VectorField) -> bool:
     return solve_exact(a, _field_vector(field, keys)) is not None
 
 
+def _entries(field: VectorField) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """The field as a sparse vector keyed by (component, exponent tuple)."""
+    return {(k, alpha): c for k, comp in enumerate(field.comps) for alpha, c in comp.terms.items()}
+
+
+def _spans(span: Sequence[VectorField], fields: Sequence[VectorField]) -> bool:
+    factored = Elimination(_entries(f) for f in span)
+    return all(not factored.reduce(_entries(f))[1] for f in fields)
+
+
 def spans_equal(a: Sequence[VectorField], b: Sequence[VectorField]) -> bool:
-    return all(span_contains(a, f) for f in b) and all(span_contains(b, f) for f in a)
+    return _spans(a, b) and _spans(b, a)
 
 
 def structure_constants(fields: Sequence[VectorField]) -> list[list[list[Fraction]]]:
@@ -177,33 +142,17 @@ def structure_constants(fields: Sequence[VectorField]) -> list[list[list[Fractio
     if some bracket leaves the span (the list does not close into an algebra)
     or the fields are linearly dependent."""
     m = len(fields)
-    keys = _coordinate_keys(fields)
-    keyset = set(keys)
-    mat = [[Fraction(0)] * m for _ in keys]
-    for j, f in enumerate(fields):
-        vec = _field_vector(f, keys)
-        for i, v in enumerate(vec):
-            mat[i][j] = v
-    # invertible row selection: pivot columns of the transpose are row indices
-    _, piv = rref_fraction([list(col) for col in zip(*mat)])
-    if len(piv) != m:
+    factored = Elimination(_entries(f) for f in fields)
+    if factored.dependent:
         raise ValueError("fields are linearly dependent")
-    sub_inv = fraction_matrix_inverse([mat[i] for i in piv])
-
     out = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
     for a in range(m):
         for b in range(a + 1, m):
-            br = bracket(fields[a], fields[b])
-            if _has_extra_monomials(br, keyset):
+            coeffs, residual = factored.reduce(_entries(bracket(fields[a], fields[b])))
+            # the residual covers every coordinate of the bracket, monomials
+            # outside the fields' own included
+            if residual:
                 raise ValueError("bracket leaves the span: not closed")
-            vec = _field_vector(br, keys)
-            coeffs = [
-                sum(sub_inv[r][s] * vec[piv[s]] for s in range(m)) for r in range(m)
-            ]
-            # verify on the full (possibly overdetermined) system
-            for i in range(len(keys)):
-                if sum(mat[i][c] * coeffs[c] for c in range(m)) != vec[i]:
-                    raise ValueError("bracket leaves the span: not closed")
             for c in range(m):
                 out[a][b][c] = coeffs[c]
                 out[b][a][c] = -coeffs[c]

@@ -78,6 +78,8 @@ class PotentialModel:
         b = np.asarray(base, dtype=float)
         if b.shape != (self.nvars,):
             raise ValueError("base point has the wrong length")
+        if not np.all(np.isfinite(b)):
+            raise DomainError("base point has a non-finite coordinate")
         if not self.in_domain(b):
             raise DomainError(f"base point outside the domain of {self.name}")
         out = self.evaluator(Jet3.seeds(b))

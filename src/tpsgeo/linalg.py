@@ -1,15 +1,19 @@
 """Exact dense linear algebra over Laurent polynomials and rationals.
 
 PolyMatrix is a thin dense container; the heavy lifting is the fraction-free
-Bareiss determinant (avoids rational-function blowup), an adjugate-based
-exact inverse, and reduced row echelon / kernel routines over Fraction
-matrices used by the Killing solver.
+Bareiss determinant (avoids rational-function blowup) and an adjugate-based
+exact inverse.  Over the rationals there is one eliminator, ``Elimination``:
+a sparse Gaussian elimination that factors a list of vectors once and then
+gives reduced echelon rows, the kernel, linear dependence, and the exact
+coefficients and residual of any number of right-hand sides.
+``rref_fraction``, ``kernel_exact``, ``solve_exact`` and
+``fraction_matrix_inverse`` are dense-list views of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .poly import Chart, LaurentPoly, RationalFunction, divexact
 
@@ -245,30 +249,125 @@ def matrix_inverse_exact(m: PolyMatrix):
 # rational (Fraction) linear algebra for the solver layer
 
 
+def _subtract(row: dict, factor: Fraction, other: Mapping) -> None:
+    """row -= factor * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        new = row.get(c, 0) - factor * v
+        if new:
+            row[c] = new
+        else:
+            row.pop(c, None)
+
+
+def _sparse(values: Sequence[Fraction]) -> dict[int, Fraction]:
+    return {c: v for c, v in enumerate(values) if v}
+
+
+def _dense(row: Mapping[int, Fraction], ncols: int) -> list[Fraction]:
+    return [row.get(c, Fraction(0)) for c in range(ncols)]
+
+
+class Elimination:
+    """Exact sparse Gaussian elimination over the rationals, factored once.
+
+    The vectors are sparse rows ``{column: Fraction}``; columns are any keys
+    that sort together (ints, or tuples such as ``(component, exponents)``).
+    Each vector in turn is reduced by the echelon rows found so far, smallest
+    column first.  What is left starts a new echelon row, scaled to a leading
+    1, or is empty: then the vector lies in the span of the earlier ones and
+    its index goes to ``dependent``.  The multipliers of every step are kept
+    (an LU factorisation), so ``reduce`` writes any right-hand side in terms
+    of the original vectors without eliminating again.
+    """
+
+    def __init__(self, vectors: Iterable[Mapping]):
+        # leading column -> echelon row, in the order found
+        self.echelon: dict = {}
+        self.dependent: list[int] = []
+        # per echelon row: (vector index, leading column, leading value,
+        # [(column, multiplier)] of the rows subtracted from the vector)
+        self._steps: list[tuple] = []
+        self.size = 0
+        for index, vector in enumerate(vectors):
+            self.size += 1
+            row = {c: v for c, v in vector.items() if v}
+            used = []
+            while row:
+                c = min(row)
+                piv = self.echelon.get(c)
+                if piv is None:
+                    lead = row[c]
+                    inv = 1 / Fraction(lead)
+                    self.echelon[c] = {cc: vv * inv for cc, vv in row.items()}
+                    self._steps.append((index, c, lead, used))
+                    break
+                factor = row[c]
+                used.append((c, factor))
+                _subtract(row, factor, piv)
+            else:
+                self.dependent.append(index)
+        self._leads = sorted(self.echelon)
+
+    def reduce(self, vector: Mapping) -> tuple[list[Fraction], dict]:
+        """(coefficients, residual) with vector = sum_i coefficients[i] *
+        vectors[i] + residual.  The residual is empty exactly when the vector
+        lies in the span; dependent vectors get coefficient 0."""
+        row = {c: v for c, v in vector.items() if v}
+        along: dict = {}
+        for c in self._leads:
+            factor = row.get(c)
+            if factor:
+                along[c] = factor
+                _subtract(row, factor, self.echelon[c])
+        coeffs = [Fraction(0)] * self.size
+        # undo the factorisation, last echelon row first: vector index =
+        # lead * row(c) + sum of multiplier * row(column) over earlier rows
+        for index, c, lead, used in reversed(self._steps):
+            x = along.get(c)
+            if not x:
+                continue
+            x = Fraction(x) / lead
+            coeffs[index] = x
+            for cc, factor in used:
+                along[cc] = along.get(cc, 0) - factor * x
+        return coeffs, row
+
+    def reduced_rows(self) -> dict:
+        """Reduced row echelon form: leading column -> row with a leading 1
+        and zeros in every other leading column, in the order found."""
+        rows = {c: dict(row) for c, row in self.echelon.items()}
+        for c in sorted(rows, reverse=True):
+            piv = rows[c]
+            for c2, row2 in rows.items():
+                if c2 != c and c in row2:
+                    _subtract(row2, row2[c], piv)
+        return rows
+
+    def kernel(self, columns: Iterable) -> list[dict]:
+        """Basis of the right kernel, in reduced-echelon normal form: one
+        vector per free column, with a 1 there and 0 in the other free
+        columns, in the order of columns."""
+        rows = self.reduced_rows()
+        basis = []
+        for f in columns:
+            if f in rows:
+                continue
+            vec = {f: Fraction(1)}
+            for c, row in rows.items():
+                v = row.get(f)
+                if v:
+                    vec[c] = -v
+            basis.append(vec)
+        return basis
+
+
 def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [v / pv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r] + m[r:], pivots
+    ncols = len(rows[0]) if rows else 0
+    reduced = Elimination(_sparse(r) for r in rows).reduced_rows()
+    pivots = sorted(reduced)
+    m = [_dense(reduced[c], ncols) for c in pivots]
+    return m + [[Fraction(0)] * ncols for _ in range(len(rows) - len(m))], pivots
 
 
 def kernel_exact(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
@@ -279,46 +378,27 @@ def kernel_exact(rows: list[list[Fraction]], ncols: int | None = None) -> list[l
         if not rows:
             raise ValueError("ncols required for empty matrix")
         ncols = len(rows[0])
-    if not rows:
-        basis = []
-        for c in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[c] = Fraction(1)
-            basis.append(v)
-        return basis
-    reduced, pivots = rref_fraction(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(v)
-    return basis
+    basis = Elimination(_sparse(r) for r in rows).kernel(range(ncols))
+    return [_dense(v, ncols) for v in basis]
 
 
 def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """One solution of A x = b over the rationals, or None if inconsistent.
     Free variables are set to zero."""
-    if not a_rows:
-        return None if any(v != 0 for v in b) else []
-    ncols = len(a_rows[0])
-    aug = [row + [rhs] for row, rhs in zip(a_rows, b)]
-    reduced, pivots = rref_fraction(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][ncols]
-    return x
+    ncols = len(a_rows[0]) if a_rows else 0
+    columns = Elimination(
+        {i: row[j] for i, row in enumerate(a_rows) if row[j]} for j in range(ncols)
+    )
+    x, residual = columns.reduce(_sparse(b))
+    return None if residual else x
 
 
 def fraction_matrix_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     nn = len(rows)
-    aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(nn)] for i, r in enumerate(rows)]
-    reduced, pivots = rref_fraction(aug)
-    if pivots != list(range(nn)):
+    if any(len(r) != nn for r in rows):
+        raise ValueError("inverse of non-square matrix")
+    factored = Elimination(_sparse(r) for r in rows)
+    if factored.dependent:
         raise SingularMatrixError("singular rational matrix")
-    return [row[nn:] for row in reduced[:nn]]
+    # row k of the inverse writes the unit vector e_k in terms of the rows
+    return [factored.reduce({k: Fraction(1)})[0] for k in range(nn)]

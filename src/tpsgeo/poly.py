@@ -586,10 +586,10 @@ class RationalFunction:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self) -> int:
-        # weak hash: collapses only exact polynomials reliably; quotients in
-        # distinct normal forms that are equal never arise from our arithmetic
-        return hash((self.num, self.den))
+    def __hash__(self):
+        # equal quotients need not share a normal form (no gcd is taken), so
+        # no hash of (num, den) can agree with ==
+        raise TypeError("RationalFunction is unhashable")
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         d = self.den.evaluate(point)

@@ -26,7 +26,7 @@ from .fields import (
     pull_metric_with_params,
     wedge_all,
 )
-from .linalg import PolyMatrix, rref_fraction, solve_exact
+from .linalg import Elimination, PolyMatrix, solve_exact
 from .poly import Chart, LaurentPoly
 from . import tps
 from .killing import structure_constants
@@ -410,12 +410,10 @@ def _cbracket(a, b):
     )
 
 
-def _flatten(c):
-    out = []
-    for grid in c:
-        for row in grid:
-            out.extend(row)
-    return out
+def _flatten(c) -> dict[int, Fraction]:
+    """The (real, imaginary) matrix pair as one sparse vector."""
+    entries = [v for grid in c for row in grid for v in row]
+    return {i: v for i, v in enumerate(entries) if v}
 
 
 def sl_matrices(n: int) -> list[tuple[str, tuple]]:
@@ -455,9 +453,8 @@ def sl_embedding_report(n: int) -> dict:
 
     mats = sl_matrices(n)
     assert [label for label, _ in mats] == labels
-    vecs = [_flatten(mat) for _, mat in mats]
-    ncols = len(vecs)
-    a = [[vecs[j][i] for j in range(ncols)] for i in range(len(vecs[0]))]
+    span = Elimination(_flatten(mat) for _, mat in mats)
+    ncols = len(mats)
 
     def exponent(label):
         return 0 if label.startswith("Q") else 1
@@ -468,15 +465,13 @@ def sl_embedding_report(n: int) -> dict:
         for _, mat in mats
     )
 
-    _, piv = rref_fraction([list(col) for col in zip(*a)])
-    independent = len(piv) == ncols
+    independent = not span.dependent
 
     ok = True
     for ia in range(ncols):
         for ib in range(ncols):
-            br = _flatten(_cbracket(mats[ia][1], mats[ib][1]))
-            coeffs = solve_exact(a, br)
-            if coeffs is None:
+            coeffs, residual = span.reduce(_flatten(_cbracket(mats[ia][1], mats[ib][1])))
+            if residual:
                 ok = False
                 continue
             for ic in range(ncols):

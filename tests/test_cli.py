@@ -140,6 +140,36 @@ class TestExitCodes:
         assert len(fails) == 1
         assert fails[0]["witness"]["point"] == [0.5, 0.5]
 
+    @pytest.mark.parametrize("c_v", [0, "Infinity"])
+    def test_unusable_model_parameter_is_usage(self, tmp_path, capsys, c_v):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"model": "van_der_waals", "parameters": {"a": 1, "b": 1, "r": 1, "c_v": %s}}' % c_v
+        )
+        code, out, err = run_cli(capsys, ["potential", "--model-file", str(path), "--grid", "0:1:2,2:3:2"])
+        assert code == 2 and out == ""
+        assert "bad model" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"model": "quadratic", "parameters": {"q": [[2.0, 0.5], [0.5, 1.0]]}},
+            {"model": "homogeneous_demo", "parameters": {}},
+        ],
+    )
+    def test_non_finite_points_are_witnessed_failures(self, tmp_path, capsys, spec):
+        path = write_model(tmp_path, spec)
+        pts = tmp_path / "pts.json"
+        pts.write_text("[[1.0, 2.0], [NaN, 1.0], [1.0, Infinity], [2.0, 3.0]]")
+        code, out, _ = run_cli(capsys, ["potential", "--model-file", path, "--points-file", str(pts)])
+        assert code == 1
+        doc = json.loads(out)
+        fails = [r for r in doc["results"] if r["status"] == "fail"]
+        assert [r["claim"] for r in fails] == ["surface data at (nan, 1)", "surface data at (1, inf)"]
+        assert all("non-finite" in r["witness"]["error"] for r in fails)
+        summary = next(r for r in doc["results"] if r["claim"] == "stability classification summary")
+        assert sum(summary["witness"][k] for k in ("stable", "unstable", "marginal")) == 2
+
     def test_unknown_suite_is_usage(self, capsys):
         code, _, err = run_cli(capsys, ["verify-all", "--only", "nosuch"])
         assert code == 2 and "nosuch" in err
@@ -217,7 +247,7 @@ class TestPotential:
 
 
 class TestVerifyAll:
-    """Aggregated run: filter, negative control, thread cap."""
+    """Aggregated run: filter, negative control, determinism."""
 
     def test_only_filter_and_negative_control(self, capsys):
         code, out, _ = run_cli(capsys, ["verify-all", "--only", "legendre"])
@@ -246,10 +276,8 @@ class TestVerifyAll:
         code, _, err = run_cli(capsys, ["verify-all", "--n-max", "0"])
         assert code == 2 and "--n-max" in err
 
-    def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
-        monkeypatch.setenv("TPSGEO_THREADS", "1")
+    def test_two_runs_give_the_same_report(self, capsys):
         _, out1, _ = run_cli(capsys, ["verify-all", "--only", "tps,heisenberg"])
-        monkeypatch.setenv("TPSGEO_THREADS", "3")
         _, out2, _ = run_cli(capsys, ["verify-all", "--only", "tps,heisenberg"])
         a, b = json.loads(out1), json.loads(out2)
         a["timing"] = b["timing"] = None

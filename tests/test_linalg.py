@@ -1,12 +1,17 @@
-"""Exact linear algebra: Bareiss determinant, adjugate inverse, kernels."""
+"""Exact linear algebra: Bareiss determinant, adjugate inverse, kernels,
+and the sparse eliminator behind the rational routines."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpsgeo.fields import VectorField
+from tpsgeo.killing import structure_constants
 from tpsgeo.linalg import (
+    Elimination,
     PolyMatrix,
     SingularMatrixError,
     bareiss_det,
@@ -142,3 +147,139 @@ def test_bareiss_matches_cofactor_expansion(rows):
         )
 
     assert bareiss_det(m) == det3(rows)
+
+
+# ----------------------------------------------------------------------
+# the sparse eliminator
+
+
+def random_matrix(seed, nrows=None, ncols=None):
+    """A seeded sparse rational matrix; every fourth one is rank deficient."""
+    rng = random.Random(seed)
+    nrows = nrows or rng.randint(1, 8)
+    ncols = ncols or rng.randint(1, 8)
+
+    def entry():
+        if rng.random() < 0.55:
+            return Fraction(0)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if seed % 4 == 0 and nrows > 1:
+        k = rng.randint(-2, 2)
+        rows[-1] = [a + k * b for a, b in zip(rows[0], rows[-2])]
+    return rows
+
+
+def sparse(values):
+    return {c: v for c, v in enumerate(values) if v}
+
+
+@pytest.fixture
+def sympy():
+    # installed here but not a declared dependency
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
+
+
+def from_sympy(values):
+    return [Fraction(int(v.p), int(v.q)) for v in values]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rref_rank_and_kernel_match_sympy(sympy, seed):
+    rows = random_matrix(seed)
+    m = to_sympy(sympy, rows)
+    reduced, pivots = rref_fraction(rows)
+    want, want_pivots = m.rref()
+    assert pivots == list(want_pivots)
+    assert reduced == [from_sympy(want.row(i)) for i in range(m.rows)]
+    assert len(Elimination(sparse(r) for r in rows).echelon) == m.rank()
+    # sympy's nullspace uses the same normal form: 1 in a free column
+    assert kernel_exact(rows) == [from_sympy(v) for v in m.nullspace()]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_matches_sympy(sympy, seed):
+    rows = random_matrix(seed)
+    rng = random.Random(1000 + seed)
+    if seed % 2:  # consistent: b is a combination of the columns
+        x = [Fraction(rng.randint(-3, 3)) for _ in rows[0]]
+        b = [sum(a * v for a, v in zip(r, x)) for r in rows]
+    else:
+        b = [Fraction(rng.randint(-3, 3)) for _ in rows]
+    got = solve_exact(rows, b)
+    try:
+        sol, params = to_sympy(sympy, rows).gauss_jordan_solve(to_sympy(sympy, [[v] for v in b]))
+    except ValueError:  # sympy: inconsistent system
+        assert got is None
+        return
+    want = sol.subs({p: 0 for p in params})  # free variables set to zero
+    assert got == from_sympy(want)
+
+
+class TestElimination:
+    def test_one_factorisation_answers_like_one_solve_per_rhs(self):
+        for seed in range(12):
+            rows = random_matrix(seed, nrows=7, ncols=5)
+            columns = Elimination(
+                {i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(len(rows[0]))
+            )
+            rng = random.Random(seed)
+            for _ in range(10):
+                x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows[0]]
+                b = [sum(a * v for a, v in zip(r, x)) for r in rows]
+                if rng.random() < 0.3:
+                    b[rng.randrange(len(b))] += 1
+                coeffs, residual = columns.reduce(sparse(b))
+                want = solve_exact(rows, b)
+                assert (None if residual else coeffs) == want
+
+    def test_coefficients_and_residual_rebuild_the_vector(self):
+        vectors = [sparse(r) for r in random_matrix(3, nrows=5, ncols=9)]
+        factored = Elimination(vectors)
+        target = {0: Fraction(1), 4: Fraction(-2, 3), 8: Fraction(5)}
+        coeffs, residual = factored.reduce(target)
+        rebuilt = dict(residual)
+        for c, v in zip(coeffs, vectors):
+            for k, e in v.items():
+                rebuilt[k] = rebuilt.get(k, 0) + c * e
+        assert {k: v for k, v in rebuilt.items() if v} == target
+
+    def test_vector_outside_the_span_leaves_a_residual(self):
+        factored = Elimination([{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(3)}])
+        coeffs, residual = factored.reduce({0: Fraction(2), 1: Fraction(2), 2: Fraction(1)})
+        assert coeffs == [2, Fraction(1, 3)] and not residual
+        coeffs, residual = factored.reduce({0: Fraction(1), 2: Fraction(1)})
+        assert residual == {1: -1}
+
+    def test_dependent_input_is_flagged(self):
+        vectors = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(-2), 1: Fraction(-4)}, {}, {1: Fraction(1)}]
+        factored = Elimination(vectors)
+        assert factored.dependent == [1, 2]
+        assert len(factored.echelon) == 2
+        # dependent vectors get coefficient 0; the others carry the combination
+        coeffs, residual = factored.reduce({0: Fraction(1), 1: Fraction(5)})
+        assert coeffs == [1, 0, 0, 3] and not residual
+
+    def test_columns_may_be_tuples(self):
+        factored = Elimination([{(0, (1,)): Fraction(2)}, {(1, ()): Fraction(1), (0, (1,)): Fraction(1)}])
+        assert not factored.dependent
+        assert factored.kernel([(0, (1,)), (1, ()), (1, (2,))]) == [{(1, (2,)): 1}]
+
+
+def test_structure_constants_catch_a_bracket_inside_the_keyset_but_outside_the_span():
+    # [x d/dy, d/dx + d/dy] = -d/dy: its one monomial is a coordinate of the
+    # second field, yet d/dy is not in the span of the two fields
+    chart = Chart(["x", "y"])
+    x = LaurentPoly.variable(chart, "x")
+    one, zero = LaurentPoly.one(chart), LaurentPoly.zero(chart)
+    fields = [VectorField(chart, [zero, x]), VectorField(chart, [one, one])]
+    with pytest.raises(ValueError, match="not closed"):
+        structure_constants(fields)
+    closed = [VectorField(chart, [zero, x]), VectorField(chart, [one, zero]), VectorField(chart, [zero, one])]
+    c = structure_constants(closed)
+    assert c[0][1] == [0, 0, -1] and c[1][0] == [0, 0, 1]

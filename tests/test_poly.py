@@ -136,6 +136,22 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             RationalFunction(var("p1"), LaurentPoly.zero(CH))
 
+    def test_equal_quotients_are_unhashable(self):
+        # equal by cross-multiplication but in different normal forms, so no
+        # hash of the stored (num, den) could agree with ==
+        chart = Chart(["x", "y", "z"])
+        x, y, z = (LaurentPoly.variable(chart, v) for v in "xyz")
+        pairs = [
+            (RationalFunction(x * y, x * z), RationalFunction(y, z)),
+            (RationalFunction((x + 1) * y, (x + 1) * z), RationalFunction(y, z)),
+        ]
+        for a, b in pairs:
+            assert a == b
+            with pytest.raises(TypeError):
+                hash(a)
+            with pytest.raises(TypeError):
+                {a, b}
+
 
 # ----------------------------------------------------------------------
 # property-based ring axioms
