@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -14,6 +15,10 @@ import numpy as np
 from . import legendre, suites
 from .jets import DomainError
 from .report import ReportEnvelope, Result, check
+
+
+# Largest --grid accepted; a larger one is refused before any axis is built.
+MAX_GRID_POINTS = 10**6
 
 
 class UsageError(Exception):
@@ -84,7 +89,7 @@ def _load_points(args, nvars: int) -> list[list[float]]:
         if any(len(p) != nvars for p in pts):
             raise UsageError(f"each point needs {nvars} coordinates")
         return pts
-    axes = []
+    specs = []
     for part in args.grid.split(","):
         bits = part.split(":")
         if len(bits) != 3:
@@ -95,9 +100,13 @@ def _load_points(args, nvars: int) -> list[list[float]]:
             raise UsageError(f"bad grid axis {part!r}: {exc}")
         if count < 1:
             raise UsageError("grid axis count must be >= 1")
-        axes.append(np.linspace(start, stop, count))
-    if len(axes) != nvars:
-        raise UsageError(f"model has {nvars} variables; grid has {len(axes)} axes")
+        specs.append((start, stop, count))
+    if len(specs) != nvars:
+        raise UsageError(f"model has {nvars} variables; grid has {len(specs)} axes")
+    total = math.prod(count for _, _, count in specs)
+    if total > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {total} points; at most {MAX_GRID_POINTS} are allowed")
+    axes = [np.linspace(start, stop, count) for start, stop, count in specs]
     mesh = np.meshgrid(*axes, indexing="ij")
     return [list(map(float, row)) for row in np.stack([m.ravel() for m in mesh], axis=1)]
 

@@ -29,11 +29,7 @@ class MetricSpec:
         self.chart = chart
         self.g = g
         if g_inv is None:
-            inv, det = matrix_inverse_exact(g)
-            if not isinstance(inv, PolyMatrix):
-                raise ValueError("metric inverse is not polynomial; unsupported here")
-            self.g_inv = inv
-            self.det = det
+            self.g_inv, self.det = matrix_inverse_exact(g)
         else:
             ident = PolyMatrix.identity(chart, chart.dim)
             if (g @ g_inv) != ident:

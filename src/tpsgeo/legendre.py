@@ -5,6 +5,7 @@ and stability reports, plus a small catalog of potentials."""
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -94,8 +95,9 @@ class PotentialModel:
 
 def surface_point(model: PotentialModel, base) -> dict:
     """Ambient point of the surface over a base point, together with the
-    jet of phi there and the residual of the contact form on the tangent
-    frame (zero for the canonical convention: the surface is Legendre)."""
+    jet of phi there, the tangent frame (rows in chart order) and the
+    residual of the contact form on it (zero for the canonical convention:
+    the surface is Legendre)."""
     b = np.asarray(base, dtype=float)
     jet = model.jet(b)
     n = model.nvars
@@ -129,6 +131,7 @@ def surface_point(model: PotentialModel, base) -> dict:
         "base": b,
         "ambient": ambient,
         "jet": jet,
+        "tangent": t,
         "legendre_residual": res,
         "convention": model.convention,
     }
@@ -159,17 +162,55 @@ def _tangent_frame(model: PotentialModel, jet: Jet3, b: np.ndarray, p: np.ndarra
     return t
 
 
+@functools.cache
+def _float_tables(n: int) -> tuple:
+    """Float term tables of the exact phase-space objects for one n: the
+    chart names, the metric G, the X fields of the canonical frame, and the
+    nonzero Christoffel symbols as (upper, lower1, lower2, terms)."""
+    metric = tps.phase_metric(n)
+    chart = metric.chart
+    g = tuple(tuple(_terms(e) for e in row) for row in metric.g.entries)
+    xrows = tuple(tuple(_terms(c) for c in x.comps) for x in tps.canonical_frame(n)["X"])
+    gamma = tuple(
+        (chart.index(up), chart.index(lo1), chart.index(lo2), _terms(poly))
+        for (up, lo1, lo2), poly in metric.christoffel().nonzero().items()
+    )
+    return chart.names, g, xrows, gamma
+
+
+def _terms(poly) -> tuple:
+    """(float coefficient, variable indices repeated by exponent) per term."""
+    out = []
+    for exps, coef in poly.terms.items():
+        if any(e < 0 for e in exps):
+            raise ValueError("negative exponents have no float term table")
+        out.append((float(coef), tuple(i for i, e in enumerate(exps) for _ in range(e))))
+    return tuple(out)
+
+
+def _evaluate(terms: tuple, point: list) -> float:
+    """A term table at a float point.  The coefficient is multiplied by one
+    variable at a time, so a monomial of degree <= 2 whose coefficient is a
+    signed power of two rounds once, like its exact value converted to
+    float; every table of the phase space has that form."""
+    total = 0.0
+    for coef, idx in terms:
+        val = coef
+        for i in idx:
+            val *= point[i]
+        total += val
+    return total
+
+
+def _chart_point(names: tuple, ambient: dict) -> list:
+    return [ambient[nm] for nm in names]
+
+
 def ambient_metric(n: int, ambient: dict) -> np.ndarray:
     """The phase-space metric at a point, as a float matrix in chart order."""
-    g = np.zeros((2 * n + 1, 2 * n + 1))
-    g[0, 0] = 1.0
-    for i in range(1, n + 1):
-        pi = ambient[f"p{i}"]
-        g[0, n + i] = g[n + i, 0] = pi
-        g[i, n + i] = g[n + i, i] = 1.0
-        for j in range(1, n + 1):
-            g[n + i, n + j] += pi * ambient[f"p{j}"]
-    return g
+    names, g, _, _ = _float_tables(n)
+    point = _chart_point(names, ambient)
+    return np.array([[_evaluate(e, point) for e in row] for row in g])
 
 
 # ----------------------------------------------------------------------
@@ -183,10 +224,8 @@ def induced_metric(model: PotentialModel, base) -> dict:
     canonical convention, or against 2 hess plus the contact-form square for
     the graph convention."""
     sp = surface_point(model, base)
-    jet, b = sp["jet"], sp["base"]
+    jet, t = sp["jet"], sp["tangent"]
     n = model.nvars
-    p = np.array([sp["ambient"][f"p{k}"] for k in range(1, n + 1)])
-    t = _tangent_frame(model, jet, b, p)
     g = ambient_metric(n, sp["ambient"])
     pullback = t @ g @ t.T
     hess = jet.hess.copy()
@@ -216,6 +255,7 @@ def induced_metric(model: PotentialModel, base) -> dict:
             "block_formula": expected,
             "block_agreement": agreement,
         }
+    out["ambient_metric"] = g
     out["surface_point"] = sp
     out["passed"] = bool(agreement < 1e-10 and sp["legendre_residual"] < (1e-12 if model.convention == "canonical" else np.inf))
     return out
@@ -230,11 +270,11 @@ def _frame_vectors(n: int, ambient: dict) -> tuple[np.ndarray, np.ndarray, np.nd
     xi = np.zeros(2 * n + 1)
     xi[0] = 1.0
     pvec = np.zeros((n, 2 * n + 1))
-    xvec = np.zeros((n, 2 * n + 1))
     for k in range(1, n + 1):
         pvec[k - 1, k] = 1.0
-        xvec[k - 1, n + k] = 1.0
-        xvec[k - 1, 0] = -ambient[f"p{k}"]
+    names, _, xrows, _ = _float_tables(n)
+    point = _chart_point(names, ambient)
+    xvec = np.array([[_evaluate(c, point) for c in row] for row in xrows])
     return xi, pvec, xvec
 
 
@@ -278,7 +318,7 @@ def frames(model: PotentialModel, base) -> dict:
     y = v + hess @ w
     hinv = _block_inverse(model, hess)
     z = w - 0.5 * (hinv @ y)
-    g = ambient_metric(n, sp["ambient"])
+    g = im["ambient_metric"]
     vw_gram = v @ g @ w.T
     vw_expected = np.zeros((n, n))
     for k in range(1, n + 1):
@@ -318,28 +358,18 @@ def frames(model: PotentialModel, base) -> dict:
 # ----------------------------------------------------------------------
 # second fundamental form
 
-_GAMMA_CACHE: dict[int, list] = {}
+def _gamma_values(n: int, ambient: dict) -> list:
+    """Nonzero Christoffel symbols of the ambient metric at a point, as
+    (upper, lower1, lower2, value)."""
+    names, _, _, gamma = _float_tables(n)
+    point = _chart_point(names, ambient)
+    return [(up, lo1, lo2, _evaluate(terms, point)) for up, lo1, lo2, terms in gamma]
 
 
-def _gamma_entries(n: int):
-    """Nonzero Christoffel symbols of the ambient metric, as index triples
-    with their exact polynomial values."""
-    if n not in _GAMMA_CACHE:
-        metric = tps.phase_metric(n)
-        chart = metric.chart
-        out = []
-        for (up, lo1, lo2), poly in metric.christoffel().nonzero().items():
-            out.append((chart.index(up), chart.index(lo1), chart.index(lo2), poly))
-        _GAMMA_CACHE[n] = out
-    return _GAMMA_CACHE[n]
-
-
-def _gamma_quadratic(n: int, ambient: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gamma^rho_{mu nu} a^mu b^nu at a point."""
-    point = {nm: Fraction(val) for nm, val in ambient.items()}
-    out = np.zeros(2 * n + 1)
-    for up, lo1, lo2, poly in _gamma_entries(n):
-        val = float(poly.evaluate(point))
+def _gamma_quadratic(gamma: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gamma^rho_{mu nu} a^mu b^nu from the symbol values at a point."""
+    out = np.zeros(a.size)
+    for up, lo1, lo2, val in gamma:
         if lo1 == lo2:
             out[up] += val * a[lo1] * b[lo2]
         else:
@@ -386,12 +416,13 @@ def second_fundamental_form(model: PotentialModel, base) -> dict:
     p = np.array([sp["ambient"][f"p{k}"] for k in range(1, n + 1)])
     hinv = fr["hessian_inverse_blocks"]
     y, z = fr["Y"], fr["Z"]
+    gamma_at = _gamma_values(n, sp["ambient"])
     coeffs = jet.third.copy()
     worst = 0.0
     for k in range(1, n + 1):
         for l in range(1, n + 1):
             deriv = _tangent_derivative(model, jet, p, k, l)
-            gamma = _gamma_quadratic(n, sp["ambient"], y[k - 1], y[l - 1])
+            gamma = _gamma_quadratic(gamma_at, y[k - 1], y[l - 1])
             cov = deriv + gamma
             tangential = np.zeros(2 * n + 1)
             normal = np.zeros(2 * n + 1)
@@ -450,10 +481,7 @@ def homogeneity_check(model: PotentialModel, samples, lambdas=(0.5, 2.0, 3.0)) -
                 abs(amb[f"p{k}"] * amb[f"x{k}"]) for k in range(1, n + 1)
             )
             constitutive = max(constitutive, abs(total) / scale)
-            jet = sp["jet"]
-            t = _tangent_frame(
-                model, jet, b, np.array([amb[f"p{k}"] for k in range(1, n + 1)])
-            )
+            t = sp["tangent"]
             for k in range(n):
                 val = sum(amb[f"x{s}"] * t[k, s] for s in range(1, n + 1))
                 gibbs_duhem = max(gibbs_duhem, abs(val) / (1.0 + abs(val)))
@@ -474,8 +502,11 @@ def homogeneity_check(model: PotentialModel, samples, lambdas=(0.5, 2.0, 3.0)) -
 
 def stability_classify(model: PotentialModel, base) -> dict:
     """Definiteness of the Hessian at a base point via its eigenvalues."""
-    jet = model.jet(np.asarray(base, dtype=float))
-    h = jet.hess
+    return _classify(model.jet(np.asarray(base, dtype=float)).hess)
+
+
+def _classify(h: np.ndarray) -> dict:
+    """Stability class and definiteness of a Hessian from its eigenvalues."""
     eigs = np.linalg.eigvalsh(h)
     tol = 1e-9 * max(float(np.max(np.abs(eigs))), 1e-300)
     if np.any(np.abs(eigs) <= tol):
@@ -668,11 +699,18 @@ def model_from_spec(d: dict) -> PotentialModel:
 
 def analyze(model: PotentialModel, base) -> dict:
     """One-stop report at a base point: ambient coordinates, induced metric,
-    stability, and the second fundamental form when the metric allows it."""
+    stability, and the second fundamental form when the metric allows it.
+    The jet is evaluated once, unless the surface metric is degenerate."""
     b = np.asarray(base, dtype=float)
-    im = induced_metric(model, b)
+    ii = None
+    if model.convention == "canonical":
+        try:
+            ii = second_fundamental_form(model, b)
+        except DegenerateSurfaceError:
+            pass
+    im = induced_metric(model, b) if ii is None else ii["frames"]["induced"]
     sp = im["surface_point"]
-    stab = stability_classify(model, b)
+    stab = _classify(im["hessian"])
     out = {
         "model": model.name,
         "convention": model.convention,
@@ -686,12 +724,9 @@ def analyze(model: PotentialModel, base) -> dict:
         "classification": stab["classification"],
         "definiteness": stab["definiteness"],
     }
+    if ii is not None:
+        out["ii_norm"] = ii["ii_norm"]
+        out["decomposition_residual"] = ii["decomposition_residual"]
     if model.convention == "canonical":
-        try:
-            ii = second_fundamental_form(model, b)
-            out["ii_norm"] = ii["ii_norm"]
-            out["decomposition_residual"] = ii["decomposition_residual"]
-            out["degenerate"] = False
-        except DegenerateSurfaceError:
-            out["degenerate"] = True
+        out["degenerate"] = ii is None
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .poly import Chart, LaurentPoly, RationalFunction, divexact
+from .poly import Chart, LaurentPoly, divexact
 
 
 class PolyMatrix:
@@ -214,10 +214,9 @@ class SingularMatrixError(ValueError):
 def matrix_inverse_exact(m: PolyMatrix):
     """Exact inverse via adjugate / Bareiss determinant.
 
-    Entries come back as LaurentPoly when the determinant divides exactly
-    (always the case for unimodular metrics), otherwise as RationalFunction.
-    Returns (inverse_entries, det); inverse_entries is a PolyMatrix when all
-    entries stayed polynomial, else a plain nested list of RationalFunction.
+    Returns (inverse, det).  Raises ArithmeticError when the determinant does
+    not divide some cofactor, i.e. when the inverse is not a matrix of
+    Laurent polynomials (it always is for unimodular metrics).
     """
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
@@ -226,7 +225,6 @@ def matrix_inverse_exact(m: PolyMatrix):
         raise SingularMatrixError("singular matrix")
     nn = m.rows
     out: list[list] = []
-    all_poly = True
     for i in range(nn):
         row = []
         for j in range(nn):
@@ -235,14 +233,10 @@ def matrix_inverse_exact(m: PolyMatrix):
                 cof = -cof
             q = divexact(cof, det)
             if q is None:
-                all_poly = False
-                row.append(RationalFunction(cof, det))
-            else:
-                row.append(q)
+                raise ArithmeticError("inverse is not polynomial: det does not divide a cofactor")
+            row.append(q)
         out.append(row)
-    if all_poly:
-        return PolyMatrix(m.chart, out), det
-    return out, det
+    return PolyMatrix(m.chart, out), det
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact multivariate Laurent polynomials and rational functions.
+"""Exact multivariate Laurent polynomials.
 
 Everything downstream (metrics, connections, curvature, Killing solvers)
 runs on the two classes defined here.  Coefficients are `fractions.Fraction`;
@@ -282,9 +282,9 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             self._check_chart(other)
             q = divexact(self, other)
-            if q is not None:
-                return q
-            return RationalFunction(self, other)
+            if q is None:
+                raise ArithmeticError("the divisor does not divide the polynomial")
+            return q
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -365,15 +365,6 @@ class LaurentPoly:
                 term = term * cache[e]
             result = result + term
         return result
-
-    # ------------------------------------------------------------------
-    # ordering helpers (lexicographic on exponent tuples)
-
-    def leading(self) -> tuple[tuple, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
 
     # ------------------------------------------------------------------
 
@@ -475,134 +466,3 @@ def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         )
     except ValueError:
         return None
-
-
-class RationalFunction:
-    """Quotient of Laurent polynomials.
-
-    Normal form: zero is 0/1; an exactly divisible quotient collapses to a
-    polynomial over denominator 1; otherwise the denominator is made monic in
-    the lex ordering (leading coefficient 1 > 0).  Equality is decided by
-    cross-multiplication, so no gcd machinery is needed.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.chart != den.chart:
-            raise ValueError("chart mismatch")
-        if num.is_zero():
-            den = LaurentPoly.one(num.chart)
-        else:
-            q = divexact(num, den)
-            if q is not None:
-                num, den = q, LaurentPoly.one(num.chart)
-        if not den.is_constant() or den.constant_value() != 1:
-            _, lead = den.leading()
-            num = num * (Fraction(1) / lead)
-            den = den * (Fraction(1) / lead)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "RationalFunction":
-        return RationalFunction(p, LaurentPoly.one(p.chart))
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant() and self.den.constant_value() == 1
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial")
-        return self.num
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, LaurentPoly):
-            return RationalFunction.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.from_poly(LaurentPoly.constant(self.num.chart, other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        # equal quotients need not share a normal form (no gcd is taken), so
-        # no hash of (num, den) can agree with ==
-        raise TypeError("RationalFunction is unhashable")
-
-    def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at point")
-        return self.num.evaluate(point) / d
-
-    def substitute(self, mapping: Mapping[str, LaurentPoly], chart: Chart) -> "RationalFunction":
-        return RationalFunction(
-            self.num.substitute(mapping, chart), self.den.substitute(mapping, chart)
-        )
-
-    def __repr__(self) -> str:
-        if self.is_polynomial():
-            return f"RationalFunction({self.num})"
-        return f"RationalFunction(({self.num}) / ({self.den}))"

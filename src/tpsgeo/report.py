@@ -4,6 +4,7 @@ numeric status, JSON and markdown rendering."""
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +50,10 @@ def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _jsonable(value.item())
+    if isinstance(value, float) and not math.isfinite(value):
+        # strict JSON has no NaN or Infinity tokens
+        return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(value, "NaN")
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -106,7 +110,7 @@ class ReportEnvelope:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     def to_markdown(self) -> str:
         lines = [

@@ -170,6 +170,34 @@ class TestExitCodes:
         summary = next(r for r in doc["results"] if r["claim"] == "stability classification summary")
         assert sum(summary["witness"][k] for k in ("stable", "unstable", "marginal")) == 2
 
+    def test_non_finite_values_are_strings_in_strict_json(self, tmp_path, capsys):
+        # the NaN point is refused; at x = 1e308 the pullback overflows to NaN
+        path = write_model(tmp_path, {"model": "quadratic", "parameters": {"q": [[2.0, 0.5], [0.5, 1.0]]}})
+        pts = tmp_path / "pts.json"
+        pts.write_text("[[NaN, 1.0], [1e308, 2.0]]")
+        code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--points-file", str(pts)])
+        assert code == 1 and "Traceback" not in err
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(out, parse_constant=reject)
+        refused, overflowed = doc["results"][:2]
+        assert refused["witness"]["point"] == ["NaN", 1.0]
+        assert overflowed["status"] == "fail"
+        assert overflowed["witness"]["block_agreement"] == "NaN"
+
+    @pytest.mark.parametrize("grid", ["0:1:1000000,0:1:1000000", "0:1:1001,0:1:1000"])
+    def test_grid_over_the_cap_is_usage(self, tmp_path, capsys, monkeypatch, grid):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an axis was built before the cap was checked")
+
+        monkeypatch.setattr(cli.np, "linspace", no_allocation)
+        path = write_model(tmp_path, VDW_LITERAL)
+        code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--grid", grid])
+        assert code == 2 and out == ""
+        assert "at most 1000000" in err and "Traceback" not in err
+
     def test_unknown_suite_is_usage(self, capsys):
         code, _, err = run_cli(capsys, ["verify-all", "--only", "nosuch"])
         assert code == 2 and "nosuch" in err

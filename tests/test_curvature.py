@@ -20,7 +20,7 @@ from tpsgeo.curvature import (
 from tpsgeo.fields import VectorField, bracket
 from tpsgeo.linalg import PolyMatrix
 from tpsgeo.poly import Chart, LaurentPoly
-from tpsgeo import tps
+from tpsgeo import sympl, tps
 
 HALF = Fraction(1, 2)
 
@@ -306,3 +306,73 @@ class TestGramAndLie:
     def test_reeb_is_killing(self):
         m = tps.phase_metric(2)
         assert lie_derivative_metric(m, VectorField.coordinate(m.chart, "x0")).is_zero()
+
+
+# ----------------------------------------------------------------------
+# independent oracle: the same tables recomputed by sympy from the metric
+
+
+@pytest.fixture
+def sympy():
+    # installed here but not a declared dependency
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, poly, symbols):
+    acc = sympy.Integer(0)
+    for exps, coef in poly.terms.items():
+        term = sympy.Rational(coef.numerator, coef.denominator)
+        for sym, e in zip(symbols, exps):
+            term *= sym**e
+        acc += term
+    return acc
+
+
+@pytest.mark.parametrize(
+    "metric", [tps.phase_metric(1), tps.phase_metric(2), sympl.sympl_metric(1)], ids=lambda m: m.name
+)
+def test_christoffel_ricci_and_scalar_match_sympy(sympy, metric):
+    d = metric.dim
+    xs = sympy.symbols(metric.chart.names)
+    g = sympy.Matrix(d, d, lambda i, j: to_sympy(sympy, metric.g.entries[i][j], xs))
+    ginv = g.inv()  # from g alone, not from the supplied closed-form inverse
+    gamma = [
+        [
+            [
+                sympy.cancel(
+                    sum(
+                        ginv[a, s] * (g[s, c].diff(xs[b]) + g[s, b].diff(xs[c]) - g[b, c].diff(xs[s]))
+                        for s in range(d)
+                    )
+                    / 2
+                )
+                for c in range(d)
+            ]
+            for b in range(d)
+        ]
+        for a in range(d)
+    ]
+    table = metric.christoffel().gamma
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                assert sympy.expand(gamma[a][b][c] - to_sympy(sympy, table[a][b][c], xs)) == 0
+
+    ricci = sympy.Matrix(
+        d,
+        d,
+        lambda a, b: sympy.expand(
+            sum(gamma[m][a][b].diff(xs[m]) - gamma[m][m][a].diff(xs[b]) for m in range(d))
+            + sum(
+                gamma[m][m][c] * gamma[c][a][b] - gamma[m][b][c] * gamma[c][m][a]
+                for m in range(d)
+                for c in range(d)
+            )
+        ),
+    )
+    cur = ricci_scalar(metric)
+    for a in range(d):
+        for b in range(d):
+            assert sympy.expand(ricci[a, b] - to_sympy(sympy, cur.ricci.entries[a][b], xs)) == 0
+    scalar = sympy.cancel(sum(ginv[a, b] * ricci[a, b] for a in range(d) for b in range(d)))
+    assert sympy.expand(scalar - to_sympy(sympy, cur.scalar, xs)) == 0

@@ -3,12 +3,15 @@ adapted frames, second fundamental form, homogeneity, stability."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from tpsgeo import jets, legendre as lg
+from tpsgeo import jets, legendre as lg, tps
 from tpsgeo.jets import DomainError, Jet3, fd_oracle
 from tpsgeo.legendre import DegenerateSurfaceError
+from tpsgeo.poly import Chart, LaurentPoly
 
 
 def samplers(rng):
@@ -120,6 +123,42 @@ class TestInducedMetric:
         theta = 2.0 * np.array([1.0, 2.0])
         assert np.allclose(im["pullback"], 2.0 * np.eye(2) + np.outer(theta, theta), atol=1e-14)
         assert im["block_agreement"] < 1e-12
+
+
+class TestFloatTables:
+    """Float tables of G, the X fields and the Christoffel symbols against
+    the exact polynomials they are read from."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tables_equal_exact_evaluation(self, n):
+        rng = np.random.default_rng(n)
+        metric = tps.phase_metric(n)
+        names = metric.chart.names
+        xfields = tps.canonical_frame(n)["X"]
+        gamma = metric.christoffel().nonzero()
+        dyadic = [
+            {nm: Fraction(int(rng.integers(-64, 65)), 2 ** int(rng.integers(0, 7))) for nm in names}
+            for _ in range(20)
+        ]
+        # any finite float is a rational too: the tables round like the
+        # exact value converted to float
+        drawn = [{nm: Fraction(float(v)) for nm, v in zip(names, rng.normal(0, 3, len(names)))}
+                 for _ in range(20)]
+        for exact in dyadic + drawn:
+            ambient = {nm: float(v) for nm, v in exact.items()}
+            assert lg.ambient_metric(n, ambient).tolist() == [
+                [float(e.evaluate(exact)) for e in row] for row in metric.g.entries
+            ]
+            _, _, xvec = lg._frame_vectors(n, ambient)
+            assert xvec.tolist() == [[float(c.evaluate(exact)) for c in x.comps] for x in xfields]
+            got = lg._gamma_values(n, ambient)
+            assert [(names[u], names[a], names[b]) for u, a, b, _ in got] == list(gamma)
+            assert [v for *_, v in got] == [float(p.evaluate(exact)) for p in gamma.values()]
+
+    def test_negative_exponents_are_rejected(self):
+        chart = Chart(["x0", "p1", "x1"], invertible=["p1"])
+        with pytest.raises(ValueError):
+            lg._terms(LaurentPoly(chart, {(0, -1, 0): 1}))
 
 
 class TestFrames:
@@ -328,6 +367,30 @@ class TestModelSpecAndAnalyze:
         rep = lg.analyze(lg.linear([1.0, -2.0]), [0.5, 0.5])
         assert rep["degenerate"] is True
         assert rep["classification"] == "marginal"
+        assert rep["pullback_metric"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert rep["hessian"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert rep["block_agreement"] == 0.0
+        assert rep["ambient"] == {"x0": -0.5, "p1": -1.0, "p2": 2.0, "x1": 0.5, "x2": 0.5}
+        assert "ii_norm" not in rep
+
+    @pytest.mark.parametrize("convention", ["canonical", "graph"])
+    def test_analyze_evaluates_the_jet_once(self, convention):
+        vdw = lg.van_der_waals()
+        calls = []
+
+        def counted(seeds):
+            calls.append(None)
+            return vdw.evaluator(seeds)
+
+        m = lg.PotentialModel("counted", 2, (), counted, vdw.plain,
+                              convention=convention, in_domain=vdw.in_domain)
+        rng = np.random.default_rng(7)
+        draw = samplers(rng)["van_der_waals"]
+        for _ in range(10):
+            calls.clear()
+            rep = lg.analyze(m, draw())
+            assert len(calls) == 1
+            assert rep.get("degenerate", False) is False
 
     def test_positive_exponent_variant(self):
         m = lg.van_der_waals(positive_exponent=True)

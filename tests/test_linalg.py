@@ -78,6 +78,12 @@ class TestInverse:
         with pytest.raises(SingularMatrixError):
             matrix_inverse_exact(cmat([[1, 1], [1, 1]]))
 
+    def test_non_polynomial_inverse_raises(self):
+        # det = x1, which does not divide the cofactor 1: the inverse has 1/x1
+        x1 = LaurentPoly.variable(CH, "x1")
+        with pytest.raises(ArithmeticError):
+            matrix_inverse_exact(PolyMatrix(CH, [[x1, ZERO], [ZERO, ONE]]))
+
 
 class TestRationalKernel:
     def test_zero_matrix(self):

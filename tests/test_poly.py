@@ -1,4 +1,4 @@
-"""Exact polynomial/rational-function layer: frozen values and ring axioms."""
+"""Exact polynomial layer: frozen values and ring axioms."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpsgeo.poly import Chart, LaurentPoly, RationalFunction, divexact
+from tpsgeo.poly import Chart, LaurentPoly, divexact
 
 CH = Chart(["x0", "p1", "x1"], invertible=["p1"])
 
@@ -102,55 +102,11 @@ class TestDivision:
         f = x1 * var("p1", -1) + 1
         assert divexact(f * p1, p1) == f
 
-    def test_truediv_returns_rational_function(self):
+    def test_truediv_rejects_a_non_divisor(self):
         p1, x1 = var("p1"), var("x1")
-        q = p1 / (x1 + 1)
-        assert isinstance(q, RationalFunction)
-        assert q * (x1 + 1) == p1
-
-
-class TestRationalFunction:
-    def test_reduces_to_poly(self):
-        p1, x1 = var("p1"), var("x1")
-        r = RationalFunction((p1 + x1) * x1, p1 + x1)
-        assert r.is_polynomial() and r.as_poly() == x1
-
-    def test_cross_multiplication_equality(self):
-        p1, x1 = var("p1"), var("x1")
-        a = RationalFunction(p1 * x1, x1 + 1)
-        b = RationalFunction(2 * p1 * x1, 2 * (x1 + 1))
-        assert a == b
-
-    def test_arithmetic(self):
-        x1 = var("x1")
-        half = RationalFunction(LaurentPoly.one(CH), x1 + 1)
-        assert half + half == RationalFunction(LaurentPoly.constant(CH, 2), x1 + 1)
-        assert (half * (x1 + 1)) == 1
-
-    def test_evaluate(self):
-        p1, x1 = var("p1"), var("x1")
-        r = RationalFunction(p1, x1 + 1)
-        assert r.evaluate({"x0": 0, "p1": 3, "x1": 1}) == Fraction(3, 2)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(var("p1"), LaurentPoly.zero(CH))
-
-    def test_equal_quotients_are_unhashable(self):
-        # equal by cross-multiplication but in different normal forms, so no
-        # hash of the stored (num, den) could agree with ==
-        chart = Chart(["x", "y", "z"])
-        x, y, z = (LaurentPoly.variable(chart, v) for v in "xyz")
-        pairs = [
-            (RationalFunction(x * y, x * z), RationalFunction(y, z)),
-            (RationalFunction((x + 1) * y, (x + 1) * z), RationalFunction(y, z)),
-        ]
-        for a, b in pairs:
-            assert a == b
-            with pytest.raises(TypeError):
-                hash(a)
-            with pytest.raises(TypeError):
-                {a, b}
+        assert (p1 * (x1 + 1)) / (x1 + 1) == p1
+        with pytest.raises(ArithmeticError):
+            p1 / (x1 + 1)
 
 
 # ----------------------------------------------------------------------
