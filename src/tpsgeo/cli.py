@@ -20,6 +20,9 @@ from .report import ReportEnvelope, Result, check
 # Largest --grid accepted; a larger one is refused before any axis is built.
 MAX_GRID_POINTS = 10**6
 
+# Most points analysed in one batch, so memory stays bounded on any grid.
+CHUNK = 4096
+
 
 class UsageError(Exception):
     pass
@@ -111,6 +114,30 @@ def _load_points(args, nvars: int) -> list[list[float]]:
     return [list(map(float, row)) for row in np.stack([m.ravel() for m in mesh], axis=1)]
 
 
+def _analyze(model, points: list):
+    """legendre.analyze for every point, in order and in batches of at most
+    CHUNK; a point that raises DomainError gives the error instead.  Points
+    the model does not admit are set aside before each batch; if the batch
+    raises all the same (a jet factor beyond the float range), each of its
+    points is analysed alone, through the same code."""
+    for start in range(0, len(points), CHUNK):
+        part = points[start : start + CHUNK]
+        admitted = model.admits(part).tolist()
+        batch = [pt for pt, ok in zip(part, admitted) if ok]
+        try:
+            reps = iter(legendre.analyze(model, batch) if batch else ())
+        except DomainError:
+            admitted = [False] * len(part)
+        for pt, ok in zip(part, admitted):
+            if ok:
+                yield next(reps)
+                continue
+            try:
+                yield legendre.analyze(model, pt)
+            except DomainError as exc:
+                yield exc
+
+
 def cmd_potential(args) -> int:
     t0 = time.perf_counter()
     if bool(args.points_file) == bool(args.grid):
@@ -135,17 +162,15 @@ def cmd_potential(args) -> int:
     worst_theta = 0.0
     worst_ii = None
     analyzed = []
-    for pt in points:
+    for pt, rep in zip(points, _analyze(model, points)):
         label = "(" + ", ".join(f"{v:g}" for v in pt) + ")"
-        try:
-            rep = legendre.analyze(model, pt)
-        except DomainError as exc:
+        if isinstance(rep, DomainError):
             env.add(
                 Result(
                     f"surface data at {label}",
                     "surface-geometry",
                     "fail",
-                    witness={"point": pt, "error": str(exc)},
+                    witness={"point": pt, "error": str(rep)},
                 )
             )
             continue

@@ -1,8 +1,17 @@
 """Truncated third-order multivariate Taylor jets with exact chain rule, and
-a central-finite-difference oracle used to cross-check every derivative."""
+a central-finite-difference oracle used to cross-check every derivative.
+
+A jet may carry a leading batch axis: value, gradient, Hessian and third
+tensor then have shapes B, B+(n,), B+(n,n) and B+(n,n,n) with B = (N,), and
+every operation acts on the N points at once, with the floating-point
+operations of one point in the same order as for a single jet (vectorised
+Taylor arithmetic; Griewank & Walther, Evaluating Derivatives, 2008,
+ch. 13).  A single jet is the case B = ()."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from numbers import Rational
 
 import numpy as np
@@ -10,35 +19,41 @@ import numpy as np
 
 class DomainError(ValueError):
     """An operation left its numeric domain: division by zero, log of a
-    nonpositive value, or a fractional power of a nonpositive base."""
+    nonpositive value, a fractional power of a nonpositive base, or a
+    chain-rule factor outside the float range."""
 
 
-def _mirror2(h: np.ndarray) -> np.ndarray:
-    # the upper triangle is authoritative; mirroring makes symmetry exact
-    n = h.shape[0]
-    out = h.copy()
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[j, i] = out[i, j]
-    return out
+@functools.cache
+def _authoritative(n: int, order: int) -> np.ndarray:
+    """For every entry of an order-`order` tensor over n variables, in C
+    order, the flat position of the entry with the same indices sorted."""
+    shape = (n,) * order
+    return np.array(
+        [np.ravel_multi_index(sorted(ix), shape) for ix in np.ndindex(*shape)], dtype=np.intp
+    )
 
 
-def _mirror3(t: np.ndarray) -> np.ndarray:
-    n = t.shape[0]
-    out = np.empty_like(t)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                v = t[i, j, k]
-                out[i, j, k] = out[i, k, j] = out[j, i, k] = v
-                out[j, k, i] = out[k, i, j] = out[k, j, i] = v
-    return out
+def _mirror(a: np.ndarray, order: int) -> np.ndarray:
+    """A fresh copy of a in which the entries with sorted indices are
+    copied to every permutation of them, so symmetry is exact."""
+    n = a.shape[-1]
+    lead = a.shape[: a.ndim - order]
+    return a.reshape(lead + (n**order,))[..., _authoritative(n, order)].reshape(a.shape)
+
+
+def _ex(v, k: int) -> np.ndarray:
+    """v with k trailing unit axes, to scale derivative arrays point by point."""
+    return np.reshape(v, np.shape(v) + (1,) * k)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
 
 
 def _sym3_grad_hess(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """g_i h_jk symmetrized over the three slots."""
-    t = np.einsum("i,jk->ijk", g, h)
-    return t + t.transpose(1, 0, 2) + t.transpose(2, 1, 0)
+    t = np.einsum("...i,...jk->...ijk", g, h)
+    return t + np.swapaxes(t, -3, -2) + np.swapaxes(t, -3, -1)
 
 
 class Jet3:
@@ -48,7 +63,8 @@ class Jet3:
 
     The Hessian and the third tensor are stored dense; the entries with
     sorted indices are authoritative and mirrored on construction, so both
-    are symmetric to the last bit.
+    are symmetric to the last bit.  The value fixes the batch shape B;
+    derivative arrays are broadcast to it.
     """
 
     __slots__ = ("nvars", "value", "grad", "hess", "third")
@@ -58,15 +74,14 @@ class Jet3:
         if n < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = n
-        self.value = float(value)
-        g = np.zeros(n) if grad is None else np.asarray(grad, dtype=float).copy()
-        h = np.zeros((n, n)) if hess is None else np.asarray(hess, dtype=float)
-        t = np.zeros((n, n, n)) if third is None else np.asarray(third, dtype=float)
-        if g.shape != (n,) or h.shape != (n, n) or t.shape != (n, n, n):
-            raise ValueError("derivative array shape mismatch")
-        self.grad = g
-        self.hess = _mirror2(h)
-        self.third = _mirror3(t)
+        self.value = np.array(value, dtype=float)[()]
+        shapes = [np.shape(self.value) + (n,) * k for k in (1, 2, 3)]
+        try:
+            g, h, t = (np.zeros(s) if a is None else np.broadcast_to(np.asarray(a, dtype=float), s)
+                       for a, s in zip((grad, hess, third), shapes))
+        except ValueError:
+            raise ValueError("derivative array shape mismatch") from None
+        self.grad, self.hess, self.third = g.copy(), _mirror(h, 2), _mirror(t, 3)
 
     # ------------------------------------------------------------------
 
@@ -76,17 +91,19 @@ class Jet3:
 
     @staticmethod
     def seed(nvars: int, k: int, value) -> "Jet3":
-        """The k-th coordinate function at the given value."""
+        """The k-th coordinate function at the given value(s)."""
         if not 0 <= k < nvars:
             raise ValueError("seed index out of range")
-        g = np.zeros(nvars)
-        g[k] = 1.0
+        g = np.zeros(np.shape(value) + (nvars,))
+        g[..., k] = 1.0
         return Jet3(nvars, value, g)
 
     @staticmethod
     def seeds(values) -> "list[Jet3]":
-        vals = list(values)
-        return [Jet3.seed(len(vals), k, v) for k, v in enumerate(vals)]
+        """The coordinate functions at a point, or at every row of a batch."""
+        vals = np.asarray(values, dtype=float)
+        n = vals.shape[-1]
+        return [Jet3.seed(n, k, vals[..., k]) for k in range(n)]
 
     def _coerce(self, other) -> "Jet3":
         if isinstance(other, Jet3):
@@ -99,13 +116,8 @@ class Jet3:
 
     def __add__(self, other) -> "Jet3":
         b = self._coerce(other)
-        return Jet3(
-            self.nvars,
-            self.value + b.value,
-            self.grad + b.grad,
-            self.hess + b.hess,
-            self.third + b.third,
-        )
+        return Jet3(self.nvars, self.value + b.value, self.grad + b.grad,
+                    self.hess + b.hess, self.third + b.third)
 
     __radd__ = __add__
 
@@ -122,16 +134,16 @@ class Jet3:
         b = self._coerce(other)
         a = self
         value = a.value * b.value
-        grad = a.value * b.grad + b.value * a.grad
+        grad = _ex(a.value, 1) * b.grad + _ex(b.value, 1) * a.grad
         hess = (
-            a.value * b.hess
-            + b.value * a.hess
-            + np.outer(a.grad, b.grad)
-            + np.outer(b.grad, a.grad)
+            _ex(a.value, 2) * b.hess
+            + _ex(b.value, 2) * a.hess
+            + _outer(a.grad, b.grad)
+            + _outer(b.grad, a.grad)
         )
         third = (
-            a.value * b.third
-            + b.value * a.third
+            _ex(a.value, 3) * b.third
+            + _ex(b.value, 3) * a.third
             + _sym3_grad_hess(a.grad, b.hess)
             + _sym3_grad_hess(b.grad, a.hess)
         )
@@ -141,11 +153,9 @@ class Jet3:
 
     def __truediv__(self, other) -> "Jet3":
         b = self._coerce(other)
-        if b.value == 0.0:
+        if np.any(b.value == 0.0):
             raise DomainError("division by a jet with zero value")
-        v = b.value
-        recip = _compose(b, 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
-        return self * recip
+        return self * _compose(b, *_over_powers(b.value, (1.0, -1.0, 2.0, -6.0)))
 
     def __rtruediv__(self, other) -> "Jet3":
         return self._coerce(other) / self
@@ -155,25 +165,22 @@ class Jet3:
 
     # ------------------------------------------------------------------
 
-    def derivative(self, index) -> float:
+    def derivative(self, index):
         """Partial derivative for a multi-index given as a tuple of variable
-        positions (length 0 to 3)."""
+        positions (length 0 to 3); one value per point of the batch."""
         idx = tuple(index)
-        if len(idx) == 0:
-            return self.value
-        if len(idx) == 1:
-            return float(self.grad[idx[0]])
-        if len(idx) == 2:
-            return float(self.hess[idx[0], idx[1]])
-        if len(idx) == 3:
-            return float(self.third[idx[0], idx[1], idx[2]])
-        raise ValueError("only derivatives up to order 3 are carried")
+        if len(idx) > 3:
+            raise ValueError("only derivatives up to order 3 are carried")
+        arr = (self.value, self.grad, self.hess, self.third)[len(idx)]
+        return np.asarray(arr)[(Ellipsis,) + idx][()]
 
     def symmetry_ok(self) -> bool:
+        h, t = self.hess, self.third
+        lead = tuple(range(t.ndim - 3))
         return bool(
-            np.array_equal(self.hess, self.hess.T)
+            np.array_equal(h, np.swapaxes(h, -1, -2))
             and all(
-                np.array_equal(self.third, self.third.transpose(p))
+                np.array_equal(t, t.transpose(lead + tuple(len(lead) + q for q in p)))
                 for p in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
             )
         )
@@ -182,27 +189,54 @@ class Jet3:
         return f"Jet3(nvars={self.nvars}, value={self.value})"
 
 
-def _compose(a: Jet3, f0: float, f1: float, f2: float, f3: float) -> Jet3:
+def _compose(a: Jet3, f0, f1, f2, f3) -> Jet3:
     """Chain rule for a scalar function applied to a jet, given the
-    function's derivatives at a.value."""
+    function's derivatives at a.value (one per point of the batch)."""
     g, h = a.grad, a.hess
-    value = f0
-    grad = f1 * g
-    hess = f1 * h + f2 * np.outer(g, g)
-    third = f1 * a.third + f2 * _sym3_grad_hess(g, h) + f3 * np.einsum("i,j,k->ijk", g, g, g)
-    return Jet3(a.nvars, value, grad, hess, third)
+    grad = _ex(f1, 1) * g
+    hess = _ex(f1, 2) * h + _ex(f2, 2) * _outer(g, g)
+    third = (
+        _ex(f1, 3) * a.third
+        + _ex(f2, 3) * _sym3_grad_hess(g, h)
+        + _ex(f3, 3) * np.einsum("...i,...j,...k->...ijk", g, g, g)
+    )
+    return Jet3(a.nvars, f0, grad, hess, third)
+
+
+def _pow(v, e) -> np.ndarray:
+    """v**e point by point with the C library's pow, as Python floats
+    compute it (numpy's vectorised power can differ in the last bit).  A
+    finite v whose power overflows is a DomainError, where Python raises."""
+    try:
+        out = [x**e for x in np.ravel(v).tolist()]
+    except OverflowError:
+        raise DomainError("a power of the jet value leaves the float range") from None
+    return np.reshape(out, np.shape(v))
+
+
+def _over_powers(v, coefs) -> list:
+    """coef_k / v**k for k = 1, 2, ...: the chain-rule factors of 1/v and
+    ln v.  A power that underflows to zero is a DomainError, where Python's
+    float division raises."""
+    out = []
+    for k, c in enumerate(coefs, start=1):
+        vk = v if k == 1 else _pow(v, k)
+        if np.any(vk == 0.0):
+            raise DomainError("a power of the jet value underflows to zero")
+        out.append(c / vk)
+    return out
 
 
 def exp(a: Jet3) -> Jet3:
-    e = float(np.exp(a.value))
+    e = np.exp(a.value)
     return _compose(a, e, e, e, e)
 
 
 def ln(a: Jet3) -> Jet3:
     v = a.value
-    if v <= 0.0:
+    if np.any(v <= 0.0):
         raise DomainError("log of a nonpositive value")
-    return _compose(a, float(np.log(v)), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+    return _compose(a, np.log(v), *_over_powers(v, (1.0, -1.0, 2.0)))
 
 
 def power(a: Jet3, exponent) -> Jet3:
@@ -216,7 +250,7 @@ def power(a: Jet3, exponent) -> Jet3:
     if isinstance(e, (int, np.integer)):
         k = int(e)
         if k < 0:
-            if a.value == 0.0:
+            if np.any(a.value == 0.0):
                 raise DomainError("negative power of a jet with zero value")
             return Jet3.constant(a.nvars, 1.0) / power(a, -k)
         out = Jet3.constant(a.nvars, 1.0)
@@ -229,14 +263,14 @@ def power(a: Jet3, exponent) -> Jet3:
         return out
     ef = float(e)
     v = a.value
-    if v <= 0.0:
+    if np.any(v <= 0.0):
         raise DomainError("fractional power of a nonpositive base")
     return _compose(
         a,
-        v**ef,
-        ef * v ** (ef - 1.0),
-        ef * (ef - 1.0) * v ** (ef - 2.0),
-        ef * (ef - 1.0) * (ef - 2.0) * v ** (ef - 3.0),
+        _pow(v, ef),
+        ef * _pow(v, ef - 1.0),
+        ef * (ef - 1.0) * _pow(v, ef - 2.0),
+        ef * (ef - 1.0) * (ef - 2.0) * _pow(v, ef - 3.0),
     )
 
 
@@ -363,16 +397,4 @@ def jet_fd_compare(f_jet, f_plain, point, rel=None, floor: float = 1e-10) -> dic
 
 
 def _sorted_indices(n: int, order: int) -> list[tuple]:
-    if order == 0:
-        return [()]
-    out = []
-
-    def rec(prefix, start):
-        if len(prefix) == order:
-            out.append(tuple(prefix))
-            return
-        for k in range(start, n):
-            rec(prefix + [k], k)
-
-    rec([], 0)
-    return out
+    return list(itertools.combinations_with_replacement(range(n), order))

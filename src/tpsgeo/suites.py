@@ -964,15 +964,9 @@ def suite_legendre() -> list[Result]:
     worst_theta = {}
     worst_block = {}
     for name, (model, sample) in models.items():
-        t_res = 0.0
-        b_res = 0.0
-        for _ in range(100):
-            base = sample()
-            im = legendre.induced_metric(model, base)
-            t_res = max(t_res, im["surface_point"]["legendre_residual"])
-            b_res = max(b_res, im["block_agreement"])
-        worst_theta[name] = t_res
-        worst_block[name] = b_res
+        im = legendre.induced_metric(model, np.array([sample() for _ in range(100)]))
+        worst_theta[name] = max(0.0, *im["surface_point"]["legendre_residual"].tolist())
+        worst_block[name] = max(0.0, *im["block_agreement"].tolist())
     out.append(
         check(
             "contact form pulls back to zero on every surface (100 points per model)",
@@ -993,10 +987,10 @@ def suite_legendre() -> list[Result]:
     )
 
     quad = models["quadratic"][0]
-    ii_worst = 0.0
-    for _ in range(20):
-        rep = legendre.second_fundamental_form(quad, rng.uniform(-2.0, 2.0, size=2))
-        ii_worst = max(ii_worst, rep["ii_norm"])
+    rep = legendre.second_fundamental_form(
+        quad, np.array([rng.uniform(-2.0, 2.0, size=2) for _ in range(20)])
+    )
+    ii_worst = max(0.0, *rep["ii_norm"].tolist())
     out.append(
         check(
             "quadratic potentials give totally geodesic surfaces",
@@ -1033,11 +1027,9 @@ def suite_legendre() -> list[Result]:
         )
     )
 
-    dec_worst = 0.0
-    for _ in range(10):
-        b = np.array([rng.uniform(-1.0, 1.0), rng.uniform(1.5, 3.0)])
-        rep = legendre.second_fundamental_form(vdw, b)
-        dec_worst = max(dec_worst, rep["decomposition_residual"])
+    bases = np.array([[rng.uniform(-1.0, 1.0), rng.uniform(1.5, 3.0)] for _ in range(10)])
+    rep = legendre.second_fundamental_form(vdw, bases)
+    dec_worst = max(0.0, *rep["decomposition_residual"].tolist())
     out.append(
         check(
             "tangential derivative decomposes through the curvature coefficients",
@@ -1076,11 +1068,8 @@ def suite_legendre() -> list[Result]:
     )
 
     lit = models["van_der_waals_literal"][0]
-    lit_indef = any(
-        legendre.stability_classify(lit, [s, v])["definiteness"] == "indefinite"
-        for s in np.linspace(0.5, 2.0, 10)
-        for v in np.linspace(1.5, 3.0, 10)
-    )
+    grid = [[s, v] for s in np.linspace(0.5, 2.0, 10) for v in np.linspace(1.5, 3.0, 10)]
+    lit_indef = "indefinite" in legendre.stability_classify(lit, grid)["definiteness"]
     out.append(
         check(
             "literal-exponent van der Waals grid contains an indefinite (spinodal) point",
@@ -1090,14 +1079,10 @@ def suite_legendre() -> list[Result]:
             exact=False,
         )
     )
-    phys_indef = None
-    for s in np.linspace(-3.0, 1.0, 12):
-        for v in np.linspace(1.5, 3.0, 10):
-            if legendre.stability_classify(vdw, [s, v])["definiteness"] == "indefinite":
-                phys_indef = [float(s), float(v)]
-                break
-        if phys_indef:
-            break
+    grid = [[s, v] for s in np.linspace(-3.0, 1.0, 12).tolist()
+            for v in np.linspace(1.5, 3.0, 10).tolist()]
+    definiteness = legendre.stability_classify(vdw, grid)["definiteness"]
+    phys_indef = next((pt for pt, d in zip(grid, definiteness) if d == "indefinite"), None)
     out.append(
         check(
             "physical-exponent van der Waals spinodal found for S in [-3, 1]",

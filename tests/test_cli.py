@@ -1,10 +1,14 @@
 """Command line surface: envelope schema, witnesses, exit codes, filters,
 tamper mode, and output determinism."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpsgeo import cli
 from tpsgeo.report import STATUSES
@@ -20,6 +24,17 @@ def write_model(tmp_path, spec, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(spec))
     return str(path)
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def point_records(doc):
+    return [r for r in doc["results"] if r["claim"].startswith("surface data at ")]
 
 
 VDW_LITERAL = {
@@ -187,6 +202,41 @@ class TestExitCodes:
         assert overflowed["status"] == "fail"
         assert overflowed["witness"]["block_agreement"] == "NaN"
 
+    @pytest.mark.parametrize(
+        "spec,point",
+        [
+            ({"model": "homogeneous_demo"}, [1e-320, 3.0]),
+            ({"model": "homogeneous_demo"}, [1e308, 2.0]),
+            ({"model": "ideal_gas_energy", "parameters": {}}, [0.0, 1e-300]),
+        ],
+    )
+    def test_jet_overflow_is_a_witnessed_failure(self, tmp_path, capsys, spec, point):
+        # each of these points used to end the run with a traceback
+        path = write_model(tmp_path, spec)
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[1.0, 2.0], point, [2.0, 3.0]]))
+        code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--points-file", str(pts)])
+        assert code == 1 and "Traceback" not in err
+        first, bad, last = point_records(strict_json(out))
+        assert bad["status"] == "fail" and bad["witness"]["point"] == point
+        assert "float range" in bad["witness"]["error"] or "underflows" in bad["witness"]["error"]
+        # the neighbours keep the records they get without the bad point
+        pts.write_text(json.dumps([[1.0, 2.0], [2.0, 3.0]]))
+        _, alone, _ = run_cli(capsys, ["potential", "--model-file", path, "--points-file", str(pts)])
+        assert [first, last] == point_records(strict_json(alone))
+
+    def test_nan_metric_is_a_degenerate_failure(self, tmp_path, capsys):
+        # the NaN pullback used to reach the inversion of the singular block
+        path = write_model(tmp_path, {"model": "quadratic", "parameters": {"q": [[1.0, 0.0], [0.0, 0.0]]}})
+        pts = tmp_path / "pts.json"
+        pts.write_text("[[1e308, 2.0]]")
+        code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--points-file", str(pts)])
+        assert code == 1 and "Traceback" not in err
+        (rec,) = point_records(strict_json(out))
+        assert rec["status"] == "fail"
+        assert rec["witness"]["degenerate_metric"] is True
+        assert rec["witness"]["block_agreement"] == "NaN"
+
     @pytest.mark.parametrize("grid", ["0:1:1000000,0:1:1000000", "0:1:1001,0:1:1000"])
     def test_grid_over_the_cap_is_usage(self, tmp_path, capsys, monkeypatch, grid):
         def no_allocation(*args, **kwargs):
@@ -263,6 +313,21 @@ class TestPotential:
         assert row["witness"]["gibbs_duhem_residual"] < 1e-12
         assert row["witness"]["constitutive_residual"] < 1e-12
 
+    def test_chunks_do_not_change_the_records(self, tmp_path, capsys, monkeypatch):
+        path = write_model(tmp_path, {"model": "homogeneous_demo"})
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps(
+            [[1.0, 2.0], [-1.0, 2.0], [1e308, 2.0], [0.5, 0.5], [float("nan"), 1.0],
+             [2.0, -3.0], [1e-320, 3.0], [3.0, 1.0]]
+        ))
+        argv = ["potential", "--model-file", path, "--points-file", str(pts)]
+        _, whole, _ = run_cli(capsys, argv)
+        for chunk in (1, 2, 3):
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 1
+            assert strict_json(out)["results"] == strict_json(whole)["results"]
+
     def test_points_file_gives_one_record_per_point(self, tmp_path, capsys):
         path = write_model(tmp_path, VDW_LITERAL)
         pts = tmp_path / "pts.json"
@@ -310,3 +375,63 @@ class TestVerifyAll:
         a, b = json.loads(out1), json.loads(out2)
         a["timing"] = b["timing"] = None
         assert a == b
+
+
+# ----------------------------------------------------------------------
+# fuzzing the potential command
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0, 1e308, -1e308, 1e-320, -1e-320, 1e-300, 1e154,
+           float("nan"), float("inf"), -float("inf")]
+numbers = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.floats(-4.0, 4.0))
+parameter_values = st.one_of(
+    numbers, st.integers(-3, 3), st.booleans(), st.none(),
+    st.sampled_from(["1/3", "0", "x", "1e400"]), st.lists(numbers, max_size=2),
+)
+
+
+@st.composite
+def potential_inputs(draw):
+    """A model description (often valid, sometimes not) and a points list
+    (usually of the model's dimension)."""
+    kind = draw(st.sampled_from(
+        ["van_der_waals", "ideal_gas_energy", "quadratic", "linear", "homogeneous_demo", "nope"]
+    ))
+    spec, nvars = {"model": kind}, 2
+    if kind == "quadratic":
+        nvars = draw(st.integers(1, 3))
+        upper = {(i, j): draw(numbers) for i in range(nvars) for j in range(i, nvars)}
+        spec["parameters"] = {"q": [[upper[min(i, j), max(i, j)] for j in range(nvars)]
+                                    for i in range(nvars)]}
+        if draw(st.booleans()):
+            spec["partition"] = draw(st.lists(st.integers(0, nvars + 1), max_size=2))
+    elif kind == "linear":
+        a = draw(st.one_of(st.lists(numbers, max_size=3), st.lists(st.lists(numbers, max_size=2), max_size=2)))
+        spec["parameters"] = {"a": a}
+        nvars = len(a) if a and not isinstance(a[0], list) else 2
+    elif kind in ("van_der_waals", "ideal_gas_energy"):
+        names = ["a", "b", "r", "c_v", "positive_exponent"] if kind == "van_der_waals" else ["r", "c_v"]
+        spec["parameters"] = draw(st.dictionaries(st.sampled_from(names), parameter_values, max_size=3))
+    if draw(st.booleans()):
+        spec["convention"] = draw(st.sampled_from(["canonical", "graph", "other"]))
+    width = draw(st.sampled_from([nvars, nvars, nvars, nvars + 1]))
+    points = draw(st.lists(st.lists(numbers, min_size=width, max_size=width), max_size=5))
+    return spec, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(potential_inputs())
+def test_potential_keeps_its_exit_code_contract(tmp_path_factory, inputs):
+    """Any model file and points file: exit 0, 1 or 2, strict JSON unless
+    the input was refused as a usage error, and no exception."""
+    spec, points = inputs
+    folder = tmp_path_factory.getbasetemp()
+    model, pts = folder / "fuzz-model.json", folder / "fuzz-points.json"
+    model.write_text(json.dumps(spec))
+    pts.write_text(json.dumps(points))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["potential", "--model-file", str(model), "--points-file", str(pts)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 2:
+        strict_json(out.getvalue())

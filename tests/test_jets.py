@@ -192,3 +192,53 @@ class TestAgreement:
             for _ in range(20):
                 rep = jet_fd_compare(f_jet, f_plain, np.array(gen()))
                 assert rep["passed"], rep
+
+
+BATCH_OPS = {
+    "add": lambda x, y, z: x + y + 2.0 + z,
+    "sub": lambda x, y, z: x - y - 1.5 - z,
+    "mul": lambda x, y, z: x * y * z * 3.0,
+    "div": lambda x, y, z: x / y - 1.0 / z,
+    "exp": lambda x, y, z: jets.exp(x * y - z),
+    "ln": lambda x, y, z: jets.ln(x + y * z),
+    "pow_int": lambda x, y, z: (x - y) ** 5 * z**-3,
+    "pow_frac": lambda x, y, z: (x * y) ** Fraction(-2, 3) + z**2.5,
+}
+
+
+class TestBatch:
+    """A jet with a batch axis against one jet per point, bit for bit."""
+
+    @pytest.mark.parametrize("op", sorted(BATCH_OPS))
+    def test_batch_equals_one_jet_per_point(self, op):
+        pts = np.random.default_rng(3).uniform(0.5, 2.0, size=(25, 3))
+        batch = BATCH_OPS[op](*Jet3.seeds(pts))
+        assert batch.value.shape == (25,) and batch.third.shape == (25, 3, 3, 3)
+        assert batch.symmetry_ok()
+        for i, pt in enumerate(pts):
+            one = BATCH_OPS[op](*Jet3.seeds(pt))
+            assert np.shape(one.value) == ()
+            for part in ("value", "grad", "hess", "third"):
+                got, want = getattr(batch, part)[i], getattr(one, part)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (part, i)
+            for ix in ((), (1,), (0, 2), (2, 1, 0)):
+                assert batch.derivative(ix)[i] == one.derivative(ix)
+
+    def test_one_bad_point_fails_the_batch(self):
+        x, y = Jet3.seeds([[1.0, 2.0], [1.0, 0.0]])
+        with pytest.raises(DomainError):
+            x / y
+        with pytest.raises(DomainError):
+            jets.ln(y)
+
+    @pytest.mark.parametrize(
+        "f,point",
+        [
+            (lambda x, y: (y * y) / x, [1e-320, 3.0]),  # 1/x**2 underflows
+            (lambda x, y: (y * y) / x, [1e308, 2.0]),  # x**2 overflows
+            (lambda x, y: y ** Fraction(-2, 3) * jets.exp(x / 1.5), [0.0, 1e-300]),
+        ],
+    )
+    def test_factors_beyond_the_float_range(self, f, point):
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            f(*Jet3.seeds(point))

@@ -3,6 +3,7 @@ adapted frames, second fundamental form, homogeneity, stability."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -404,3 +405,86 @@ class TestModelSpecAndAnalyze:
         rep = lg.analyze(m, [1.0, 2.0])
         assert rep["convention"] == "graph"
         assert "ii_norm" not in rep
+
+
+def cubic_on_one_axis():
+    """phi = x1^3/6 + x2^2/2: hess = diag(x1, 1), degenerate where x1 = 0."""
+    return lg.PotentialModel(
+        "cubic", 2, (), lambda s: s[0] ** 3 * (1.0 / 6.0) + s[1] * s[1] * 0.5,
+        lambda xv: xv[0] ** 3 / 6.0 + xv[1] ** 2 / 2.0,
+    )
+
+
+class TestBatch:
+    """A batch of base points gives each point the report it gets alone."""
+
+    @pytest.mark.parametrize(
+        "make,draw",
+        [
+            (lambda: lg.van_der_waals(), "van_der_waals"),
+            (lambda: lg.van_der_waals(positive_exponent=True), "van_der_waals"),
+            (lambda: lg.ideal_gas_energy(), "ideal_gas_energy"),
+            (lambda: lg.quadratic([[2.0, 1.0], [1.0, 3.0]]), "quadratic"),
+            (lambda: lg.quadratic([[1.0, 1.0], [1.0, -1.0]], part_i=(1,)), "quadratic"),
+            (lambda: lg.quadratic([[1.0, 0.0], [0.0, 0.0]]), "quadratic"),
+            (lambda: lg.linear([1.0, -2.0]), "linear"),
+            (lambda: lg.homogeneous_demo(), "homogeneous_demo"),
+            (lambda: lg.model_from_spec({"model": "van_der_waals", "convention": "graph"}),
+             "van_der_waals"),
+            (cubic_on_one_axis, "quadratic"),
+        ],
+    )
+    def test_analyze_batch_equals_one_point(self, make, draw):
+        model = make()
+        gen = samplers(np.random.default_rng(12))[draw]
+        pts = np.array([gen() for _ in range(30)])
+        if model.name == "cubic":
+            pts[::7, 0] = 0.0  # degenerate points among the others
+        reps = lg.analyze(model, pts)
+        assert len(reps) == len(pts)
+        for pt, rep in zip(pts, reps):
+            assert json.dumps(rep) == json.dumps(lg.analyze(model, pt))
+        if model.name == "cubic":
+            assert [r["degenerate"] for r in reps] == [p[0] == 0.0 for p in pts]
+
+    def test_frames_flag_degenerate_points_of_a_batch(self):
+        pts = np.array([[0.0, 1.0], [1.0, 2.0], [0.0, -1.0], [-0.5, 0.3]])
+        fr = lg.frames(cubic_on_one_axis(), pts)
+        assert fr["degenerate"].tolist() == [True, False, True, False]
+        assert fr["Y"].shape == (4, 2, 5) and fr["passed"][[1, 3]].all()
+        ii = lg.second_fundamental_form(cubic_on_one_axis(), pts[[1, 3]])
+        assert ii["coefficients"][:, 0, 0, 0].tolist() == [1.0, 1.0]
+
+    def test_nan_metric_is_degenerate(self):
+        # at x = 1e308 the pullback overflows to NaN; the singular J block
+        # must never reach the inversion
+        m = lg.quadratic([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateSurfaceError):
+            lg.frames(m, [1e308, 2.0])
+        assert lg.analyze(m, [1e308, 2.0])["degenerate"] is True
+
+    def test_jet_overflow_is_a_domain_error(self):
+        demo = lg.homogeneous_demo()
+        for pt in ([1e-320, 3.0], [1e308, 2.0], [[1.0, 2.0], [1e308, 2.0]]):
+            with pytest.raises(DomainError):
+                demo.jet(pt)
+        with pytest.raises(DomainError):
+            lg.analyze(lg.ideal_gas_energy(), [0.0, 1e-300])
+
+    def test_admits_flags_each_point(self):
+        m = lg.van_der_waals()
+        pts = [[0.0, 2.0], [0.0, 0.5], [np.nan, 2.0], [1.0, np.inf], [-1.0, 1.5]]
+        assert m.admits(pts).tolist() == [True, False, False, False, True]
+
+    def test_one_jet_per_batch(self):
+        vdw = lg.van_der_waals()
+        calls = []
+
+        def counted(seeds):
+            calls.append(None)
+            return vdw.evaluator(seeds)
+
+        m = lg.PotentialModel("counted", 2, (), counted, vdw.plain, in_domain=vdw.in_domain)
+        draw = samplers(np.random.default_rng(7))["van_der_waals"]
+        assert len(lg.analyze(m, [draw() for _ in range(40)])) == 40
+        assert len(calls) == 1
