@@ -287,24 +287,45 @@ def lie_derivative_metric(metric: MetricSpec, x: VectorField) -> PolyMatrix:
 
 
 def lie_derivative_symmetric(g: PolyMatrix, x: VectorField) -> PolyMatrix:
+    """L_X g for a symmetric g.  Only the nonzero components of X and of
+    their partials contribute; the upper triangle is summed and mirrored."""
     chart = g.chart
     if x.chart != chart:
         raise ValueError("field not over metric chart")
     d = chart.dim
     names = chart.names
-    dx = [[x.comps[k].partial(names[i]) for i in range(d)] for k in range(d)]
-    rows = []
-    for i in range(d):
-        row = []
+    entries = g.entries
+    upper: dict[tuple[int, int], LaurentPoly] = {}
+
+    def add(i: int, j: int, term: LaurentPoly) -> None:
+        key = (i, j) if i <= j else (j, i)
+        acc = upper.get(key)
+        upper[key] = term if acc is None else acc + term
+
+    # nonzero entries of each column of g (= of each row, g is symmetric)
+    support = [[(i, entries[i][k]) for i in range(d) if entries[i][k].coeffs] for k in range(d)]
+    for k, comp in enumerate(x.comps):
+        if not comp.coeffs:
+            continue
+        name = names[k]
+        # X^k d_k g_ij
+        for i in range(d):
+            for j, gij in support[i]:
+                if j >= i:
+                    dg = gij.partial(name)
+                    if dg.coeffs:
+                        add(i, j, comp * dg)
+        # g_ik d_j X^k at (i, j) and, as g_kj d_i X^k, at (j, i): both in
+        # the same upper entry, which on the diagonal gets it twice
         for j in range(d):
-            acc = LaurentPoly.zero(chart)
-            for k in range(d):
-                if not x.comps[k].is_zero():
-                    acc = acc + x.comps[k] * g.entries[i][j].partial(names[k])
-                if not g.entries[i][k].is_zero() and not dx[k][j].is_zero():
-                    acc = acc + g.entries[i][k] * dx[k][j]
-                if not g.entries[k][j].is_zero() and not dx[k][i].is_zero():
-                    acc = acc + g.entries[k][j] * dx[k][i]
-            row.append(acc)
-        rows.append(row)
+            dxk = comp.partial(names[j])
+            if not dxk.coeffs:
+                continue
+            for i, gik in support[k]:
+                term = gik * dxk
+                add(i, j, term * 2 if i == j else term)
+    zero = LaurentPoly.zero(chart)
+    rows = [[zero] * d for _ in range(d)]
+    for (i, j), acc in upper.items():
+        rows[i][j] = rows[j][i] = acc
     return PolyMatrix(chart, rows)

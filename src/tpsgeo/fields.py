@@ -76,8 +76,10 @@ class VectorField:
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """Directional derivative X(f)."""
         acc = LaurentPoly.zero(self.chart)
+        if not f.coeffs:
+            return acc
         for comp, nm in zip(self.comps, self.chart.names):
-            if not comp.is_zero():
+            if comp.coeffs:
                 acc = acc + comp * f.partial(nm)
         return acc
 
@@ -106,13 +108,13 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
         raise ValueError("chart mismatch")
     chart = x.chart
     comps = []
-    for k in range(chart.dim):
+    for xk, yk in zip(x.comps, y.comps):
         acc = LaurentPoly.zero(chart)
-        for i, nm in enumerate(chart.names):
-            if not x.comps[i].is_zero():
-                acc = acc + x.comps[i] * y.comps[k].partial(nm)
-            if not y.comps[i].is_zero():
-                acc = acc - y.comps[i] * x.comps[k].partial(nm)
+        for xi, yi, nm in zip(x.comps, y.comps, chart.names):
+            if xi.coeffs and yk.coeffs:
+                acc = acc + xi * yk.partial(nm)
+            if yi.coeffs and xk.coeffs:
+                acc = acc - yi * xk.partial(nm)
         comps.append(acc)
     return VectorField(chart, comps)
 

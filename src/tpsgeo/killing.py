@@ -14,7 +14,7 @@ from typing import Sequence
 from .curvature import MetricSpec, lie_derivative_metric
 from .fields import VectorField, bracket
 from .linalg import Elimination, solve_exact
-from .poly import Chart, LaurentPoly
+from .poly import Chart, LaurentPoly, Scalar
 
 
 def monomials_up_to(dim: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -55,30 +55,32 @@ def killing_solve(metric: MetricSpec, max_degree: int) -> list[VectorField]:
     degree <= max_degree; exact, deterministic basis."""
     chart = metric.chart
     unknowns = ansatz_basis(chart, max_degree)
-    columns: list[dict[tuple[int, int, tuple[int, ...]], Fraction]] = []
+    # rows are keyed (i, j, packed exponents of the monomial); packed keys
+    # sort like exponent tuples
+    columns: list[dict[tuple[int, int, int], Scalar]] = []
     for k, alpha in unknowns:
         lg = lie_derivative_metric(metric, _basis_field(chart, k, alpha))
-        col: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
-        for i in range(chart.dim):
+        col: dict[tuple[int, int, int], Scalar] = {}
+        for i, row in enumerate(lg.entries):
             for j in range(i, chart.dim):
-                for beta, coef in lg.entries[i][j].terms.items():
+                for beta, coef in row[j].packed_items():
                     col[(i, j, beta)] = coef
         columns.append(col)
 
     row_keys = sorted({key for col in columns for key in col})
     row_index = {key: r for r, key in enumerate(row_keys)}
-    rows: list[dict[int, Fraction]] = [dict() for _ in row_keys]
+    rows: list[dict[int, Scalar]] = [dict() for _ in row_keys]
     for u, col in enumerate(columns):
         for key, coef in col.items():
             rows[row_index[key]][u] = coef
 
     fields = []
     for vec in Elimination(rows).kernel(range(len(unknowns))):
-        comps = [LaurentPoly.zero(chart) for _ in range(chart.dim)]
+        terms: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(chart.dim)]
         for u, coef in vec.items():
             k, alpha = unknowns[u]
-            comps[k] = comps[k] + LaurentPoly(chart, {alpha: coef})
-        fields.append(VectorField(chart, comps))
+            terms[k][alpha] = coef
+        fields.append(VectorField(chart, [LaurentPoly(chart, t) for t in terms]))
     return fields
 
 
@@ -86,46 +88,20 @@ def killing_solve(metric: MetricSpec, max_degree: int) -> list[VectorField]:
 # span comparison and structure constants
 
 
-def _coordinate_keys(fields: Sequence[VectorField]) -> list[tuple[int, tuple[int, ...]]]:
-    keys = set()
-    for f in fields:
-        for k, comp in enumerate(f.comps):
-            for alpha in comp.terms:
-                keys.add((k, alpha))
-    return sorted(keys)
-
-
-def _field_vector(field: VectorField, keys: Sequence[tuple[int, tuple[int, ...]]]) -> list[Fraction]:
-    vec = []
-    for k, alpha in keys:
-        vec.append(field.comps[k].terms.get(alpha, Fraction(0)))
-    return vec
-
-
-def _has_extra_monomials(field: VectorField, keyset: set) -> bool:
-    for k, comp in enumerate(field.comps):
-        for alpha in comp.terms:
-            if (k, alpha) not in keyset:
-                return True
-    return False
+def _entries(field: VectorField) -> dict[tuple[int, int], Scalar]:
+    """The field as a sparse vector keyed by (component, packed exponents)."""
+    return {(k, key): c for k, comp in enumerate(field.comps) for key, c in comp.packed_items()}
 
 
 def span_contains(span: Sequence[VectorField], field: VectorField) -> bool:
     """Exact membership of a field in the rational span of a list of fields."""
-    keys = _coordinate_keys(span)
-    if _has_extra_monomials(field, set(keys)):
+    vectors = [_entries(f) for f in span]
+    keys = sorted({key for vec in vectors for key in vec})
+    target = _entries(field)
+    if not target.keys() <= set(keys):
         return False
-    a = [[Fraction(0)] * len(span) for _ in keys]
-    for j, f in enumerate(span):
-        vec = _field_vector(f, keys)
-        for i, v in enumerate(vec):
-            a[i][j] = v
-    return solve_exact(a, _field_vector(field, keys)) is not None
-
-
-def _entries(field: VectorField) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    """The field as a sparse vector keyed by (component, exponent tuple)."""
-    return {(k, alpha): c for k, comp in enumerate(field.comps) for alpha, c in comp.terms.items()}
+    a = [[Fraction(vec.get(key, 0)) for vec in vectors] for key in keys]
+    return solve_exact(a, [Fraction(target.get(key, 0)) for key in keys]) is not None
 
 
 def _spans(span: Sequence[VectorField], fields: Sequence[VectorField]) -> bool:

@@ -674,6 +674,9 @@ def analyze(model: PotentialModel, base) -> "dict | list[dict]":
         ii_norm, decomposition = ii["ii_norm"].tolist(), ii["decomposition_residual"].tolist()
     else:
         im = induced_metric(model, batch)
+    if not np.isfinite(im["hessian"]).all():
+        # its eigenvalues would be NaN: no stability class, no definiteness
+        raise DomainError("the Hessian of the potential is not finite at the base point")
     sp = im["surface_point"]
     stab = _classify(im["hessian"])
     names = list(sp["ambient"])

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .poly import Chart, LaurentPoly, divexact
+from .poly import Chart, LaurentPoly, divexact, monomial_floor
 
 
 class PolyMatrix:
@@ -158,19 +158,14 @@ def bareiss_det(m: PolyMatrix) -> LaurentPoly:
     prefactor = LaurentPoly.one(chart)
     a: list[list[LaurentPoly]] = []
     for row in m.entries:
-        mins = [0] * chart.dim
-        for e in row:
-            for exps in e.terms:
-                for i, v in enumerate(exps):
-                    if v < mins[i]:
-                        mins[i] = v
-        shift = LaurentPoly(chart, {tuple(mins): 1})
-        if any(mins):
+        mins = monomial_floor(chart, row)
+        if mins is None:
+            a.append(list(row))
+        else:
+            shift = LaurentPoly(chart, {mins: 1})
             prefactor = prefactor * shift
             inv = shift.inverse()
             a.append([e * inv for e in row])
-        else:
-            a.append(list(row))
 
     sign = 1
     prev = LaurentPoly.one(chart)

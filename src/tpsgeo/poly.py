@@ -1,25 +1,42 @@
 """Exact multivariate Laurent polynomials.
 
 Everything downstream (metrics, connections, curvature, Killing solvers)
-runs on the two classes defined here.  Coefficients are `fractions.Fraction`;
-terms are stored densely by exponent tuple.  Negative exponents are allowed
-only on chart variables explicitly flagged invertible (momentum-type
-coordinates), which keeps degree bookkeeping honest and catches sign errors
-where an x-variable would end up in a denominator.
+runs on the two classes defined here.  A polynomial keeps integer numerators
+over one positive common denominator, and each exponent tuple is packed into
+one integer key: the exponent of variable i sits in a FIELD_BITS-wide field
+with a bias, the first variable in the highest field, so integer order of
+keys is the lexicographic order of the tuples.  A product adds keys, a
+partial derivative subtracts one unit from a key.  Negative exponents are
+allowed only on chart variables explicitly flagged invertible
+(momentum-type coordinates), which keeps degree bookkeeping honest and
+catches sign errors where an x-variable would end up in a denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
+FIELD_BITS = 16
+_HALF = 1 << (FIELD_BITS - 1)  # the bias of every field, and its sign bit
+_MASK = (1 << FIELD_BITS) - 1
+# the largest |exponent| a field holds; beyond it OverflowError is raised
+EXPONENT_LIMIT = _HALF - 1
+
 
 class Chart:
-    """An ordered tuple of coordinate names, some flagged invertible."""
+    """An ordered tuple of coordinate names, some flagged invertible.
 
-    __slots__ = ("names", "invertible", "_index")
+    It also holds the packing of exponent tuples into integer keys:
+    ``shifts[i]`` is the bit offset of variable i, ``bias`` the key of the
+    constant monomial (its fields are exactly the sign bits: a field is at
+    least the bias when its exponent is nonnegative)."""
+
+    __slots__ = ("names", "invertible", "dim", "shifts", "bias", "_fixed", "_index", "_hash")
 
     def __init__(self, names: Sequence[str], invertible: Iterable[str] = ()):
         self.names = tuple(names)
@@ -30,10 +47,14 @@ class Chart:
         if unknown:
             raise ValueError(f"invertible names not in chart: {sorted(unknown)}")
         self._index = {nm: i for i, nm in enumerate(self.names)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
+        self.dim = len(self.names)
+        self.shifts = tuple(FIELD_BITS * (self.dim - 1 - i) for i in range(self.dim))
+        self.bias = sum(_HALF << s for s in self.shifts)
+        # sign bits of the fields whose exponent must stay nonnegative
+        self._fixed = sum(
+            _HALF << s for s, nm in zip(self.shifts, self.names) if nm not in self.invertible
+        )
+        self._hash = hash((self.names, self.invertible))
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -42,14 +63,17 @@ class Chart:
         return name in self._index
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Chart)
+            and self._hash == other._hash
             and self.names == other.names
             and self.invertible == other.invertible
         )
 
     def __hash__(self) -> int:
-        return hash((self.names, self.invertible))
+        return self._hash
 
     def __repr__(self) -> str:
         inv = f", invertible={sorted(self.invertible)}" if self.invertible else ""
@@ -58,6 +82,22 @@ class Chart:
     def extend(self, names: Sequence[str], invertible: Iterable[str] = ()) -> "Chart":
         """New chart with extra coordinates appended (used for fresh symbols)."""
         return Chart(self.names + tuple(names), set(self.invertible) | set(invertible))
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """The key of an exponent tuple; OverflowError past EXPONENT_LIMIT."""
+        key = 0
+        for e in exps:
+            if not -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
+                raise OverflowError(f"exponent {e} outside +-{EXPONENT_LIMIT}")
+            key = (key << FIELD_BITS) | (e + _HALF)
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return tuple(((key >> s) & _MASK) - _HALF for s in self.shifts)
+
+    def legal(self, key: int) -> bool:
+        """No negative exponent on a variable that is not invertible."""
+        return key & self._fixed == self._fixed
 
 
 def _as_fraction(c: Scalar) -> Fraction:
@@ -68,18 +108,55 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
+def _ranges(chart: Chart, keys: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Per-variable minimum and maximum exponent over the keys (0 if none)."""
+    columns = list(zip(*(chart.unpack(k) for k in keys))) or [(0,)] * chart.dim
+    return [min(c) for c in columns], [max(c) for c in columns]
+
+
+def _checked(lo: Sequence[int], hi: Sequence[int]) -> int:
+    """Largest |exponent| within the per-variable ranges; OverflowError if
+    some exponent would leave its field."""
+    bound = max(-min(lo), max(hi), 0)
+    if bound > EXPONENT_LIMIT:
+        raise OverflowError(f"exponent {bound} outside +-{EXPONENT_LIMIT}")
+    return bound
+
+
+def _make(chart: Chart, coeffs: dict, den: int, bound: int) -> "LaurentPoly":
+    p = object.__new__(LaurentPoly)
+    p.chart = chart
+    p.coeffs = coeffs
+    p.den = den
+    p.bound = bound
+    return p
+
+
+def _normal(chart: Chart, coeffs: dict, den: int, bound: int) -> "LaurentPoly":
+    """Divide out gcd(den, *numerators)."""
+    if den != 1:
+        g = gcd(den, *coeffs.values())
+        if g != 1:
+            den //= g
+            coeffs = {k: v // g for k, v in coeffs.items()}
+    return _make(chart, coeffs, den, bound if coeffs else 0)
+
+
 class LaurentPoly:
     """Exact Laurent polynomial over a chart.
 
-    terms: dict mapping exponent tuple -> nonzero Fraction.  The zero
-    polynomial has an empty dict.  Instances are treated as immutable.
+    coeffs: dict mapping packed exponent key -> nonzero int numerator;
+    den: the positive common denominator, with gcd(den, *numerators) == 1,
+    so that equal polynomials have equal fields; bound: an upper bound on
+    every |exponent|, at most EXPONENT_LIMIT.  The zero polynomial has an
+    empty dict and den 1.  Instances are treated as immutable.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "coeffs", "den", "bound")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple, Scalar] | None = None):
-        self.chart = chart
-        clean: dict[tuple, Fraction] = {}
+        acc: dict[int, Fraction] = {}
+        bound = 0
         if terms:
             for exps, coef in terms.items():
                 coef = _as_fraction(coef)
@@ -91,10 +168,20 @@ class LaurentPoly:
                 for e, nm in zip(exps, chart.names):
                     if e < 0 and nm not in chart.invertible:
                         raise ValueError(f"negative exponent on non-invertible {nm}")
-                clean[exps] = clean.get(exps, Fraction(0)) + coef
-                if clean[exps] == 0:
-                    del clean[exps]
-        self.terms = clean
+                key = chart.pack(exps)
+                bound = max(bound, max(map(abs, exps), default=0))
+                s = acc.get(key, 0) + coef
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+        # over the least common denominator the numerators share no factor
+        # with it
+        den = lcm(*(c.denominator for c in acc.values())) if acc else 1
+        self.chart = chart
+        self.coeffs = {k: c.numerator * (den // c.denominator) for k, c in acc.items()}
+        self.den = den
+        self.bound = bound if acc else 0
 
     # ------------------------------------------------------------------
     # constructors
@@ -103,8 +190,8 @@ class LaurentPoly:
     def constant(chart: Chart, c: Scalar) -> "LaurentPoly":
         c = _as_fraction(c)
         if c == 0:
-            return LaurentPoly(chart)
-        return LaurentPoly(chart, {(0,) * chart.dim: c})
+            return _make(chart, {}, 1, 0)
+        return _make(chart, {chart.bias: c.numerator}, c.denominator, 0)
 
     @staticmethod
     def variable(chart: Chart, name: str, power: int = 1) -> "LaurentPoly":
@@ -114,44 +201,57 @@ class LaurentPoly:
 
     @staticmethod
     def zero(chart: Chart) -> "LaurentPoly":
-        return LaurentPoly(chart)
+        return _make(chart, {}, 1, 0)
 
     @staticmethod
     def one(chart: Chart) -> "LaurentPoly":
-        return LaurentPoly.constant(chart, 1)
+        return _make(chart, {chart.bias: 1}, 1, 0)
 
     # ------------------------------------------------------------------
     # predicates and views
 
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """Read-only view: exponent tuple -> nonzero Fraction."""
+        unpack, den = self.chart.unpack, self.den
+        return MappingProxyType({unpack(k): Fraction(v, den) for k, v in self.coeffs.items()})
+
+    def packed_items(self) -> Iterable[tuple[int, Scalar]]:
+        """(packed key, exact coefficient) pairs; the coefficient is an int
+        when the denominator is 1 and a Fraction otherwise."""
+        den = self.den
+        if den == 1:
+            return self.coeffs.items()
+        return ((k, Fraction(v, den)) for k, v in self.coeffs.items())
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_constant(self) -> bool:
-        return not self.terms or (
-            len(self.terms) == 1 and next(iter(self.terms)) == (0,) * self.chart.dim
-        )
+        t = self.coeffs
+        return not t or (len(t) == 1 and self.chart.bias in t)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self.coeffs:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(self.coeffs[self.chart.bias], self.den)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.coeffs) == 1
 
     def total_degree(self) -> int:
         """Max over terms of the sum of exponents; 0 for the zero poly."""
-        if not self.terms:
+        if not self.coeffs:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(sum(self.chart.unpack(k)) for k in self.coeffs)
 
     # ------------------------------------------------------------------
     # chart alignment
 
     def _check_chart(self, other: "LaurentPoly") -> None:
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ValueError(f"chart mismatch: {self.chart} vs {other.chart}")
 
     def with_chart(self, chart: Chart) -> "LaurentPoly":
@@ -179,71 +279,106 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _coerce(self, other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            self._check_chart(other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.constant(self.chart, other)
+    def _constant_like(self, c) -> "LaurentPoly | None":
+        if isinstance(c, (int, Fraction)):
+            return LaurentPoly.constant(self.chart, c)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exps, coef in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + coef
-            if s == 0:
-                terms.pop(exps, None)
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, sign = +-1."""
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        da, db = self.den, other.den
+        if da == db:
+            t = dict(a)
+            fb = sign
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+            t = {k: v * fa for k, v in a.items()}
+            da *= fa
+        get = t.get
+        for k, v in b.items():
+            s = get(k, 0) + v * fb
+            if s:
+                t[k] = s
             else:
-                terms[exps] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.chart = self.chart
-        out.terms = terms
-        return out
+                del t[k]
+        return _normal(self.chart, t, da, max(self.bound, other.bound))
+
+    def __add__(self, other):
+        if isinstance(other, LaurentPoly):
+            self._check_chart(other)
+        else:
+            other = self._constant_like(other)
+            if other is None:
+                return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.chart = self.chart
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _make(self.chart, {k: -v for k, v in self.coeffs.items()}, self.den, self.bound)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, LaurentPoly):
+            self._check_chart(other)
+        else:
+            other = self._constant_like(other)
+            if other is None:
+                return NotImplemented
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = self._constant_like(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1)
+
+    def _scale(self, c) -> "LaurentPoly":
+        if isinstance(c, int):
+            num, den = c, 1
+        elif isinstance(c, Fraction):
+            num, den = c.numerator, c.denominator
+        else:
+            return NotImplemented
+        if not num or not self.coeffs:
+            return _make(self.chart, {}, 1, 0)
+        t = {k: v * num for k, v in self.coeffs.items()}
+        return _normal(self.chart, t, self.den * den, self.bound)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.terms or not other.terms:
-            return LaurentPoly.zero(self.chart)
-        terms: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
+        if not isinstance(other, LaurentPoly):
+            return self._scale(other)
+        self._check_chart(other)
+        chart = self.chart
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _make(chart, {}, 1, 0)
+        bound = self.bound + other.bound
+        if bound > EXPONENT_LIMIT:
+            (lo_a, hi_a), (lo_b, hi_b) = _ranges(chart, a), _ranges(chart, b)
+            bound = _checked(
+                [x + y for x, y in zip(lo_a, lo_b)], [x + y for x, y in zip(hi_a, hi_b)]
+            )
+        bias = chart.bias
+        t: dict[int, int] = {}
+        get = t.get
+        for k1, c1 in a.items():
+            k1 -= bias
+            for k2, c2 in b.items():
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
+                if s:
+                    t[k] = s
                 else:
-                    terms[e] = s
+                    del t[k]
         # no validity re-check needed: sums of legal exponents can only go
         # negative on invertible axes
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.chart = self.chart
-        out.terms = terms
-        return out
+        return _normal(chart, t, self.den * other.den, bound)
 
     __rmul__ = __mul__
 
@@ -253,25 +388,32 @@ class LaurentPoly:
         if k < 0:
             inv = self.inverse()
             return inv ** (-k)
+        if k * self.bound > EXPONENT_LIMIT:
+            lo, hi = _ranges(self.chart, self.coeffs)
+            _checked([k * e for e in lo], [k * e for e in hi])
         result = LaurentPoly.one(self.chart)
         base = self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def inverse(self) -> "LaurentPoly":
         """Inverse of a unit monomial (the only Laurent-invertible elements)."""
-        if len(self.terms) != 1:
+        if len(self.coeffs) != 1:
             raise ValueError("only monomials are invertible in the Laurent ring")
-        (exps, coef), = self.terms.items()
-        inv_exps = tuple(-e for e in exps)
-        for e, nm in zip(inv_exps, self.chart.names):
-            if e < 0 and nm not in self.chart.invertible:
-                raise ValueError(f"inverse needs negative power of non-invertible {nm}")
-        return LaurentPoly(self.chart, {inv_exps: Fraction(1) / coef})
+        chart = self.chart
+        ((key, num),) = self.coeffs.items()
+        inv_key = 2 * chart.bias - key
+        if not chart.legal(inv_key):
+            for e, nm in zip(chart.unpack(inv_key), chart.names):
+                if e < 0 and nm not in chart.invertible:
+                    raise ValueError(f"inverse needs negative power of non-invertible {nm}")
+        # 1 / (num / den) = den / num with the sign moved up
+        return _make(chart, {inv_key: self.den if num > 0 else -self.den}, abs(num), self.bound)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -288,55 +430,75 @@ class LaurentPoly:
         return NotImplemented
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, LaurentPoly):
+            return (
+                (self.chart is other.chart or self.chart == other.chart)
+                and self.den == other.den
+                and self.coeffs == other.coeffs
+            )
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(self.chart, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+            if not self.is_constant():
+                return False
+            return self.constant_value() == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.chart, frozenset(self.terms.items())))
+        # a constant hashes as its value, as == says it equals that number
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self.chart, frozenset(self.coeffs.items()), self.den))
 
     # ------------------------------------------------------------------
     # calculus and evaluation
 
     def partial(self, name: str) -> "LaurentPoly":
-        i = self.chart.index(name)
-        terms: dict[tuple, Fraction] = {}
-        for exps, coef in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            key = tuple(new)
-            s = terms.get(key, Fraction(0)) + coef * e
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.chart = self.chart
-        out.terms = terms
-        return out
+        chart = self.chart
+        i = chart.index(name)
+        shift = chart.shifts[i]
+        unit = 1 << shift
+        bound = self.bound
+        if name in chart.invertible and bound == EXPONENT_LIMIT:
+            lo, _hi = _ranges(chart, self.coeffs)
+            if lo[i] - 1 < -EXPONENT_LIMIT:
+                raise OverflowError(f"exponent {lo[i] - 1} outside +-{EXPONENT_LIMIT}")
+        elif name in chart.invertible:
+            bound += 1
+        t: dict[int, int] = {}
+        for k, v in self.coeffs.items():
+            e = ((k >> shift) & _MASK) - _HALF
+            if e:
+                t[k - unit] = v * e
+        return _normal(chart, t, self.den, bound)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         vals = []
         for nm in self.chart.names:
             if nm not in point:
                 raise ValueError(f"missing value for {nm}")
-            vals.append(_as_fraction(point[nm]))
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            term = coef
-            for v, e in zip(vals, exps):
-                if e == 0:
-                    continue
-                if v == 0 and e < 0:
-                    raise ZeroDivisionError("negative power at zero value")
-                term *= v ** e
-            total += term
-        return total
+            v = _as_fraction(point[nm])
+            vals.append((v.numerator, v.denominator))
+        # in integers: the sum num/den over the least common denominator
+        shifts = self.chart.shifts
+        total, den = 0, 1
+        for key, num in self.coeffs.items():
+            d = 1
+            for (a, b), s in zip(vals, shifts):
+                e = ((key >> s) & _MASK) - _HALF
+                if e > 0:
+                    num *= a**e
+                    d *= b**e
+                elif e < 0:
+                    if a == 0:
+                        raise ZeroDivisionError("negative power at zero value")
+                    num *= b**-e
+                    d *= a**-e
+            if d == den:
+                total += num
+            else:
+                common = den // gcd(den, d) * d
+                total = total * (common // den) + num * (common // d)
+                den = common
+        return Fraction(total, den * self.den)
 
     def substitute(self, mapping: Mapping[str, "LaurentPoly"], chart: Chart) -> "LaurentPoly":
         """Substitute polynomials for variables; unmapped variables must exist
@@ -372,13 +534,13 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         parts = []
-        for exps in sorted(self.terms, reverse=True):
-            coef = self.terms[exps]
+        for key in sorted(self.coeffs, reverse=True):
+            coef = Fraction(self.coeffs[key], self.den)
             factors = []
-            for nm, e in zip(self.chart.names, exps):
+            for nm, e in zip(self.chart.names, self.chart.unpack(key)):
                 if e == 0:
                     continue
                 factors.append(nm if e == 1 else f"{nm}^{e}")
@@ -395,6 +557,17 @@ class LaurentPoly:
         return s.replace("+ -", "- ")
 
 
+def monomial_floor(chart: Chart, polys: Iterable[LaurentPoly]) -> tuple[int, ...] | None:
+    """Per-variable minimum of 0 and every exponent of the polynomials, or
+    None when no exponent is negative."""
+    bias = chart.bias
+    negative = [k for p in polys for k in p.coeffs if k & bias != bias]
+    if not negative:
+        return None
+    lo, _hi = _ranges(chart, negative)
+    return tuple(min(e, 0) for e in lo)
+
+
 def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """Exact division num/den, or None when den does not divide num.
 
@@ -408,55 +581,54 @@ def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     if num.chart != den.chart:
         raise ValueError("chart mismatch in divexact")
     chart = num.chart
-    if den.is_monomial():
-        (d_exps, d_coef), = den.terms.items()
-        terms: dict[tuple, Fraction] = {}
-        for exps, coef in num.terms.items():
-            new = tuple(a - b for a, b in zip(exps, d_exps))
-            if any(
-                e < 0 and nm not in chart.invertible for e, nm in zip(new, chart.names)
-            ):
+    if len(den.coeffs) == 1:
+        ((d_key, d_num),) = den.coeffs.items()
+        bound = num.bound + den.bound
+        if bound > EXPONENT_LIMIT:
+            lo, hi = _ranges(chart, num.coeffs)
+            d_exps = chart.unpack(d_key)
+            bound = _checked([a - b for a, b in zip(lo, d_exps)], [a - b for a, b in zip(hi, d_exps)])
+        # (v / num.den) / (d_num / den.den) = v * den.den / (num.den * d_num)
+        off = d_key - chart.bias
+        scale = den.den if d_num > 0 else -den.den
+        legal = chart.legal
+        terms: dict[int, int] = {}
+        for k, v in num.coeffs.items():
+            k -= off
+            if not legal(k):
                 return None
-            terms[new] = coef / d_coef
-        return LaurentPoly(chart, terms)
+            terms[k] = v * scale
+        return _normal(chart, terms, num.den * abs(d_num), bound)
 
-    def min_exps(p: LaurentPoly) -> tuple:
+    def shift(p: LaurentPoly) -> tuple[LaurentPoly, list[int]]:
         # true per-axis minimum: also strips common positive monomial factors,
         # so Laurent quotients (negative powers on invertible axes) are found
-        mins = None
-        for exps in p.terms:
-            if mins is None:
-                mins = list(exps)
-            else:
-                for i, e in enumerate(exps):
-                    if e < mins[i]:
-                        mins[i] = e
-        return tuple(mins)
-
-    def shift(p: LaurentPoly, by: tuple) -> LaurentPoly:
-        return LaurentPoly(
-            chart, {tuple(e - b for e, b in zip(exps, by)): c for exps, c in p.terms.items()}
-        )
+        lo, hi = _ranges(chart, p.coeffs)
+        off = sum(e << s for e, s in zip(lo, chart.shifts))
+        bound = _checked([0] * chart.dim, [b - a for a, b in zip(lo, hi)])
+        return _make(chart, {k - off: v for k, v in p.coeffs.items()}, p.den, bound), lo
 
     # make both plain polynomials; the quotient is then Laurent-corrected
-    num_shift = min_exps(num)
-    den_shift = min_exps(den)
-    n = shift(num, num_shift)
-    d = shift(den, den_shift)
+    n, num_shift = shift(num)
+    d, den_shift = shift(den)
 
-    d_lead, d_coef = max(d.terms), d.terms[max(d.terms)]
+    bias, unpack = chart.bias, chart.unpack
+    d_lead = max(d.coeffs)
+    d_coef = Fraction(d.coeffs[d_lead], d.den)
     quotient: dict[tuple, Fraction] = {}
     rem = n
-    while not rem.is_zero():
-        r_lead = max(rem.terms)
-        q_exps = tuple(a - b for a, b in zip(r_lead, d_lead))
-        if any(e < 0 for e in q_exps):
+    while rem.coeffs:
+        r_lead = max(rem.coeffs)
+        q_key = r_lead - d_lead + bias
+        if q_key & bias != bias:  # a negative exponent
             return None
-        q_coef = rem.terms[r_lead] / d_coef
+        q_coef = Fraction(rem.coeffs[r_lead], rem.den) / d_coef
+        q_exps = unpack(q_key)
         quotient[q_exps] = q_coef
-        rem = rem - LaurentPoly(chart, {q_exps: q_coef}) * d
+        q = _make(chart, {q_key: q_coef.numerator}, q_coef.denominator, max(q_exps))
+        rem = rem - q * d
         # progress check: leading term must strictly drop
-        if not rem.is_zero() and max(rem.terms) >= r_lead:
+        if rem.coeffs and max(rem.coeffs) >= r_lead:
             return None
     correction = tuple(b - a for a, b in zip(num_shift, den_shift))
     try:

@@ -8,6 +8,7 @@ Chart: (p_0..p_n, x^0..x^n) with every p-symbol invertible.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -70,6 +71,9 @@ def _metric_on(chart: Chart, n: int) -> PolyMatrix:
     return PolyMatrix(chart, g)
 
 
+# built once per n: a MetricSpec is never mutated, and it keeps its
+# Christoffel table
+@functools.cache
 def sympl_metric(n: int) -> MetricSpec:
     """G-tilde = 2 sum dp_i . dx^i + (sum p_i dx^i)^2; closed-form inverse."""
     chart = sympl_chart(n)

@@ -9,6 +9,7 @@ with its Gibbs-Duhem pairing.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -71,6 +72,9 @@ def build(n: int) -> TPS:
     return TPS(n)
 
 
+# built once per n: a MetricSpec is never mutated, and it keeps its
+# Christoffel table
+@functools.cache
 def phase_metric(n: int) -> MetricSpec:
     """G = 2 dp . dx + theta (x) theta; inverse supplied in closed form."""
     chart = tps_chart(n)

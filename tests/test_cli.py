@@ -5,11 +5,15 @@ import contextlib
 import io
 import json
 import os
+import pkgutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tpsgeo
 from tpsgeo import cli
 from tpsgeo.report import STATUSES
 
@@ -41,6 +45,18 @@ VDW_LITERAL = {
     "model": "van_der_waals",
     "parameters": {"a": 1.0, "b": 1.0, "r": 1.0, "c_v": 1.5, "positive_exponent": True},
 }
+
+
+def test_importing_the_cli_loads_every_module():
+    # the benchmark tracer wraps functions only in the modules that
+    # `import tpsgeo.cli` has loaded; a module imported lazily would go
+    # untraced without any error
+    package_dir = os.path.dirname(tpsgeo.__file__)
+    expected = {f"tpsgeo.{m.name}" for m in pkgutil.iter_modules([package_dir])} | {"tpsgeo"}
+    probe = "import json, sys, tpsgeo.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(package_dir)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert {m for m in json.loads(out.stdout) if m.split(".")[0] == "tpsgeo"} == expected
 
 
 class TestEnvelope:
@@ -222,6 +238,29 @@ class TestExitCodes:
         assert "float range" in bad["witness"]["error"] or "underflows" in bad["witness"]["error"]
         # the neighbours keep the records they get without the bad point
         pts.write_text(json.dumps([[1.0, 2.0], [2.0, 3.0]]))
+        _, alone, _ = run_cli(capsys, ["potential", "--model-file", path, "--points-file", str(pts)])
+        assert [first, last] == point_records(strict_json(alone))
+
+    def test_non_finite_hessian_is_a_witnessed_failure(self, tmp_path, capsys):
+        # exp overflows inside numpy at S = 2000: the point used to be counted
+        # as an unstable, indefinite point with a contact residual of 0
+        path = write_model(tmp_path, {"model": "van_der_waals", "parameters": {}})
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[1.0, 2.5], [2000.0, 2.0], [0.3, 1.2]]))
+        code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--points-file", str(pts)])
+        assert code == 1 and "Traceback" not in err
+        doc = strict_json(out)
+        first, bad, last = point_records(doc)
+        assert bad["status"] == "fail" and bad["witness"]["point"] == [2000.0, 2.0]
+        assert "Hessian" in bad["witness"]["error"] and "not finite" in bad["witness"]["error"]
+        by_claim = {r["claim"]: r for r in doc["results"]}
+        summary = by_claim["stability classification summary"]["witness"]
+        assert summary == {"stable": 2, "unstable": 0, "marginal": 0, "degenerate_metric": 0,
+                           "indefinite": 0}
+        contact = by_claim["contact form vanishes on the surface at every analyzed point"]
+        assert contact["witness"]["points"] == 2
+        # the neighbours keep the records they get without the bad point
+        pts.write_text(json.dumps([[1.0, 2.5], [0.3, 1.2]]))
         _, alone, _ = run_cli(capsys, ["potential", "--model-file", path, "--points-file", str(pts)])
         assert [first, last] == point_records(strict_json(alone))
 

@@ -12,6 +12,7 @@ from tpsgeo.curvature import (
     gram_matrix,
     lie_derivative_metric,
     ricci_scalar,
+    riemann_tensor,
     riemann_transform,
     sectional,
     sectional_parts,
@@ -314,7 +315,7 @@ class TestGramAndLie:
 
 @pytest.fixture
 def sympy():
-    # installed here but not a declared dependency
+    # an optional test dependency (pyproject.toml); skipped where missing
     return pytest.importorskip("sympy")
 
 
@@ -328,14 +329,13 @@ def to_sympy(sympy, poly, symbols):
     return acc
 
 
-@pytest.mark.parametrize(
-    "metric", [tps.phase_metric(1), tps.phase_metric(2), sympl.sympl_metric(1)], ids=lambda m: m.name
-)
-def test_christoffel_ricci_and_scalar_match_sympy(sympy, metric):
+def sympy_christoffel(sympy, metric):
+    """Symbols, g, its inverse computed from g alone (not the supplied
+    closed-form inverse), and Gamma^a_{bc} as nested lists."""
     d = metric.dim
     xs = sympy.symbols(metric.chart.names)
     g = sympy.Matrix(d, d, lambda i, j: to_sympy(sympy, metric.g.entries[i][j], xs))
-    ginv = g.inv()  # from g alone, not from the supplied closed-form inverse
+    ginv = g.inv()
     gamma = [
         [
             [
@@ -352,6 +352,16 @@ def test_christoffel_ricci_and_scalar_match_sympy(sympy, metric):
         ]
         for a in range(d)
     ]
+    return xs, g, ginv, gamma
+
+
+ORACLE_METRICS = [tps.phase_metric(1), tps.phase_metric(2), sympl.sympl_metric(1)]
+
+
+@pytest.mark.parametrize("metric", ORACLE_METRICS, ids=lambda m: m.name)
+def test_christoffel_ricci_and_scalar_match_sympy(sympy, metric):
+    d = metric.dim
+    xs, g, ginv, gamma = sympy_christoffel(sympy, metric)
     table = metric.christoffel().gamma
     for a in range(d):
         for b in range(d):
@@ -376,3 +386,24 @@ def test_christoffel_ricci_and_scalar_match_sympy(sympy, metric):
             assert sympy.expand(ricci[a, b] - to_sympy(sympy, cur.ricci.entries[a][b], xs)) == 0
     scalar = sympy.cancel(sum(ginv[a, b] * ricci[a, b] for a in range(d) for b in range(d)))
     assert sympy.expand(scalar - to_sympy(sympy, cur.scalar, xs)) == 0
+
+
+@pytest.mark.parametrize("metric", ORACLE_METRICS, ids=lambda m: m.name)
+def test_riemann_tensor_matches_sympy(sympy, metric):
+    # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
+    #           + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}
+    d = metric.dim
+    xs, _g, _ginv, gamma = sympy_christoffel(sympy, metric)
+    riem = riemann_tensor(metric)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    expect = (
+                        gamma[i][l][j].diff(xs[k])
+                        - gamma[i][k][j].diff(xs[l])
+                        + sum(gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j]
+                              for s in range(d))
+                    )
+                    got = to_sympy(sympy, riem[i][j][k][l], xs)
+                    assert sympy.expand(expect - got) == 0, (i, j, k, l)

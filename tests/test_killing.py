@@ -7,6 +7,7 @@ import pytest
 
 from tpsgeo.curvature import MetricSpec
 from tpsgeo.killing import (
+    ansatz_basis,
     killing_solve,
     monomials_up_to,
     span_contains,
@@ -140,3 +141,53 @@ class TestStructureConstants:
         cat = dict(self.labeled)
         with pytest.raises(ValueError):
             structure_constants([cat["xi"], cat["xi"].scale(2)])
+
+
+# ----------------------------------------------------------------------
+# independent oracle: the Killing system rebuilt and solved by sympy
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_killing_system_rank_and_kernel_match_sympy(n):
+    # an optional test dependency (pyproject.toml); skipped where missing
+    sympy = pytest.importorskip("sympy")
+    metric = tps.phase_metric(n)
+    chart, d = metric.chart, metric.dim
+    xs = sympy.symbols(chart.names)
+    g = sympy.Matrix(
+        d,
+        d,
+        lambda i, j: sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(xs, exps))
+             for exps, c in metric.g.entries[i][j].terms.items()),
+            sympy.Integer(0),
+        ),
+    )
+    unknowns = ansatz_basis(chart, 2)
+    cs = sympy.symbols(f"c0:{len(unknowns)}")
+    comps = [sympy.Integer(0)] * d
+    for c, (k, alpha) in zip(cs, unknowns):
+        comps[k] += c * sympy.prod(x**e for x, e in zip(xs, alpha))
+    # (L_X g)_ij = X^k d_k g_ij + g_ik d_j X^k + g_kj d_i X^k, upper triangle
+    equations = []
+    for i in range(d):
+        for j in range(i, d):
+            lg = sum(
+                comps[k] * g[i, j].diff(xs[k]) + g[i, k] * comps[k].diff(xs[j])
+                + g[k, j] * comps[k].diff(xs[i])
+                for k in range(d)
+            )
+            equations.extend(sympy.Poly(sympy.expand(lg), *xs).coeffs())
+    system, _ = sympy.linear_eq_to_matrix(equations, cs)
+    rank = system.rank()
+
+    fields = killing_solve(metric, 2)
+    assert len(fields) == len(unknowns) - rank == n * n + 2 * n + 1
+    # every field the solver returns is in sympy's kernel
+    index = {key: u for u, key in enumerate(unknowns)}
+    for f in fields:
+        vec = [0] * len(unknowns)
+        for k, comp in enumerate(f.comps):
+            for alpha, c in comp.terms.items():
+                vec[index[(k, alpha)]] = sympy.Rational(c.numerator, c.denominator)
+        assert system * sympy.Matrix(vec) == sympy.zeros(system.rows, 1)

@@ -183,7 +183,7 @@ def sparse(values):
 
 @pytest.fixture
 def sympy():
-    # installed here but not a declared dependency
+    # an optional test dependency (pyproject.toml); skipped where missing
     return pytest.importorskip("sympy")
 
 

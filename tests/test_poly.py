@@ -1,12 +1,13 @@
 """Exact polynomial layer: frozen values and ring axioms."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpsgeo.poly import Chart, LaurentPoly, divexact
+from tpsgeo.poly import EXPONENT_LIMIT, Chart, LaurentPoly, divexact
 
 CH = Chart(["x0", "p1", "x1"], invertible=["p1"])
 
@@ -109,6 +110,86 @@ class TestDivision:
             p1 / (x1 + 1)
 
 
+class TestHash:
+    """Python's rule: equal values hash equal, numbers included."""
+
+    @pytest.mark.parametrize("value", [0, 2, -7, Fraction(1, 2), Fraction(-5, 3)])
+    def test_constant_hashes_as_its_value(self, value):
+        c = LaurentPoly.constant(CH, value)
+        assert c == value and hash(c) == hash(value)
+        assert {c: "poly"}.get(value) == "poly"
+        assert {value: "number"}[c] == "number"
+
+    def test_zero_polynomial(self):
+        z = LaurentPoly.zero(CH)
+        assert z == 0 and hash(z) == hash(0) == hash(Fraction(0))
+        assert {0: "zero"}[z] == "zero"
+
+    def test_non_constant_polynomial(self):
+        p = var("p1") * var("x1") + Fraction(1, 3)
+        q = Fraction(1, 3) + var("x1") * var("p1")
+        assert p == q and hash(p) == hash(q)
+        assert p != Fraction(1, 3) and {Fraction(1, 3): 1}.get(p) is None
+        assert {p: 1}[q] == 1
+
+
+class TestPacking:
+    def test_key_order_is_tuple_order(self):
+        tuples = [(a, b, c) for a in (0, 2) for b in (-2, 0, 1) for c in (0, 3)]
+        assert sorted(tuples) == sorted(tuples, key=CH.pack)
+        assert [CH.unpack(CH.pack(t)) for t in tuples] == tuples
+
+    def test_terms_is_a_read_only_view(self):
+        p = var("p1", -2) * Fraction(3, 4) + var("x1")
+        assert dict(p.terms) == {(0, -2, 0): Fraction(3, 4), (0, 0, 1): Fraction(1)}
+        with pytest.raises(TypeError):
+            p.terms[(0, 0, 0)] = Fraction(1)
+        assert p.coeffs == {CH.pack((0, -2, 0)): 3, CH.pack((0, 0, 1)): 4} and p.den == 4
+
+    def test_constructor_takes_ints_and_fractions(self):
+        p = LaurentPoly(CH, {(1, 0, 0): 2, (0, -1, 0): Fraction(1, 6), (0, 0, 0): Fraction(0)})
+        assert p.den == 6 and p.coeffs == {CH.pack((1, 0, 0)): 12, CH.pack((0, -1, 0)): 1}
+        with pytest.raises(TypeError):
+            LaurentPoly(CH, {(1, 0, 0): 0.5})
+
+
+class TestExponentBound:
+    def test_constructor(self):
+        assert var("x1", EXPONENT_LIMIT).total_degree() == EXPONENT_LIMIT
+        with pytest.raises(OverflowError):
+            var("x1", EXPONENT_LIMIT + 1)
+        with pytest.raises(OverflowError):
+            var("p1", -EXPONENT_LIMIT - 1)
+
+    def test_huge_power(self):
+        with pytest.raises(OverflowError):
+            var("x1") ** (2**40)
+        with pytest.raises(OverflowError):
+            (var("p1") + 1) ** (2**40)
+        # constants carry no exponent at all
+        assert LaurentPoly.one(CH) ** (2**40) == 1
+
+    def test_repeated_squaring(self):
+        p, k = var("x1") * var("p1", -1), 1
+        with pytest.raises(OverflowError):
+            for _ in range(EXPONENT_LIMIT.bit_length() + 1):
+                p, k = p * p, 2 * k
+        # the last square that fits: EXPONENT_LIMIT = 2**15 - 1
+        assert k == (EXPONENT_LIMIT + 1) // 2 and p == var("x1", k) * var("p1", -k)
+
+    def test_cancelling_factors_stay_in_range(self):
+        big = var("p1", EXPONENT_LIMIT - 5)
+        assert big * var("p1", -(EXPONENT_LIMIT - 5)) == 1
+        assert divexact(big * var("x1"), big) == var("x1")
+        assert var("x1", EXPONENT_LIMIT) ** 1 == var("x1", EXPONENT_LIMIT)
+
+    def test_partial_at_the_edge(self):
+        edge = var("p1", -EXPONENT_LIMIT)
+        with pytest.raises(OverflowError):
+            edge.partial("p1")
+        assert var("x1", EXPONENT_LIMIT).partial("x1") == EXPONENT_LIMIT * var("x1", EXPONENT_LIMIT - 1)
+
+
 # ----------------------------------------------------------------------
 # property-based ring axioms
 
@@ -152,3 +233,148 @@ def test_divexact_roundtrip(a, b):
         return
     q = divexact(a * b, b)
     assert q is not None and q == a
+
+
+# ----------------------------------------------------------------------
+# the packed integer core against a plain {exponent tuple: Fraction} model
+
+
+def ref_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_partial(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+    return out
+
+
+def ref_evaluate(a, vals):
+    total = Fraction(0)
+    for e, c in a.items():
+        for v, k in zip(vals, e):
+            c *= v**k
+        total += c
+    return total
+
+
+def ref_str(a, names):
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a, reverse=True):
+        c = a[e]
+        body = "*".join(nm if k == 1 else f"{nm}^{k}" for nm, k in zip(names, e) if k)
+        if not body:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+ref_coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+ref_polys = st.dictionaries(exponents, ref_coeffs, max_size=5).map(ref_clean)
+
+
+def assert_matches(poly, ref):
+    assert dict(poly.terms) == ref
+    assert all(type(c) is Fraction for c in poly.terms.values())
+    assert poly == LaurentPoly(CH, ref)
+    assert poly.den > 0 and all(poly.coeffs.values())
+    assert math.gcd(poly.den, *poly.coeffs.values()) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(ref_polys, ref_polys, ref_coeffs)
+def test_packed_core_matches_the_reference_model(a, b, c):
+    pa, pb = LaurentPoly(CH, a), LaurentPoly(CH, b)
+    assert_matches(pa, a)
+    assert_matches(pa + pb, ref_add(a, b))
+    assert_matches(pa - pb, ref_add(a, b, -1))
+    assert_matches(-pa, ref_add({}, a, -1))
+    assert_matches(pa * pb, ref_mul(a, b))
+    const = {(0, 0, 0): c}
+    assert_matches(pa * c, ref_mul(a, const))
+    assert_matches(c * pa, ref_mul(a, const))
+    assert_matches(pa + c, ref_add(a, const))
+    assert_matches(c - pa, ref_add(const, a, -1))
+    if c:
+        assert_matches(pa / c, ref_mul(a, {(0, 0, 0): 1 / c}))
+    power = {(0, 0, 0): Fraction(1)}
+    for k in range(4):
+        assert_matches(pa**k, power)
+        power = ref_mul(power, a)
+    for i, name in enumerate(CH.names):
+        assert_matches(pa.partial(name), ref_partial(a, i))
+    point = (Fraction(2, 3), Fraction(-3, 2), Fraction(5))
+    assert pa.evaluate(dict(zip(CH.names, point))) == ref_evaluate(a, point)
+    assert str(pa) == ref_str(a, CH.names)
+    if b:
+        assert divexact(pa * pb, pb) == pa
+    if len(a) == 1:
+        ((e, coef),) = a.items()
+        if e[0] == 0 and e[2] == 0:
+            assert_matches(pa.inverse(), {tuple(-k for k in e): 1 / coef})
+            assert_matches(pa**-2, ref_mul(*[{tuple(-k for k in e): 1 / coef}] * 2))
+        else:
+            with pytest.raises(ValueError):
+                pa.inverse()
+    # equal values, however built, are equal and hash alike
+    shuffled = LaurentPoly(CH, dict(reversed(list(a.items()))))
+    assert shuffled == pa and hash(shuffled) == hash(pa)
+    if pa.is_constant():
+        assert pa == pa.constant_value() and hash(pa) == hash(pa.constant_value())
+
+
+WIDE = Chart(["a", "b", "c", "d"], invertible=["a", "c", "d"])
+wide_exponent = st.integers(-EXPONENT_LIMIT, EXPONENT_LIMIT)
+wide_tuples = st.tuples(wide_exponent, st.integers(0, EXPONENT_LIMIT), wide_exponent, wide_exponent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_tuples, wide_tuples)
+def test_pack_round_trip_and_order(e1, e2):
+    k1, k2 = WIDE.pack(e1), WIDE.pack(e2)
+    assert WIDE.unpack(k1) == e1 and WIDE.unpack(k2) == e2
+    assert (k1 < k2) == (e1 < e2) and (k1 == k2) == (e1 == e2)
+    p = LaurentPoly(WIDE, {e1: 1})
+    assert dict(p.terms) == {e1: 1}
+    assert WIDE.legal(k1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_exponent, wide_exponent, st.integers(0, 70000))
+def test_exponent_bound(e1, e2, k):
+    a, b = LaurentPoly.variable(WIDE, "a", e1), LaurentPoly.variable(WIDE, "a", e2)
+    if abs(e1 + e2) > EXPONENT_LIMIT:
+        with pytest.raises(OverflowError):
+            a * b
+    else:
+        assert a * b == LaurentPoly.variable(WIDE, "a", e1 + e2)
+    if e1 and abs(e1 * k) > EXPONENT_LIMIT:
+        with pytest.raises(OverflowError):
+            a**k
+    elif abs(e1) <= 64 and k <= 64:
+        assert a**k == LaurentPoly.variable(WIDE, "a", e1 * k)
