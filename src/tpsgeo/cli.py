@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -31,40 +32,36 @@ class UsageError(Exception):
 def _emit(env: ReportEnvelope, args) -> None:
     text = env.to_markdown() if args.markdown else env.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.write("\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}")
     else:
         print(text)
 
 
-def _finish(env: ReportEnvelope, args, t0: float) -> int:
-    env.timing = {"seconds": round(time.perf_counter() - t0, 6)}
-    _emit(env, args)
-    return env.exit_code
-
-
-def cmd_curvature(args) -> int:
-    t0 = time.perf_counter()
-    limit = 4 if args.space == "tps" else 3
+def cmd_curvature(args) -> ReportEnvelope:
+    limit = suites.MAX_N["curvature"][args.space]
     if not 1 <= args.n <= limit:
         raise UsageError(f"--n must be in 1..{limit} for --space {args.space}")
     env = ReportEnvelope("curvature", {"space": args.space, "n": args.n})
     env.extend(suites.suite_curvature(args.space, args.n))
-    return _finish(env, args, t0)
+    return env
 
 
-def cmd_killing(args) -> int:
-    t0 = time.perf_counter()
+def cmd_killing(args) -> ReportEnvelope:
     if args.degree < 1:
         raise UsageError("--degree must be >= 1")
-    if not 1 <= args.n <= 3:
-        raise UsageError("--n must be in 1..3")
+    limit = suites.MAX_N["killing"][args.space]
+    if not 1 <= args.n <= limit:
+        raise UsageError(f"--n must be in 1..{limit}")
     env = ReportEnvelope(
         "killing", {"space": args.space, "n": args.n, "degree": args.degree}
     )
     env.extend(suites.suite_killing(args.space, args.n, args.degree))
-    return _finish(env, args, t0)
+    return env
 
 
 def _load_model(path: str):
@@ -138,8 +135,7 @@ def _analyze(model, points: list):
                 yield exc
 
 
-def cmd_potential(args) -> int:
-    t0 = time.perf_counter()
+def cmd_potential(args) -> ReportEnvelope:
     if bool(args.points_file) == bool(args.grid):
         raise UsageError("give exactly one of --points-file or --grid")
     spec, model = _load_model(args.model_file)
@@ -242,11 +238,10 @@ def cmd_potential(args) -> int:
                 exact=False,
             )
         )
-    return _finish(env, args, t0)
+    return env
 
 
-def cmd_verify_all(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify_all(args) -> ReportEnvelope:
     if args.n_max is not None and args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     names = list(suites.SUITES)
@@ -261,12 +256,12 @@ def cmd_verify_all(args) -> int:
     )
     if args.tamper:
         env.extend(suites.tamper_suite())
-        return _finish(env, args, t0)
+        return env
 
     for name in names:
         env.extend(suites.SUITES[name](args.n_max))
     env.add(suites.negative_control_result())
-    return _finish(env, args, t0)
+    return env
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,11 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        env = args.func(args)
+        env.timing = {"seconds": round(time.perf_counter() - t0, 6)}
+        _emit(env, args)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"tpsgeo {args.command}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head`).  What is left of the
+        # output goes to devnull, so the flush at exit cannot fail again
+        # (Python docs, signal module, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return env.exit_code
 
 
 if __name__ == "__main__":

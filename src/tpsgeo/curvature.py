@@ -1,8 +1,8 @@
 """Generic pseudo-Riemannian pipeline over the exact tower.
 
 metric -> Christoffel -> Riemann -> Ricci -> scalar -> sectional, plus the
-covariant derivative, curvature transformation, Gram matrices, and the
-Lie derivative of a metric.  Everything is symbolic and exact; no floats.
+covariant derivative, curvature transformation, and the Lie derivative of
+a metric.  Everything is symbolic and exact; no floats.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .fields import VectorField, bracket
+from .fields import VectorField, bracket, pairing
 from .linalg import PolyMatrix, bareiss_det, matrix_inverse_exact
 from .poly import Chart, LaurentPoly
 
@@ -44,16 +44,7 @@ class MetricSpec:
 
     def inner(self, x: VectorField, y: VectorField) -> LaurentPoly:
         """g(X, Y) as a Laurent polynomial."""
-        acc = LaurentPoly.zero(self.chart)
-        for i in range(self.dim):
-            if x.comps[i].is_zero():
-                continue
-            for j in range(self.dim):
-                gij = self.g.entries[i][j]
-                if gij.is_zero() or y.comps[j].is_zero():
-                    continue
-                acc = acc + x.comps[i] * gij * y.comps[j]
-        return acc
+        return pairing(self.g, x, y)
 
     def christoffel(self) -> "ChristoffelTable":
         if self._christoffel is None:
@@ -273,12 +264,6 @@ def sectional(metric: MetricSpec, a: VectorField, b: VectorField, point: Mapping
     if den == 0:
         raise DegeneratePlaneError("degenerate plane: |A ^ B|^2 = 0 at the point")
     return num / den
-
-
-def gram_matrix(metric: MetricSpec, frame: Sequence[VectorField]) -> PolyMatrix:
-    return PolyMatrix(
-        metric.chart, [[metric.inner(x, y) for y in frame] for x in frame]
-    )
 
 
 def lie_derivative_metric(metric: MetricSpec, x: VectorField) -> PolyMatrix:

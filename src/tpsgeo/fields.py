@@ -293,6 +293,16 @@ class Form:
         c = self.terms.get(idx, LaurentPoly.zero(self.chart))
         return -c if sign < 0 else c
 
+    def with_chart(self, chart: Chart) -> "Form":
+        """Reinterpret on a larger chart (new coordinates get no terms)."""
+        pos = [chart.index(nm) for nm in self.chart.names]
+        terms = {}
+        for idx, coef in self.terms.items():
+            key, sign = _sort_with_sign(tuple(pos[i] for i in idx))
+            coef = coef.with_chart(chart)
+            terms[key] = -coef if sign < 0 else coef
+        return Form(chart, self.degree, terms)
+
     def __repr__(self) -> str:
         if not self.terms:
             return f"Form(degree {self.degree}, 0)"
@@ -327,47 +337,29 @@ def wedge_all(forms: Sequence[Form]) -> Form:
     return acc
 
 
-def pull_form_with_params(f: PolyMap, omega: Form, params) -> Form:
-    """Pullback along a family of maps: the named source symbols are treated
-    as constant parameters, so their differentials are dropped.  This is the
-    slice-wise pullback for each fixed parameter value, computed jointly."""
-    params = set(params)
-    d_comp = {}
-    for nm, c in f.comps.items():
-        terms = {}
-        for s in f.src.names:
-            if s in params:
-                continue
-            dc = c.partial(s)
-            if not dc.is_zero():
-                terms[s] = dc
-        d_comp[nm] = Form.one_form(f.src, terms)
-    out = Form(f.src, omega.degree, {})
-    names = f.dst.names
-    for idx, coef in omega.terms.items():
-        pulled = Form.function(f.src, f.pull_function(coef))
-        for i in idx:
-            pulled = pulled.wedge(d_comp[names[i]])
-        out = out + pulled
-    return out
+def pairing(g: PolyMatrix, x: VectorField, y: VectorField) -> LaurentPoly:
+    """g(X, Y) = X^i g_ij Y^j, summed over the nonzero terms only."""
+    acc = LaurentPoly.zero(x.chart)
+    for xi, row in zip(x.comps, g.entries):
+        if not xi.coeffs:
+            continue
+        for gij, yj in zip(row, y.comps):
+            if gij.coeffs and yj.coeffs:
+                acc = acc + xi * gij * yj
+    return acc
 
 
-def pull_metric_with_params(f: PolyMap, g: PolyMatrix, params) -> PolyMatrix:
-    """Metric pullback along a parametric family; parameter rows and columns
-    of the result are zero."""
-    params = set(params)
-    jac = f.jacobian()
-    z = LaurentPoly.zero(f.src)
-    cols = [f.src.index(nm) for nm in params]
-    trimmed = PolyMatrix(
-        f.src,
-        [
-            [z if b in cols else jac.entries[a][b] for b in range(f.src.dim)]
-            for a in range(jac.rows)
-        ],
-    )
-    pulled = g.substitute(f.comps, f.src)
-    return trimmed.transpose() @ pulled @ trimmed
+def apply_matrix_field(m: PolyMatrix, x: VectorField) -> VectorField:
+    """The field m X with components m^a_b X^b; m is square over the
+    field's chart."""
+    comps = []
+    for row in m.entries:
+        acc = LaurentPoly.zero(x.chart)
+        for mab, xb in zip(row, x.comps):
+            if mab.coeffs and xb.coeffs:
+                acc = acc + mab * xb
+        comps.append(acc)
+    return VectorField(x.chart, comps)
 
 
 def sym2(a: Form, b: Form) -> PolyMatrix:
@@ -434,34 +426,42 @@ class PolyMap:
             raise ValueError("function not over target chart")
         return f.substitute(self.comps, self.src)
 
-    def pull_form(self, omega: Form) -> Form:
+    def pull_form(self, omega: Form, params=frozenset()) -> Form:
+        """F^* omega.  The source symbols named in params are frozen: their
+        differentials are dropped, which gives the slice-wise pullback for
+        each fixed parameter value, computed jointly."""
         if omega.chart != self.dst:
             raise ValueError("form not over target chart")
-        # differentials of the components
-        d_comp = {nm: Form.function(self.src, c).d() for nm, c in self.comps.items()}
+        # differentials of the components: the rows of the Jacobian
+        d_comp = [
+            Form(self.src, 1, {(b,): c for b, c in enumerate(row)})
+            for row in self.jacobian(params).entries
+        ]
         out = Form(self.src, omega.degree, {})
-        names = self.dst.names
         for idx, coef in omega.terms.items():
             pulled = Form.function(self.src, self.pull_function(coef))
             for i in idx:
-                pulled = pulled.wedge(d_comp[names[i]])
+                pulled = pulled.wedge(d_comp[i])
             out = out + pulled
         return out
 
-    def pull_metric(self, g: PolyMatrix) -> PolyMatrix:
-        """J^T (g o F) J with J the Jacobian of the map."""
+    def pull_metric(self, g: PolyMatrix, params=frozenset()) -> PolyMatrix:
+        """J^T (g o F) J with J the Jacobian of the map; rows and columns of
+        the frozen parameter symbols in params are zero."""
         if g.chart != self.dst:
             raise ValueError("metric not over target chart")
-        jac = self.jacobian()
+        jac = self.jacobian(params)
         pulled = g.substitute(self.comps, self.src)
         return jac.transpose() @ pulled @ jac
 
-    def jacobian(self) -> PolyMatrix:
-        """Rows: target coordinates; columns: source coordinates."""
+    def jacobian(self, params=frozenset()) -> PolyMatrix:
+        """Rows: target coordinates; columns: source coordinates.  The
+        columns of the frozen parameter symbols in params are zero."""
+        z = LaurentPoly.zero(self.src)
         return PolyMatrix(
             self.src,
             [
-                [self.comps[nm].partial(s) for s in self.src.names]
+                [z if s in params else self.comps[nm].partial(s) for s in self.src.names]
                 for nm in self.dst.names
             ],
         )
@@ -472,15 +472,10 @@ class PolyMap:
             raise ValueError("pushforward needs an explicit inverse map")
         if x.chart != self.src:
             raise ValueError("field not over source chart")
-        jac = self.jacobian()
-        comps = []
-        for a in range(self.dst.dim):
-            acc = LaurentPoly.zero(self.src)
-            for b in range(self.src.dim):
-                if not x.comps[b].is_zero():
-                    acc = acc + jac.entries[a][b] * x.comps[b]
-            comps.append(acc.substitute(self.inverse_map.comps, self.dst))
-        return VectorField(self.dst, comps)
+        comps = apply_matrix_field(self.jacobian(), x).comps
+        return VectorField(
+            self.dst, [c.substitute(self.inverse_map.comps, self.dst) for c in comps]
+        )
 
     def compose(self, other: "PolyMap") -> "PolyMap":
         """self o other (apply other first)."""

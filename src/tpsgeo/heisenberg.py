@@ -8,16 +8,8 @@ import json
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .fields import (
-    Form,
-    PolyMap,
-    VectorField,
-    bracket,
-    pull_form_with_params,
-    pull_metric_with_params,
-)
+from .fields import Form, PolyMap, VectorField, bracket, pairing
 from .killing import span_contains
-from .linalg import PolyMatrix
 from .poly import Chart, LaurentPoly
 from . import tps
 
@@ -201,21 +193,6 @@ def chi_inv(point: Mapping, n: int) -> HeisElement:
     )
 
 
-def left_action(g: HeisElement, point: Mapping) -> dict[str, Fraction]:
-    """chi o (left translation by g) o chi^{-1}; closed form
-    (x0 - c - <a, p>, p + b, x + a)."""
-    n = g.n
-    via_group = chi(multiply(g, chi_inv(point, n)))
-    p = [Fraction(point[f"p{i+1}"]) for i in range(n)]
-    direct = {"x0": Fraction(point["x0"]) - g.c - _dot(g.a, p)}
-    for i in range(n):
-        direct[f"p{i+1}"] = p[i] + g.b[i]
-        direct[f"x{i+1}"] = Fraction(point[f"x{i+1}"]) + g.a[i]
-    if via_group != direct:
-        raise ArithmeticError("left-action closed form disagrees with the group law")
-    return direct
-
-
 def right_action(g: HeisElement, point: Mapping) -> dict[str, Fraction]:
     """chi o (right translation by g) o chi^{-1}; closed form
     (x0 - c - <b, x>, p + b, x + a)."""
@@ -318,13 +295,7 @@ def invariant_report(n: int) -> dict:
     for la in order:
         row = []
         for lb in order:
-            va, vb = xi_fields[la], xi_fields[lb]
-            acc = LaurentPoly.zero(chart)
-            for ia in range(chart.dim):
-                for ib in range(chart.dim):
-                    if va.comps[ia].is_zero() or vb.comps[ib].is_zero():
-                        continue
-                    acc = acc + va.comps[ia] * gh.entries[ia][ib] * vb.comps[ib]
+            acc = pairing(gh, xi_fields[la], xi_fields[lb])
             constant &= acc.is_constant()
             row.append(acc.constant_value() if acc.is_constant() else None)
         gram.append(row)
@@ -377,23 +348,8 @@ def translation_invariance_report(n: int) -> dict:
     params = [f"ga{i}" for i in range(1, n + 1)] + [f"gb{i}" for i in range(1, n + 1)] + ["gc"]
     ext = base.extend(params)
 
-    def lift_theta():
-        terms = {"x0": LaurentPoly.one(ext)}
-        for i in range(1, n + 1):
-            terms[f"x{i}"] = LaurentPoly.variable(ext, f"p{i}")
-        return Form.one_form(ext, terms)
-
-    def lift_metric():
-        g = tps.phase_metric(n).g
-        z = LaurentPoly.zero(ext)
-        out = [[z] * ext.dim for _ in range(ext.dim)]
-        for a, nma in enumerate(base.names):
-            for b, nmb in enumerate(base.names):
-                out[ext.index(nma)][ext.index(nmb)] = g.entries[a][b].with_chart(ext)
-        return PolyMatrix(ext, out)
-
-    theta = lift_theta()
-    g = lift_metric()
+    theta = tps.contact_form(n).with_chart(ext)
+    g = tps.phase_metric(n).g.with_chart(ext)
 
     def action_map(kind):
         comps = {nm: LaurentPoly.variable(ext, nm) for nm in params}
@@ -418,9 +374,9 @@ def translation_invariance_report(n: int) -> dict:
 
     right_map = action_map("right")
     left_map = action_map("left")
-    right_theta_ok = pull_form_with_params(right_map, theta, params) == theta
-    right_metric_ok = pull_metric_with_params(right_map, g, params) == g
-    left_theta = pull_form_with_params(left_map, theta, params)
+    right_theta_ok = right_map.pull_form(theta, params) == theta
+    right_metric_ok = right_map.pull_metric(g, params) == g
+    left_theta = left_map.pull_form(theta, params)
     defect = left_theta - theta
     expect_defect = Form(ext, 1, {})
     for i in range(1, n + 1):

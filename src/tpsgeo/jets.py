@@ -274,28 +274,6 @@ def power(a: Jet3, exponent) -> Jet3:
     )
 
 
-def jet_arith(a: Jet3, b: Jet3, op: str) -> Jet3:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic op {op!r}")
-
-
-def jet_func(a: Jet3, f: str, exponent=None) -> Jet3:
-    if f == "exp":
-        return exp(a)
-    if f == "ln":
-        return ln(a)
-    if f == "pow":
-        if exponent is None:
-            raise ValueError("pow needs an exponent")
-        return power(a, exponent)
-    raise ValueError(f"unknown function {f!r}")
-
-
 # ----------------------------------------------------------------------
 # finite-difference oracle
 

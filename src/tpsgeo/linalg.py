@@ -133,6 +133,17 @@ class PolyMatrix:
             chart, [[e.substitute(mapping, chart) for e in row] for row in self.entries]
         )
 
+    def with_chart(self, chart: Chart) -> "PolyMatrix":
+        """Reinterpret a square matrix indexed by the coordinates of its chart
+        on a larger chart: the new coordinates get zero rows and columns."""
+        pos = [chart.index(nm) for nm in self.chart.names]
+        z = LaurentPoly.zero(chart)
+        out = [[z] * chart.dim for _ in range(chart.dim)]
+        for a, row in zip(pos, self.entries):
+            for b, e in zip(pos, row):
+                out[a][b] = e.with_chart(chart)
+        return PolyMatrix(chart, out)
+
     def evaluate(self, point) -> list[list[Fraction]]:
         return [[e.evaluate(point) for e in row] for row in self.entries]
 

@@ -238,15 +238,6 @@ class LaurentPoly:
             raise ValueError("not a constant polynomial")
         return Fraction(self.coeffs[self.chart.bias], self.den)
 
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
-    def total_degree(self) -> int:
-        """Max over terms of the sum of exponents; 0 for the zero poly."""
-        if not self.coeffs:
-            return 0
-        return max(sum(self.chart.unpack(k)) for k in self.coeffs)
-
     # ------------------------------------------------------------------
     # chart alignment
 

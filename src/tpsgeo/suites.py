@@ -433,16 +433,17 @@ def _curvature_sympl(n: int) -> list[Result]:
     return out
 
 
+# Largest number of conjugate pairs n each exact command accepts, by space.
+MAX_N = {"curvature": {"tps": 4, "sympl": 3}, "killing": {"tps": 3, "sympl": 3}}
+
+
 def suite_curvature(space: str, n: int) -> list[Result]:
-    if space == "tps":
-        if not 1 <= n <= 4:
-            raise ValueError("tps curvature supports 1 <= n <= 4")
-        return _curvature_tps(n)
-    if space == "sympl":
-        if not 1 <= n <= 3:
-            raise ValueError("sympl curvature supports 1 <= n <= 3")
-        return _curvature_sympl(n)
-    raise ValueError(f"unknown space {space!r}")
+    limit = MAX_N["curvature"].get(space)
+    if limit is None:
+        raise ValueError(f"unknown space {space!r}")
+    if not 1 <= n <= limit:
+        raise ValueError(f"{space} curvature supports 1 <= n <= {limit}")
+    return _curvature_tps(n) if space == "tps" else _curvature_sympl(n)
 
 
 # ----------------------------------------------------------------------

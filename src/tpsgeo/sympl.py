@@ -18,15 +18,7 @@ from .curvature import (
     lie_derivative_metric,
     ricci_scalar,
 )
-from .fields import (
-    Form,
-    PolyMap,
-    VectorField,
-    bracket,
-    pull_form_with_params,
-    pull_metric_with_params,
-    wedge_all,
-)
+from .fields import Form, PolyMap, VectorField, apply_matrix_field, bracket, pairing, wedge_all
 from .linalg import Elimination, PolyMatrix, solve_exact
 from .poly import Chart, LaurentPoly
 from . import tps
@@ -40,35 +32,12 @@ def sympl_chart(n: int) -> Chart:
     return Chart(names, invertible=[f"p{i}" for i in range(n + 1)])
 
 
-def _theta_on(chart: Chart, n: int) -> Form:
+def tautological_form(n: int) -> Form:
+    chart = sympl_chart(n)
     terms = {}
     for i in range(n + 1):
         terms[f"x{i}"] = LaurentPoly.variable(chart, f"p{i}")
     return Form.one_form(chart, terms)
-
-
-def tautological_form(n: int) -> Form:
-    return _theta_on(sympl_chart(n), n)
-
-
-def symplectic_form(n: int) -> Form:
-    return tautological_form(n).d()
-
-
-def _metric_on(chart: Chart, n: int) -> PolyMatrix:
-    # sized to the chart, so extra parameter symbols get zero rows/columns
-    z = LaurentPoly.zero(chart)
-    d = chart.dim
-    g = [[z] * d for _ in range(d)]
-    for i in range(n + 1):
-        xi = chart.index(f"x{i}")
-        g[chart.index(f"p{i}")][xi] = LaurentPoly.one(chart)
-        g[xi][chart.index(f"p{i}")] = LaurentPoly.one(chart)
-        for j in range(n + 1):
-            g[xi][chart.index(f"x{j}")] = LaurentPoly.variable(
-                chart, f"p{i}"
-            ) * LaurentPoly.variable(chart, f"p{j}")
-    return PolyMatrix(chart, g)
 
 
 # built once per n: a MetricSpec is never mutated, and it keeps its
@@ -79,15 +48,23 @@ def sympl_metric(n: int) -> MetricSpec:
     chart = sympl_chart(n)
     z = LaurentPoly.zero(chart)
     d = 2 * (n + 1)
+    g = [[z] * d for _ in range(d)]
     inv = [[z] * d for _ in range(d)]
     for i in range(n + 1):
+        xi = chart.index(f"x{i}")
+        g[chart.index(f"p{i}")][xi] = LaurentPoly.one(chart)
+        g[xi][chart.index(f"p{i}")] = LaurentPoly.one(chart)
+        for j in range(n + 1):
+            g[xi][chart.index(f"x{j}")] = LaurentPoly.variable(
+                chart, f"p{i}"
+            ) * LaurentPoly.variable(chart, f"p{j}")
         inv[sympl_index(chart, "p", i)][sympl_index(chart, "x", i)] = LaurentPoly.one(chart)
         inv[sympl_index(chart, "x", i)][sympl_index(chart, "p", i)] = LaurentPoly.one(chart)
         for j in range(n + 1):
             inv[sympl_index(chart, "p", i)][sympl_index(chart, "p", j)] = -(
                 LaurentPoly.variable(chart, f"p{i}") * LaurentPoly.variable(chart, f"p{j}")
             )
-    return MetricSpec(f"sympl-{n}", chart, _metric_on(chart, n), PolyMatrix(chart, inv))
+    return MetricSpec(f"sympl-{n}", chart, PolyMatrix(chart, g), PolyMatrix(chart, inv))
 
 
 def sympl_index(chart: Chart, kind: str, i: int) -> int:
@@ -243,15 +220,7 @@ def null_cone_identity(n: int) -> dict:
         fi = LaurentPoly.variable(chart, f"f{i}")
         gi = LaurentPoly.variable(chart, f"g{i}")
         v = v + fr["P"][i].with_chart(chart).scale(fi) + fr["X"][i].with_chart(chart).scale(gi)
-    gmat = _metric_on(chart, n)
-    q = LaurentPoly.zero(chart)
-    for a in range(chart.dim):
-        if v.comps[a].is_zero():
-            continue
-        for b in range(chart.dim):
-            if gmat.entries[a][b].is_zero() or v.comps[b].is_zero():
-                continue
-            q = q + v.comps[a] * gmat.entries[a][b] * v.comps[b]
+    q = pairing(sympl_metric(n).g.with_chart(chart), v, v)
     expect = LaurentPoly.zero(chart)
     for i in range(n + 1):
         expect = expect + LaurentPoly.variable(chart, f"f{i}") * LaurentPoly.variable(
@@ -379,49 +348,24 @@ def hamiltonian_report(n: int) -> dict:
 # sl(n+2) structure-constant comparison (complex matrices over Q(i))
 
 
-def _czero(m: int):
-    return (
-        [[Fraction(0)] * m for _ in range(m)],
-        [[Fraction(0)] * m for _ in range(m)],
-    )
+def _cbracket(a: dict, b: dict) -> dict:
+    """[a, b] = ab - ba for complex matrices stored sparse as
+    {(part, row, col): value}, part 0 real and part 1 imaginary."""
+    out: dict = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for (px, i, k), u in x.items():
+            for (py, k2, j), v in y.items():
+                if k == k2:
+                    # imaginary times imaginary is real, with i * i = -1
+                    w = -u * v if px and py else u * v
+                    key = (px ^ py, i, j)
+                    out[key] = out.get(key, 0) + sign * w
+    return out
 
 
-def _cmul(a, b):
-    m = len(a[0])
-    re = [[Fraction(0)] * m for _ in range(m)]
-    im = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for k in range(m):
-            ar, ai = a[0][i][k], a[1][i][k]
-            if ar == 0 and ai == 0:
-                continue
-            for j in range(m):
-                br, bi = b[0][k][j], b[1][k][j]
-                if br == 0 and bi == 0:
-                    continue
-                re[i][j] += ar * br - ai * bi
-                im[i][j] += ar * bi + ai * br
-    return re, im
-
-
-def _cbracket(a, b):
-    ab = _cmul(a, b)
-    ba = _cmul(b, a)
-    m = len(a[0])
-    return (
-        [[ab[0][i][j] - ba[0][i][j] for j in range(m)] for i in range(m)],
-        [[ab[1][i][j] - ba[1][i][j] for j in range(m)] for i in range(m)],
-    )
-
-
-def _flatten(c) -> dict[int, Fraction]:
-    """The (real, imaginary) matrix pair as one sparse vector."""
-    entries = [v for grid in c for row in grid for v in row]
-    return {i: v for i, v in enumerate(entries) if v}
-
-
-def sl_matrices(n: int) -> list[tuple[str, tuple]]:
-    """The matrix picture in gl(n+2, C), in catalog label order:
+def sl_matrices(n: int) -> list[tuple[str, dict]]:
+    """The matrix picture in gl(n+2, C), in catalog label order, as sparse
+    {(part, row, col): value} matrices (part 0 real, 1 imaginary):
     Q^i_j -> E_ij - tr/(n+2), X_s -> i E_{n+1,s}, D^l -> i E_{l,n+1}
     (the X and D images carry a hidden 1/sqrt(2) absorbed into the
     structure constants)."""
@@ -429,20 +373,15 @@ def sl_matrices(n: int) -> list[tuple[str, tuple]]:
     out = []
     for i in range(n + 1):
         for j in range(n + 1):
-            re, im = _czero(m)
-            re[i][j] += 1
+            mat = {(0, i, j): Fraction(1)}
             if i == j:
                 for k in range(m):
-                    re[k][k] -= Fraction(1, m)
-            out.append((f"Q{i}_{j}", (re, im)))
+                    mat[0, k, k] = mat.get((0, k, k), 0) - Fraction(1, m)
+            out.append((f"Q{i}_{j}", mat))
     for s in range(n + 1):
-        re, im = _czero(m)
-        im[m - 1][s] += 1
-        out.append((f"X{s}", (re, im)))
+        out.append((f"X{s}", {(1, m - 1, s): Fraction(1)}))
     for l in range(n + 1):
-        re, im = _czero(m)
-        im[l][m - 1] += 1
-        out.append((f"D{l}", (re, im)))
+        out.append((f"D{l}", {(1, l, m - 1): Fraction(1)}))
     return out
 
 
@@ -457,16 +396,16 @@ def sl_embedding_report(n: int) -> dict:
 
     mats = sl_matrices(n)
     assert [label for label, _ in mats] == labels
-    span = Elimination(_flatten(mat) for _, mat in mats)
+    span = Elimination(mat for _, mat in mats)
     ncols = len(mats)
 
     def exponent(label):
         return 0 if label.startswith("Q") else 1
 
     traceless = all(
-        sum(mat[0][k][k] for k in range(n + 2)) == 0
-        and sum(mat[1][k][k] for k in range(n + 2)) == 0
+        sum(v for (p, i, j), v in mat.items() if i == j and p == part) == 0
         for _, mat in mats
+        for part in (0, 1)
     )
 
     independent = not span.dependent
@@ -474,7 +413,7 @@ def sl_embedding_report(n: int) -> dict:
     ok = True
     for ia in range(ncols):
         for ib in range(ncols):
-            coeffs, residual = span.reduce(_flatten(_cbracket(mats[ia][1], mats[ib][1])))
+            coeffs, residual = span.reduce(_cbracket(mats[ia][1], mats[ib][1]))
             if residual:
                 ok = False
                 continue
@@ -542,7 +481,7 @@ def nijenhuis_report(n: int) -> dict:
     fields.append(VectorField.coordinate(chart, "t"))
 
     def j(v):
-        return tps.apply_matrix_field(jm, v)
+        return apply_matrix_field(jm, v)
 
     failures = 0
     pairs = 0
@@ -550,7 +489,7 @@ def nijenhuis_report(n: int) -> dict:
         for b in range(a, len(fields)):
             fa, fb = fields[a], fields[b]
             nj = (
-                tps.apply_matrix_field(jm @ jm, bracket(fa, fb))
+                apply_matrix_field(jm @ jm, bracket(fa, fb))
                 + bracket(j(fa), j(fb))
                 - j(bracket(j(fa), fb))
                 - j(bracket(fa, j(fb)))
@@ -566,10 +505,10 @@ def nijenhuis_report(n: int) -> dict:
     x1 = t_base.frame["X"][0]
     omega = theta.d()
     witness_remark = (
-        -2 * omega(tps.apply_matrix_field(phi, x1), x1) * theta(t_base.reeb)
+        -2 * omega(apply_matrix_field(phi, x1), x1) * theta(t_base.reeb)
     )
     # (nabla_{X_1} phi) xi  =  nabla_{X_1}(phi xi) - phi(nabla_{X_1} xi)
-    nab = covariant_derivative(g, x1, tps.apply_matrix_field(phi, t_base.reeb)) - tps.apply_matrix_field(
+    nab = covariant_derivative(g, x1, apply_matrix_field(phi, t_base.reeb)) - apply_matrix_field(
         phi, covariant_derivative(g, x1, t_base.reeb)
     )
     witness_direct = 2 * g.inner(nab, x1)
@@ -623,11 +562,11 @@ def hyperbolic_report(n: int) -> dict:
     the identity."""
     f = hyperbolic_map(n)
     chart = f.src
-    theta = _theta_on(chart, n)
-    g = _metric_on(chart, n)
-    theta_ok = pull_form_with_params(f, theta, {"lam"}) == theta
-    metric_ok = pull_metric_with_params(f, g, {"lam"}) == g
-    omega_ok = pull_form_with_params(f, theta.d(), {"lam"}) == theta.d()
+    theta = tautological_form(n).with_chart(chart)
+    g = sympl_metric(n).g.with_chart(chart)
+    theta_ok = f.pull_form(theta, {"lam"}) == theta
+    metric_ok = f.pull_metric(g, {"lam"}) == g
+    omega_ok = f.pull_form(theta.d(), {"lam"}) == theta.d()
     ident = True
     for nm in chart.names:
         if nm == "lam":
@@ -699,23 +638,6 @@ def proj_chart_functions(n: int, cid: tuple[str, int]) -> dict[str, LaurentPoly]
     else:
         raise ValueError("chart kind must be U or V")
     return out
-
-
-def proj_chart(n: int, point: Mapping) -> tuple[tuple[str, int], dict[str, Fraction]]:
-    """First applicable chart in the fixed scan order, with the affine
-    coordinates of the point; the zero point is rejected."""
-    pt = {nm: Fraction(point[nm]) for nm in sympl_chart(n).names}
-    if all(v == 0 for v in pt.values()):
-        raise ValueError("zero point has no projectivization chart")
-    for kind, j in proj_chart_ids(n):
-        anchor = pt[f"p{j}"] if kind == "U" else pt[f"x{j}"]
-        if anchor == 0:
-            continue
-        coords = {}
-        for nm, f in proj_chart_functions(n, (kind, j)).items():
-            coords[nm] = f.evaluate(pt)
-        return (kind, j), coords
-    raise ValueError("zero point has no projectivization chart")
 
 
 def transition_relations(

@@ -13,8 +13,8 @@ import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .curvature import MetricSpec, gram_matrix, lie_derivative_metric
-from .fields import Form, VectorField, bracket, sym2, tensor2, wedge_all
+from .curvature import MetricSpec, lie_derivative_metric
+from .fields import Form, VectorField, apply_matrix_field, bracket, sym2, tensor2, wedge_all
 from .linalg import PolyMatrix, kernel_exact
 from .poly import Chart, LaurentPoly
 
@@ -196,22 +196,6 @@ def symplectic_gram_on_horizontal(n: int) -> dict:
     return {"passed": bool(ok)}
 
 
-def frame_gram(n: int) -> PolyMatrix:
-    t = build(n)
-    return gram_matrix(phase_metric(n), t.frame_list())
-
-
-def expected_frame_gram(n: int) -> PolyMatrix:
-    chart = tps_chart(n)
-    d = chart.dim
-    grid = [[0] * d for _ in range(d)]
-    grid[0][0] = 1
-    for i in range(1, n + 1):
-        grid[i][n + i] = 1
-        grid[n + i][i] = 1
-    return PolyMatrix.from_scalars(chart, grid)
-
-
 # ----------------------------------------------------------------------
 # signature split and light cone
 
@@ -276,18 +260,6 @@ def almost_contact_tensor(n: int) -> PolyMatrix:
         # phi(d/dx^i) = d/dp_i
         m[pi][xi_] = LaurentPoly.one(chart)
     return PolyMatrix(chart, m)
-
-
-def apply_matrix_field(m: PolyMatrix, x: VectorField) -> VectorField:
-    chart = x.chart
-    comps = []
-    for a in range(chart.dim):
-        acc = LaurentPoly.zero(chart)
-        for b in range(chart.dim):
-            if not m.entries[a][b].is_zero() and not x.comps[b].is_zero():
-                acc = acc + m.entries[a][b] * x.comps[b]
-        comps.append(acc)
-    return VectorField(chart, comps)
 
 
 def compatibility_check(n: int) -> dict:
@@ -396,12 +368,6 @@ def killing_catalog(n: int) -> list[tuple[str, VectorField]]:
     return out
 
 
-def catalog_hamiltonians(n: int) -> dict[str, LaurentPoly]:
-    """Contact Hamiltonian H_X = theta(X) for every catalog generator."""
-    theta = contact_form(n)
-    return {label: theta(field) for label, field in killing_catalog(n)}
-
-
 def catalog_killing_report(n: int) -> dict:
     g = phase_metric(n)
     bad = [label for label, field in killing_catalog(n) if not lie_derivative_metric(g, field).is_zero()]
@@ -487,19 +453,6 @@ class ConstitutiveHypersurface:
         """theta + sum x^i dp_i = d(defining function), globally."""
         lhs = self.theta + self.gibbs_duhem
         return lhs == Form.function(self.chart, self.defining).d()
-
-    def point_report(self, point: Mapping) -> dict:
-        member = self.member(point)
-        exceptional = all(
-            LaurentPoly.variable(self.chart, f"x{i}").evaluate(point) == 0
-            for i in range(1, self.n + 1)
-        )
-        note = (
-            "exceptional plane x = 0: the generator distribution degenerates there"
-            if exceptional
-            else ""
-        )
-        return {"member": member, "exceptional": exceptional, "note": note}
 
 
 def constitutive_hypersurface(n: int) -> ConstitutiveHypersurface:

@@ -126,6 +126,33 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["curvature", "--space", "tps", "--n", "0"])
         assert code == 2 and "--n" in err
 
+    def test_unwritable_out_is_usage(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, ["curvature", "--space", "tps", "--n", "1", "--out", str(dest)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("tpsgeo curvature: cannot write report") and err.count("\n") == 1
+
+    def test_closed_pipe_keeps_the_exit_code(self, tmp_path):
+        # the reader takes the first 100 bytes of a report far larger than
+        # a pipe buffer and then closes the pipe, as `| head -c 100` does
+        model = write_model(tmp_path, VDW_LITERAL)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tpsgeo.__file__))}
+        argv = ["potential", "--model-file", model, "--grid", "0.5:2:30,1.5:3:30"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tpsgeo.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0 and err == b""
+        assert head.startswith(b"{")
+
     def test_bad_space_is_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["curvature", "--space", "nope", "--n", "1"])

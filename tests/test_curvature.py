@@ -9,7 +9,6 @@ from tpsgeo.curvature import (
     DegeneratePlaneError,
     MetricSpec,
     covariant_derivative,
-    gram_matrix,
     lie_derivative_metric,
     ricci_scalar,
     riemann_tensor,
@@ -18,7 +17,7 @@ from tpsgeo.curvature import (
     sectional_parts,
     trace_form,
 )
-from tpsgeo.fields import VectorField, bracket
+from tpsgeo.fields import VectorField, bracket, pairing
 from tpsgeo.linalg import PolyMatrix
 from tpsgeo.poly import Chart, LaurentPoly
 from tpsgeo import sympl, tps
@@ -290,12 +289,20 @@ class TestConnectionAxioms:
 class TestGramAndLie:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_frame_gram_frozen(self, n):
-        assert tps.frame_gram(n) == tps.expected_frame_gram(n)
+        # (xi, P, X): 1 on xi, the P_i/X_i pairs off-diagonal, zero elsewhere
+        m = tps.phase_metric(n)
+        frame = tps.build(n).frame_list()
+        grid = [[0] * (2 * n + 1) for _ in range(2 * n + 1)]
+        grid[0][0] = 1
+        for i in range(1, n + 1):
+            grid[i][n + i] = grid[n + i][i] = 1
+        gram = [[pairing(m.g, a, b) for b in frame] for a in frame]
+        assert gram == PolyMatrix.from_scalars(m.chart, grid).entries
 
     def test_coordinate_frame_gram_is_metric(self):
         m = tps.phase_metric(2)
         coords = [VectorField.coordinate(m.chart, nm) for nm in m.chart.names]
-        assert gram_matrix(m, coords) == m.g
+        assert [[m.inner(a, b) for b in coords] for a in coords] == m.g.entries
 
     def test_lie_derivative_detects_non_killing(self):
         m = tps.phase_metric(1)

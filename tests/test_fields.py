@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpsgeo import sympl, tps
 from tpsgeo.fields import Form, PolyMap, VectorField, bracket, sym2, tensor2, wedge_all
+from tpsgeo.linalg import PolyMatrix
 from tpsgeo.poly import Chart, LaurentPoly
 
 CH = Chart(["x0", "p1", "x1"], invertible=["p1"])
@@ -144,8 +146,6 @@ class TestPolyMap:
         assert lhs == rhs
 
     def test_pull_metric(self):
-        from tpsgeo.linalg import PolyMatrix
-
         g = PolyMatrix.identity(CH, 3)
         pulled = self.m.pull_metric(g)
         ip, ix = CH.index("p1"), CH.index("x1")
@@ -156,6 +156,83 @@ class TestPolyMap:
         comp = self.m.inverse_map.compose(self.m)
         ident = PolyMap.identity(CH)
         assert comp.comps == ident.comps
+
+
+class TestFrozenParameters:
+    """Pullbacks along a family of maps with a frozen parameter symbol: the
+    scaling (p, x) -> (lam p, x / lam) of the symplectization."""
+
+    def setup_method(self):
+        self.f = sympl.hyperbolic_map(1)
+        self.chart = self.f.src
+        self.theta = sympl.tautological_form(1).with_chart(self.chart)
+
+    def v(self, name, power=1):
+        return LaurentPoly.variable(self.chart, name, power)
+
+    def test_pull_form_drops_the_parameter_differential(self):
+        # unfrozen: theta - (sum p_i x^i) lam^-1 dlam; frozen: theta itself
+        pairing = self.v("p0") * self.v("x0") + self.v("p1") * self.v("x1")
+        dlam = Form.one_form(self.chart, {"lam": pairing * self.v("lam", -1)})
+        assert self.f.pull_form(self.theta) == self.theta - dlam
+        assert self.f.pull_form(self.theta, {"lam"}) == self.theta
+        omega = self.theta.d()
+        assert self.f.pull_form(omega, {"lam"}) == omega
+
+    @pytest.mark.parametrize("c", [Fraction(2), Fraction(-1, 3)])
+    def test_pull_form_is_the_slice_wise_pullback(self, c):
+        # at lam = c the frozen pullback is the pullback along the map with
+        # lam replaced by c, for a form that the scaling does not preserve
+        v = self.v
+        omega = Form.one_form(self.chart, {"p0": v("x1") * v("p1"), "x0": v("p0") ** 2})
+        at_c = PolyMap(
+            self.chart,
+            self.chart,
+            {nm: LaurentPoly.constant(self.chart, c) if nm == "lam" else v(nm) for nm in self.chart.names},
+        )
+        frozen = self.f.pull_form(omega, {"lam"})
+        assert all(self.chart.index("lam") not in idx for idx in frozen.terms)
+        assert at_c.pull_form(frozen) == self.f.compose(at_c).pull_form(omega)
+
+    def test_pull_metric_zeroes_the_parameter_rows(self):
+        g = sympl.sympl_metric(1).g.with_chart(self.chart)
+        assert self.f.pull_metric(g, {"lam"}) == g
+        assert self.f.pull_metric(g) != g
+
+
+class TestChartLifts:
+    """with_chart on Form and PolyMatrix, against the element-wise lifts
+    of the contact form and the phase metric onto a parameter chart."""
+
+    n = 2
+
+    def setup_method(self):
+        base = tps.tps_chart(self.n)
+        self.base = base
+        self.ext = base.extend(["ga1", "ga2", "gb1", "gb2", "gc"])
+
+    def test_contact_form(self):
+        ext = self.ext
+        terms = {"x0": LaurentPoly.one(ext)}
+        for i in range(1, self.n + 1):
+            terms[f"x{i}"] = LaurentPoly.variable(ext, f"p{i}")
+        assert tps.contact_form(self.n).with_chart(ext) == Form.one_form(ext, terms)
+
+    def test_two_form_keeps_its_sign_on_a_reordered_chart(self):
+        chart = Chart(["x1", "p1", "x0"])
+        omega = Form.d_coord(CH, "p1").wedge(Form.d_coord(CH, "x1")).scale(var("x0"))
+        lifted = omega.with_chart(chart)
+        assert lifted.coefficient(["p1", "x1"]) == LaurentPoly.variable(chart, "x0")
+
+    def test_phase_metric(self):
+        ext = self.ext
+        g = tps.phase_metric(self.n).g
+        z = LaurentPoly.zero(ext)
+        out = [[z] * ext.dim for _ in range(ext.dim)]
+        for a, nma in enumerate(self.base.names):
+            for b, nmb in enumerate(self.base.names):
+                out[ext.index(nma)][ext.index(nmb)] = g.entries[a][b].with_chart(ext)
+        assert g.with_chart(ext) == PolyMatrix(ext, out)
 
 
 # property test: d^2 = 0 and Cartan formula on random 1-forms

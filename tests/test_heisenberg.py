@@ -118,25 +118,6 @@ class TestChi:
             g = rand_element(rng, 2)
             assert hg.chi_inv(hg.chi(g), 2) == g
 
-    def test_left_action_sample(self):
-        g = hg.HeisElement([1], [1], 1)
-        m = {"x0": 0, "p1": 0, "x1": 0}
-        assert hg.left_action(g, m) == {
-            "x0": Fraction(-1),
-            "p1": Fraction(1),
-            "x1": Fraction(1),
-        }
-
-    def test_left_action_is_group_action(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            g = rand_element(rng, 2)
-            h = rand_element(rng, 2)
-            m = hg.chi(rand_element(rng, 2))
-            assert hg.left_action(g, hg.left_action(h, m)) == hg.left_action(
-                hg.multiply(g, h), m
-            )
-
     def test_right_action_is_antihomomorphism(self):
         rng = random.Random(6)
         for _ in range(20):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tpsgeo import jets
-from tpsgeo.jets import DomainError, Jet3, fd_oracle, jet_arith, jet_fd_compare, jet_func
+from tpsgeo.jets import DomainError, Jet3, fd_oracle, jet_fd_compare
 
 
 def vdw_jet(seeds):
@@ -58,19 +58,6 @@ class TestArithmetic:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Jet3.seed(1, 0, 1.0) * Jet3.seed(2, 0, 1.0)
-
-    def test_dispatch_wrappers(self):
-        x, y = Jet3.seeds([2.0, 3.0])
-        assert jet_arith(x, y, "mul").value == 6.0
-        assert jet_arith(x, y, "add").value == 5.0
-        assert jet_arith(x, y, "div").value == pytest.approx(2.0 / 3.0)
-        with pytest.raises(ValueError):
-            jet_arith(x, y, "sub")
-        assert jet_func(x, "pow", 2).value == 4.0
-        with pytest.raises(ValueError):
-            jet_func(x, "pow")
-        with pytest.raises(ValueError):
-            jet_func(x, "sin")
 
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(0)

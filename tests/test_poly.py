@@ -155,7 +155,7 @@ class TestPacking:
 
 class TestExponentBound:
     def test_constructor(self):
-        assert var("x1", EXPONENT_LIMIT).total_degree() == EXPONENT_LIMIT
+        assert var("x1", EXPONENT_LIMIT).terms == {(0, 0, EXPONENT_LIMIT): 1}
         with pytest.raises(OverflowError):
             var("x1", EXPONENT_LIMIT + 1)
         with pytest.raises(OverflowError):
