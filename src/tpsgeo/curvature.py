@@ -18,7 +18,7 @@ from .poly import Chart, LaurentPoly
 class MetricSpec:
     """Symmetric exact metric with its exact inverse."""
 
-    __slots__ = ("name", "chart", "g", "g_inv", "det", "_christoffel")
+    __slots__ = ("name", "chart", "g", "g_inv", "det", "_partials", "_christoffel")
 
     def __init__(self, name: str, chart: Chart, g: PolyMatrix, g_inv: PolyMatrix | None = None):
         if g.rows != g.cols or g.rows != chart.dim:
@@ -36,6 +36,7 @@ class MetricSpec:
                 raise ValueError("supplied inverse fails g @ g_inv == I")
             self.g_inv = g_inv
             self.det = bareiss_det(g)
+        self._partials = None
         self._christoffel = None
 
     @property
@@ -45,6 +46,23 @@ class MetricSpec:
     def inner(self, x: VectorField, y: VectorField) -> LaurentPoly:
         """g(X, Y) as a Laurent polynomial."""
         return pairing(self.g, x, y)
+
+    def partials(self) -> list[list[list[LaurentPoly]]]:
+        """dg[i][j][k] = d_k g_ij, built once; the zero entries share one
+        zero polynomial, so the table holds only the nonzero partials."""
+        if self._partials is None:
+            zero = LaurentPoly.zero(self.chart)
+            dg = [[[zero] * self.dim for _ in row] for row in self.g.entries]
+            for i, row in enumerate(self.g.entries):
+                for j, e in enumerate(row):
+                    if not e.coeffs:
+                        continue
+                    for k, name in enumerate(self.chart.names):
+                        p = e.partial(name)
+                        if p.coeffs:
+                            dg[i][j][k] = p
+            self._partials = dg
+        return self._partials
 
     def christoffel(self) -> "ChristoffelTable":
         if self._christoffel is None:
@@ -87,10 +105,7 @@ def christoffel(metric: MetricSpec) -> ChristoffelTable:
     d = chart.dim
     names = chart.names
     half = Fraction(1, 2)
-    dg = [
-        [[metric.g.entries[i][j].partial(names[k]) for k in range(d)] for j in range(d)]
-        for i in range(d)
-    ]
+    dg = metric.partials()
     gamma = []
     for a in range(d):
         plane = []
@@ -246,40 +261,57 @@ class DegeneratePlaneError(ValueError):
     """The plane spanned by the two fields has |A ^ B|^2 = 0 at the point."""
 
 
+class SectionalForm:
+    """The sectional curvature of the plane (A, B) as polynomials, built once
+    and evaluated at any number of points: num = g(R(A,B)B, A), and g(A,A),
+    g(B,B), g(A,B) for the plane norm."""
+
+    __slots__ = ("num", "gaa", "gbb", "gab")
+
+    def __init__(self, metric: MetricSpec, a: VectorField, b: VectorField):
+        self.num = metric.inner(riemann_transform(metric, a, b, b), a)
+        self.gaa = metric.inner(a, a)
+        self.gbb = metric.inner(b, b)
+        self.gab = metric.inner(a, b)
+
+    def parts(self, point: Mapping) -> tuple[Fraction, Fraction]:
+        """(numerator, denominator) at the point, with
+        den = g(A,A) g(B,B) - g(A,B)^2."""
+        num = self.num.evaluate(point)
+        gaa, gbb, gab = (f.evaluate(point) for f in (self.gaa, self.gbb, self.gab))
+        return num, gaa * gbb - gab * gab
+
+    def at(self, point: Mapping) -> Fraction:
+        num, den = self.parts(point)
+        if den == 0:
+            raise DegeneratePlaneError("degenerate plane: |A ^ B|^2 = 0 at the point")
+        return num / den
+
+
 def sectional_parts(
     metric: MetricSpec, a: VectorField, b: VectorField, point: Mapping
 ) -> tuple[Fraction, Fraction]:
     """(numerator, denominator) of the sectional curvature at the point:
     num = g(R(A,B)B, A), den = g(A,A) g(B,B) - g(A,B)^2."""
-    rab_b = riemann_transform(metric, a, b, b)
-    num = metric.inner(rab_b, a).evaluate(point)
-    gaa = metric.inner(a, a).evaluate(point)
-    gbb = metric.inner(b, b).evaluate(point)
-    gab = metric.inner(a, b).evaluate(point)
-    return num, gaa * gbb - gab * gab
+    return SectionalForm(metric, a, b).parts(point)
 
 
 def sectional(metric: MetricSpec, a: VectorField, b: VectorField, point: Mapping) -> Fraction:
-    num, den = sectional_parts(metric, a, b, point)
-    if den == 0:
-        raise DegeneratePlaneError("degenerate plane: |A ^ B|^2 = 0 at the point")
-    return num / den
+    return SectionalForm(metric, a, b).at(point)
 
 
 def lie_derivative_metric(metric: MetricSpec, x: VectorField) -> PolyMatrix:
-    """(L_X g)_{ij} = X^k d_k g_{ij} + g_{ik} d_j X^k + g_{kj} d_i X^k."""
-    return lie_derivative_symmetric(metric.g, x)
-
-
-def lie_derivative_symmetric(g: PolyMatrix, x: VectorField) -> PolyMatrix:
-    """L_X g for a symmetric g.  Only the nonzero components of X and of
-    their partials contribute; the upper triangle is summed and mirrored."""
-    chart = g.chart
+    """(L_X g)_{ij} = X^k d_k g_{ij} + g_{ik} d_j X^k + g_{kj} d_i X^k.  Only
+    the nonzero components of X and of their partials contribute; d_k g_ij
+    comes from the metric's table, and the upper triangle is summed and
+    mirrored."""
+    chart = metric.chart
     if x.chart != chart:
         raise ValueError("field not over metric chart")
     d = chart.dim
     names = chart.names
-    entries = g.entries
+    entries = metric.g.entries
+    dg = metric.partials()
     upper: dict[tuple[int, int], LaurentPoly] = {}
 
     def add(i: int, j: int, term: LaurentPoly) -> None:
@@ -292,14 +324,13 @@ def lie_derivative_symmetric(g: PolyMatrix, x: VectorField) -> PolyMatrix:
     for k, comp in enumerate(x.comps):
         if not comp.coeffs:
             continue
-        name = names[k]
         # X^k d_k g_ij
         for i in range(d):
-            for j, gij in support[i]:
+            for j, _ in support[i]:
                 if j >= i:
-                    dg = gij.partial(name)
-                    if dg.coeffs:
-                        add(i, j, comp * dg)
+                    dgij = dg[i][j][k]
+                    if dgij.coeffs:
+                        add(i, j, comp * dgij)
         # g_ik d_j X^k at (i, j) and, as g_kj d_i X^k, at (j, i): both in
         # the same upper entry, which on the diagonal gets it twice
         for j in range(d):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .fields import Form, PolyMap, VectorField, bracket, pairing
@@ -16,37 +17,79 @@ from . import tps
 HALF = Fraction(1, 2)
 
 
+def _exact(x) -> int | Fraction:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _vec(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in v)
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-class HeisElement:
-    """Group element (a, b, c); the group law appends <a, b1> to the center."""
+def _element(num: list[int], den: int) -> "HeisElement":
+    """The element with these numerators over den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+    el = object.__new__(HeisElement)
+    el.num = tuple(num)
+    el.den = den
+    return el
 
-    __slots__ = ("a", "b", "c")
+
+class HeisElement:
+    """Group element (a, b, c); the group law appends <a, b1> to the center.
+
+    num: the integer numerators (a_1..a_n, b_1..b_n, c); den: their positive
+    common denominator, with gcd(den, *num) == 1, so that equal elements have
+    equal fields.  ``a``, ``b`` and ``c`` are the Fraction views.  Instances
+    are treated as immutable.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, a, b, c):
-        self.a = _vec(a)
-        self.b = _vec(b)
-        self.c = Fraction(c)
-        if len(self.a) != len(self.b):
+        a = [_exact(x) for x in a]
+        b = [_exact(x) for x in b]
+        if len(a) != len(b):
             raise ValueError("a and b must have the same length")
+        vals = a + b + [_exact(c)]
+        # over the least common denominator the numerators share no factor
+        # with it
+        den = lcm(*(x.denominator for x in vals))
+        self.num = tuple(x.numerator * (den // x.denominator) for x in vals)
+        self.den = den
 
     @property
     def n(self) -> int:
-        return len(self.a)
+        return len(self.num) // 2
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num[: self.n])
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num[self.n : -1])
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.num[-1], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeisElement):
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c))
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"HeisElement(a={list(self.a)}, b={list(self.b)}, c={self.c})"
@@ -98,17 +141,24 @@ def identity(n: int) -> HeisElement:
 
 
 def multiply(g: HeisElement, g1: HeisElement) -> HeisElement:
-    if g.n != g1.n:
+    n = g.n
+    if n != g1.n:
         raise ValueError("dimension mismatch")
-    return HeisElement(
-        [x + y for x, y in zip(g.a, g1.a)],
-        [x + y for x, y in zip(g.b, g1.b)],
-        g.c + g1.c + _dot(g.a, g1.b),
-    )
+    # over den * den1: numerators cross-multiplied, and <a, b1> has exactly
+    # that denominator already
+    p, d = g.num, g.den
+    q, e = g1.num, g1.den
+    num = [x * e + y * d for x, y in zip(p, q)]
+    num[-1] += sum(x * y for x, y in zip(p[:n], q[n:-1]))
+    return _element(num, d * e)
 
 
 def inverse(g: HeisElement) -> HeisElement:
-    return HeisElement([-x for x in g.a], [-x for x in g.b], -g.c + _dot(g.a, g.b))
+    # (-a, -b, -c + <a, b>) over den^2
+    n, p, d = g.n, g.num, g.den
+    num = [-x * d for x in p]
+    num[-1] += sum(x * y for x, y in zip(p[:n], p[n:-1]))
+    return _element(num, d * d)
 
 
 def exp(x: HeisAlgElement) -> HeisElement:
@@ -116,7 +166,8 @@ def exp(x: HeisAlgElement) -> HeisElement:
 
 
 def log(g: HeisElement) -> HeisAlgElement:
-    return HeisAlgElement(g.a, g.b, g.c - HALF * _dot(g.a, g.b))
+    a, b = g.a, g.b
+    return HeisAlgElement(a, b, g.c - HALF * _dot(a, b))
 
 
 # ----------------------------------------------------------------------
@@ -126,11 +177,11 @@ def log(g: HeisElement) -> HeisAlgElement:
 def element_matrix(g: HeisElement) -> list[list[Fraction]]:
     """Upper unitriangular (n+2) x (n+2) rendering: first row (1, a, c),
     middle block (I, b), corner 1."""
-    n = g.n
+    n, a, b = g.n, g.a, g.b
     m = [[Fraction(1 if i == j else 0) for j in range(n + 2)] for i in range(n + 2)]
     for i in range(n):
-        m[0][1 + i] = g.a[i]
-        m[1 + i][n + 1] = g.b[i]
+        m[0][1 + i] = a[i]
+        m[1 + i][n + 1] = b[i]
     m[0][n + 1] = g.c
     return m
 
@@ -146,10 +197,18 @@ def algebra_matrix(x: HeisAlgElement) -> list[list[Fraction]]:
 
 
 def _mat_mul(a, b):
+    """Dense product of square Fraction matrices; zero products are skipped."""
     n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        row = out[i]
+        for k, aik in enumerate(a[i]):
+            if not aik:
+                continue
+            for j, bkj in enumerate(b[k]):
+                if bkj:
+                    row[j] += aik * bkj
+    return out
 
 
 def exp_series_matrix(x: HeisAlgElement) -> list[list[Fraction]]:
@@ -178,10 +237,11 @@ def multiply_matches_matrices(g: HeisElement, g1: HeisElement) -> bool:
 
 def chi(g: HeisElement) -> dict[str, Fraction]:
     """(a, b, c) -> (x0 = -c, p = b, x = a)."""
+    a, b = g.a, g.b
     out = {"x0": -g.c}
     for i in range(g.n):
-        out[f"p{i+1}"] = g.b[i]
-        out[f"x{i+1}"] = g.a[i]
+        out[f"p{i+1}"] = b[i]
+        out[f"x{i+1}"] = a[i]
     return out
 
 
@@ -198,11 +258,12 @@ def right_action(g: HeisElement, point: Mapping) -> dict[str, Fraction]:
     (x0 - c - <b, x>, p + b, x + a)."""
     n = g.n
     via_group = chi(multiply(chi_inv(point, n), g))
+    a, b = g.a, g.b
     x = [Fraction(point[f"x{i+1}"]) for i in range(n)]
-    direct = {"x0": Fraction(point["x0"]) - g.c - _dot(g.b, x)}
+    direct = {"x0": Fraction(point["x0"]) - g.c - _dot(b, x)}
     for i in range(n):
-        direct[f"p{i+1}"] = Fraction(point[f"p{i+1}"]) + g.b[i]
-        direct[f"x{i+1}"] = x[i] + g.a[i]
+        direct[f"p{i+1}"] = Fraction(point[f"p{i+1}"]) + b[i]
+        direct[f"x{i+1}"] = x[i] + a[i]
     if via_group != direct:
         raise ArithmeticError("right-action closed form disagrees with the group law")
     return direct

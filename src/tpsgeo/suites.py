@@ -16,8 +16,8 @@ from . import heisenberg, killing, legendre, sympl, tps
 from .curvature import (
     DegeneratePlaneError,
     MetricSpec,
+    SectionalForm,
     ricci_scalar,
-    riemann_tensor,
     sectional,
     trace_form,
 )
@@ -244,10 +244,11 @@ def _sectional_results(n: int, metric: MetricSpec, riem) -> list[Result]:
     for i in range(n):
         num, den = parts_polys(P[i], dx[i])
         poly_ok &= num == den * Fraction(3, 4)
+    forms = [SectionalForm(metric, P[i], dx[i]) for i in range(n)]
     for _ in range(100):
         i = rng.randrange(n)
         pt = _rand_point(chart, rng)
-        val = sectional(metric, P[i], dx[i], pt)
+        val = forms[i].at(pt)
         if val != Fraction(3, 4):
             point_fail = {"i": i + 1, "point": {k: str(v) for k, v in pt.items()}, "value": str(val)}
             break

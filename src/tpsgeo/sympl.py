@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .curvature import (
     MetricSpec,
@@ -19,6 +19,7 @@ from .curvature import (
     ricci_scalar,
 )
 from .fields import Form, PolyMap, VectorField, apply_matrix_field, bracket, pairing, wedge_all
+# solve_exact is unused here; the benchmark's alias tests call it as sympl.solve_exact
 from .linalg import Elimination, PolyMatrix, solve_exact
 from .poly import Chart, LaurentPoly
 from . import tps
@@ -640,29 +641,38 @@ def proj_chart_functions(n: int, cid: tuple[str, int]) -> dict[str, LaurentPoly]
     return out
 
 
+def _exponents(f: LaurentPoly) -> dict[int, int]:
+    """The exponent vector of a monomial, sparse by variable index."""
+    ((e, _c),) = f.terms.items()
+    return {i: k for i, k in enumerate(e) if k}
+
+
+@functools.cache
+def _chart_factors(
+    n: int, cid: tuple[str, int]
+) -> tuple[dict[str, LaurentPoly], list[str], Elimination]:
+    """The chart's functions, their sorted names, and their exponent vectors
+    (in that order) factored once, so that any exponent vector can be written
+    in terms of them.  Cached: callers share the result and must not change
+    it."""
+    fa = proj_chart_functions(n, cid)
+    names = sorted(fa)
+    return fa, names, Elimination(_exponents(fa[nm]) for nm in names)
+
+
 def transition_relations(
     n: int, cid_a: tuple[str, int], cid_b: tuple[str, int]
 ) -> dict[str, dict[str, int]]:
     """Each coordinate of chart b as a Laurent monomial in the coordinates of
     chart a; exact on the overlap.  Solved from the exponent lattice and then
     verified as a monomial identity."""
-    fa = proj_chart_functions(n, cid_a)
-    fb = proj_chart_functions(n, cid_b)
+    fa, a_names, factored = _chart_factors(n, cid_a)
+    fb = _chart_factors(n, cid_b)[0]
     chart = _localized_chart(n)
-
-    def expvec(f):
-        ((e, _c),) = f.terms.items()
-        return list(e)
-
-    a_names = sorted(fa)
-    a_rows = [expvec(fa[nm]) for nm in a_names]
-    # columns of the solve are the a-coordinates
-    mat = [[Fraction(a_rows[j][i]) for j in range(len(a_names))] for i in range(chart.dim)]
     out = {}
     for nm_b, f in fb.items():
-        target = [Fraction(e) for e in expvec(f)]
-        sol = solve_exact(mat, target)
-        if sol is None:
+        sol, residual = factored.reduce(_exponents(f))
+        if residual:
             raise ValueError(f"no monomial transition for {nm_b}")
         rel = {}
         check = LaurentPoly.one(chart)
@@ -694,7 +704,7 @@ def proj_report(n: int) -> dict:
     act = PolyMap(ext, ext, comps)
     invariant = True
     for cid in proj_chart_ids(n):
-        for f in proj_chart_functions(n, cid).values():
+        for f in _chart_factors(n, cid)[0].values():
             lifted = f.with_chart(ext)
             invariant &= act.pull_function(lifted) == lifted
 

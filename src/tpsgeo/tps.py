@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .curvature import MetricSpec, lie_derivative_metric
 from .fields import Form, VectorField, apply_matrix_field, bracket, sym2, tensor2, wedge_all

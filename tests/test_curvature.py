@@ -1,6 +1,7 @@
 """Generic curvature pipeline: flat space, hyperbolic plane, and the frozen
 tables for the contact phase-space metric."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,39 @@ class TestGramAndLie:
     def test_reeb_is_killing(self):
         m = tps.phase_metric(2)
         assert lie_derivative_metric(m, VectorField.coordinate(m.chart, "x0")).is_zero()
+
+    @pytest.mark.parametrize("space,n", [("tps", 2), ("sympl", 1)])
+    def test_lie_derivative_on_the_partials_table_matches_the_formula(self, space, n):
+        # (L_X g)_ij = X^k d_k g_ij + g_ik d_j X^k + g_kj d_i X^k, with every
+        # partial taken here rather than read from the metric's table
+        m = tps.phase_metric(n) if space == "tps" else sympl.sympl_metric(n)
+        chart, g, d = m.chart, m.g.entries, m.chart.dim
+        names = chart.names
+        rng = random.Random(11)
+
+        def rand_poly():
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                exps = [0] * d
+                for _ in range(rng.randint(0, 2)):
+                    exps[rng.randrange(d)] += 1
+                terms[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            return LaurentPoly(chart, terms)
+
+        for _ in range(12):
+            comps = [rand_poly() if rng.random() < 0.5 else LaurentPoly.zero(chart) for _ in range(d)]
+            x = VectorField(chart, comps)
+            expect = [[LaurentPoly.zero(chart)] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(d):
+                    acc = LaurentPoly.zero(chart)
+                    for k in range(d):
+                        acc = acc + x.comps[k] * g[i][j].partial(names[k])
+                        acc = acc + g[i][k] * x.comps[k].partial(names[j])
+                        acc = acc + g[k][j] * x.comps[k].partial(names[i])
+                    expect[i][j] = acc
+            assert lie_derivative_metric(m, x) == PolyMatrix(chart, expect)
+        assert m.partials() is m.partials()
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,18 @@ actions, and invariance of the contact structure under right translations."""
 
 from __future__ import annotations
 
+import json
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpsgeo import heisenberg as hg
-from tpsgeo import tps
+from tpsgeo import suites, tps
 
 
 def rand_frac(rng):
@@ -175,3 +180,130 @@ class TestInvariance:
         cm = hg.chi_map(1)
         t = tps.build(1)
         assert cm.push_field(bracket(fields["A1"], fields["B1"])) == t.reeb
+
+
+# ----------------------------------------------------------------------
+# the integer normal form against a plain-Fraction reference model: an
+# element is a tuple (a, b, c) of Fraction tuples and a Fraction
+
+
+def ref_dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def ref_multiply(g, h):
+    (a, b, c), (a1, b1, c1) = g, h
+    return (
+        tuple(x + y for x, y in zip(a, a1)),
+        tuple(x + y for x, y in zip(b, b1)),
+        c + c1 + ref_dot(a, b1),
+    )
+
+
+def ref_inverse(g):
+    a, b, c = g
+    return tuple(-x for x in a), tuple(-x for x in b), -c + ref_dot(a, b)
+
+
+def ref_exp(x):
+    a, b, z = x
+    return a, b, z + ref_dot(a, b) / 2
+
+
+def ref_log(g):
+    a, b, c = g
+    return a, b, c - ref_dot(a, b) / 2
+
+
+def assert_matches(el, ref):
+    a, b, c = ref
+    assert (el.a, el.b, el.c) == (a, b, c)
+    assert all(type(x) is Fraction for x in (*el.a, *el.b, el.c))
+    assert el.n == len(a)
+    assert el.den > 0 and math.gcd(el.den, *el.num) == 1
+    assert el == hg.HeisElement(a, b, c) and hash(el) == hash(hg.HeisElement(a, b, c))
+
+
+ref_fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def ref_elements(n):
+    vec = st.lists(ref_fracs, min_size=n, max_size=n).map(tuple)
+    return st.tuples(vec, vec, ref_fracs)
+
+
+ref_pairs = st.integers(1, 3).flatmap(lambda n: st.tuples(ref_elements(n), ref_elements(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ref_pairs)
+def test_integer_normal_form_matches_the_reference_model(pair):
+    g, h = pair
+    eg, eh = hg.HeisElement(*g), hg.HeisElement(*h)
+    assert_matches(eg, g)
+    assert_matches(hg.multiply(eg, eh), ref_multiply(g, h))
+    assert_matches(hg.multiply(eh, eg), ref_multiply(h, g))
+    assert_matches(hg.inverse(eg), ref_inverse(g))
+    assert_matches(hg.exp(hg.HeisAlgElement(*g)), ref_exp(g))
+    x = hg.log(eg)
+    assert (x.a, x.b, x.z) == ref_log(g)
+    assert_matches(hg.HeisElement.from_json(eg.to_json()), g)
+    assert json.loads(eg.to_json()) == {
+        "a": [str(v) for v in g[0]],
+        "b": [str(v) for v in g[1]],
+        "c": str(g[2]),
+    }
+    # the same values given as ints where integral
+    plain = [int(v) if v.denominator == 1 else v for v in (*g[0], *g[1], g[2])]
+    n = len(g[0])
+    built = hg.HeisElement(plain[:n], plain[n : 2 * n], plain[-1])
+    assert built == eg and hash(built) == hash(eg)
+    # equal exactly when the reference values are equal
+    assert (eg == eh) == (g == h)
+    longer = hg.HeisElement(g[0] + (1,), g[1] + (1,), g[2])
+    with pytest.raises(ValueError):
+        hg.multiply(eg, longer)
+    with pytest.raises(ValueError):
+        hg.multiply(longer, eg)
+    with pytest.raises(ValueError):
+        hg.HeisElement(g[0], g[1] + (1,), g[2])
+
+
+def test_equal_elements_from_different_inputs_are_equal_and_hash_alike():
+    halves = hg.HeisElement([Fraction(2, 4)], [Fraction(-6, 4)], Fraction(10, 4))
+    reduced = hg.HeisElement([Fraction(1, 2)], [Fraction(-3, 2)], Fraction(5, 2))
+    assert halves == reduced and hash(halves) == hash(reduced)
+    assert (halves.num, halves.den) == ((1, -3, 5), 2)
+    ints = hg.HeisElement([1, -2], [0, 3], 4)
+    fracs = hg.HeisElement([Fraction(1), Fraction(-2)], [Fraction(0), Fraction(3)], Fraction(4))
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert (ints.num, ints.den) == ((1, -2, 0, 3, 4), 1)
+    # a product whose denominators cancel is stored over 1
+    g = hg.multiply(hg.HeisElement([Fraction(1, 2)], [0], 0), hg.HeisElement([Fraction(1, 2)], [2], 0))
+    assert (g.num, g.den) == ((1, 2, 1), 1)
+    assert len({halves, reduced, ints, fracs}) == 2
+
+
+def test_flipped_central_sign_fails_the_group_axiom_claim(monkeypatch):
+    # the suite sees a group law whose cocycle <a, b1> enters with the wrong
+    # sign; inverses then fail and the claim names the offending element
+    def flipped(g, g1):
+        return hg.HeisElement(
+            [x + y for x, y in zip(g.a, g1.a)],
+            [x + y for x, y in zip(g.b, g1.b)],
+            g.c + g1.c - sum((x * y for x, y in zip(g.a, g1.b)), Fraction(0)),
+        )
+
+    mutant = types.SimpleNamespace(**{**vars(hg), "multiply": flipped})
+    monkeypatch.setattr(suites, "heisenberg", mutant)
+    for n in (1, 2):
+        claim = next(
+            r
+            for r in suites.suite_heisenberg(n)
+            if r.claim == "group axioms hold exactly over 200 random rational triples"
+        )
+        assert claim.status == "fail"
+        witness = json.loads(claim.witness)
+        assert set(witness) == {"a", "b", "c"} and len(witness["a"]) == n
+        g = hg.HeisElement.from_json(claim.witness)
+        assert flipped(g, hg.inverse(g)) != hg.identity(n)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tpsgeo.fields import Form
+from tpsgeo.linalg import solve_exact
 from tpsgeo.poly import LaurentPoly
 from tpsgeo import sympl, tps
 
@@ -215,6 +216,65 @@ class TestProjectivization:
             for nm, f in sympl.proj_chart_functions(n, ("U", 1)).items()
         }
         assert derived == direct
+
+
+def per_target_transitions(n, cid_a, cid_b):
+    """The transition relations solved one target at a time, each with its
+    own dense solve of the exponent matrix of chart a."""
+    fa = sympl.proj_chart_functions(n, cid_a)
+    fb = sympl.proj_chart_functions(n, cid_b)
+
+    def expvec(f):
+        ((e, _c),) = f.terms.items()
+        return list(e)
+
+    a_names = sorted(fa)
+    a_rows = [expvec(fa[nm]) for nm in a_names]
+    mat = [[Fraction(row[i]) for row in a_rows] for i in range(len(a_rows[0]))]
+    out = {}
+    for nm_b, f in fb.items():
+        sol = solve_exact(mat, [Fraction(e) for e in expvec(f)])
+        assert sol is not None and all(c.denominator == 1 for c in sol)
+        out[nm_b] = {nm: int(c) for c, nm in zip(sol, a_names) if c != 0}
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transitions_match_the_per_target_solve(n):
+    ids = sympl.proj_chart_ids(n)
+    for a in ids:
+        for b in ids:
+            if a != b:
+                assert sympl.transition_relations(n, a, b) == per_target_transitions(n, a, b)
+
+
+@pytest.fixture
+def fresh_chart_factors():
+    sympl._chart_factors.cache_clear()
+    yield
+    sympl._chart_factors.cache_clear()
+
+
+def test_one_wrong_chart_exponent_fails_the_projective_report(monkeypatch, fresh_chart_factors):
+    # V_0's coordinate p_1 x^0 becomes p_1 (x^0)^2: no longer scaling
+    # invariant, and no longer a monomial in the other charts' coordinates
+    original = sympl.proj_chart_functions
+
+    def mutated(n, cid):
+        out = original(n, cid)
+        if cid == ("V", 0):
+            f = out["px1"]
+            out["px1"] = f * LaurentPoly.variable(f.chart, "x0")
+        return out
+
+    monkeypatch.setattr(sympl, "proj_chart_functions", mutated)
+    for n in (1, 2):
+        rep = sympl.proj_report(n)
+        assert not rep["passed"]
+        assert not rep["scaling_invariant"]
+        assert not rep["all_transitions_monomial"]
+        with pytest.raises(ValueError):
+            sympl.transition_relations(n, ("U", 0), ("V", 0))
 
 
 class TestCells:
