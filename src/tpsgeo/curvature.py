@@ -185,22 +185,34 @@ def riemann_tensor(metric: MetricSpec) -> list:
     d = chart.dim
     names = chart.names
     gamma = metric.christoffel().gamma
-    riem = [
-        [[[LaurentPoly.zero(chart) for _ in range(d)] for _ in range(d)] for _ in range(d)]
-        for _ in range(d)
+    zero = LaurentPoly.zero(chart)
+    # the nonzero Gamma^i_{ks} of each (i, k), with their s
+    support = [
+        [[(s, g) for s, g in enumerate(row) if g.coeffs] for row in plane] for plane in gamma
     ]
+    riem = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
     for i in range(d):
+        gi = gamma[i]
         for j in range(d):
             for k in range(d):
                 for l in range(k + 1, d):
-                    acc = gamma[i][l][j].partial(names[k]) - gamma[i][k][j].partial(names[l])
-                    for s in range(d):
-                        if not gamma[s][l][j].is_zero() and not gamma[i][k][s].is_zero():
-                            acc = acc + gamma[i][k][s] * gamma[s][l][j]
-                        if not gamma[s][k][j].is_zero() and not gamma[i][l][s].is_zero():
-                            acc = acc - gamma[i][l][s] * gamma[s][k][j]
-                    riem[i][j][k][l] = acc
-                    riem[i][j][l][k] = -acc
+                    # d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
+                    #   + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}
+                    a, b = gi[l][j], gi[k][j]
+                    acc = a.partial(names[k]) if a.coeffs else zero
+                    if b.coeffs:
+                        acc = acc - b.partial(names[l])
+                    for s, g in support[i][k]:
+                        h = gamma[s][l][j]
+                        if h.coeffs:
+                            acc = acc + g * h
+                    for s, g in support[i][l]:
+                        h = gamma[s][k][j]
+                        if h.coeffs:
+                            acc = acc - g * h
+                    if acc.coeffs:
+                        riem[i][j][k][l] = acc
+                        riem[i][j][l][k] = -acc
     return riem
 
 
@@ -303,13 +315,12 @@ def sectional(metric: MetricSpec, a: VectorField, b: VectorField, point: Mapping
 def lie_derivative_metric(metric: MetricSpec, x: VectorField) -> PolyMatrix:
     """(L_X g)_{ij} = X^k d_k g_{ij} + g_{ik} d_j X^k + g_{kj} d_i X^k.  Only
     the nonzero components of X and of their partials contribute; d_k g_ij
-    comes from the metric's table, and the upper triangle is summed and
-    mirrored."""
+    comes from the metric's table, d_j X^k from the field's Jacobian, and
+    the upper triangle is summed and mirrored."""
     chart = metric.chart
     if x.chart != chart:
         raise ValueError("field not over metric chart")
     d = chart.dim
-    names = chart.names
     entries = metric.g.entries
     dg = metric.partials()
     upper: dict[tuple[int, int], LaurentPoly] = {}
@@ -321,7 +332,7 @@ def lie_derivative_metric(metric: MetricSpec, x: VectorField) -> PolyMatrix:
 
     # nonzero entries of each column of g (= of each row, g is symmetric)
     support = [[(i, entries[i][k]) for i in range(d) if entries[i][k].coeffs] for k in range(d)]
-    for k, comp in enumerate(x.comps):
+    for k, (comp, dx) in enumerate(zip(x.comps, x.jacobian())):
         if not comp.coeffs:
             continue
         # X^k d_k g_ij
@@ -333,10 +344,7 @@ def lie_derivative_metric(metric: MetricSpec, x: VectorField) -> PolyMatrix:
                         add(i, j, comp * dgij)
         # g_ik d_j X^k at (i, j) and, as g_kj d_i X^k, at (j, i): both in
         # the same upper entry, which on the diagonal gets it twice
-        for j in range(d):
-            dxk = comp.partial(names[j])
-            if not dxk.coeffs:
-                continue
+        for j, dxk in dx:
             for i, gik in support[k]:
                 term = gik * dxk
                 add(i, j, term * 2 if i == j else term)

@@ -16,7 +16,11 @@ from .poly import Chart, LaurentPoly, Scalar
 
 
 class VectorField:
-    __slots__ = ("chart", "comps")
+    """A vector field with one Laurent polynomial per coordinate.  Fields are
+    immutable, so the cached Jacobian never goes stale and a field can be
+    shared, as the cached Killing catalogs are."""
+
+    __slots__ = ("chart", "comps", "_jacobian")
 
     def __init__(self, chart: Chart, comps: Sequence[LaurentPoly]):
         if len(comps) != chart.dim:
@@ -24,8 +28,16 @@ class VectorField:
         for c in comps:
             if c.chart != chart:
                 raise ValueError("component chart mismatch")
-        self.chart = chart
-        self.comps = tuple(comps)
+        _set = object.__setattr__
+        _set(self, "chart", chart)
+        _set(self, "comps", tuple(comps))
+        _set(self, "_jacobian", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VectorField is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("VectorField is immutable")
 
     @staticmethod
     def zero(chart: Chart) -> "VectorField":
@@ -83,6 +95,23 @@ class VectorField:
                 acc = acc + comp * f.partial(nm)
         return acc
 
+    def jacobian(self) -> tuple[tuple[tuple[int, LaurentPoly], ...], ...]:
+        """Per component k, the pairs (i, d_i X^k) with a nonzero partial;
+        built on first use and kept."""
+        if self._jacobian is None:
+            names = self.chart.names
+            jac = []
+            for comp in self.comps:
+                row = []
+                if comp.coeffs:
+                    for i, nm in enumerate(names):
+                        p = comp.partial(nm)
+                        if p.coeffs:
+                            row.append((i, p))
+                jac.append(tuple(row))
+            object.__setattr__(self, "_jacobian", tuple(jac))
+        return self._jacobian
+
     def evaluate(self, point) -> list[Fraction]:
         return [c.evaluate(point) for c in self.comps]
 
@@ -103,20 +132,23 @@ class VectorField:
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket [X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
+    """Lie bracket [X, Y]^k = X^i d_i Y^k - Y^i d_i X^k, summed over the
+    nonzero partials of both fields' Jacobians."""
     if x.chart != y.chart:
         raise ValueError("chart mismatch")
-    chart = x.chart
+    xc, yc = x.comps, y.comps
+    zero = LaurentPoly.zero(x.chart)
     comps = []
-    for xk, yk in zip(x.comps, y.comps):
-        acc = LaurentPoly.zero(chart)
-        for xi, yi, nm in zip(x.comps, y.comps, chart.names):
-            if xi.coeffs and yk.coeffs:
-                acc = acc + xi * yk.partial(nm)
-            if yi.coeffs and xk.coeffs:
-                acc = acc - yi * xk.partial(nm)
+    for dyk, dxk in zip(y.jacobian(), x.jacobian()):
+        acc = zero
+        for i, p in dyk:
+            if xc[i].coeffs:
+                acc = acc + xc[i] * p
+        for i, p in dxk:
+            if yc[i].coeffs:
+                acc = acc - yc[i] * p
         comps.append(acc)
-    return VectorField(chart, comps)
+    return VectorField(x.chart, comps)
 
 
 class Form:

@@ -254,18 +254,16 @@ def chi_inv(point: Mapping, n: int) -> HeisElement:
 
 
 def right_action(g: HeisElement, point: Mapping) -> dict[str, Fraction]:
-    """chi o (right translation by g) o chi^{-1}; closed form
-    (x0 - c - <b, x>, p + b, x + a)."""
+    """chi o (right translation by g) o chi^{-1} in closed form:
+    (x0 - c - <b, x>, p + b, x + a).  The group-model suite compares it with
+    chi(chi^{-1}(point) g) through multiply."""
     n = g.n
-    via_group = chi(multiply(chi_inv(point, n), g))
     a, b = g.a, g.b
     x = [Fraction(point[f"x{i+1}"]) for i in range(n)]
     direct = {"x0": Fraction(point["x0"]) - g.c - _dot(b, x)}
     for i in range(n):
         direct[f"p{i+1}"] = Fraction(point[f"p{i+1}"]) + b[i]
         direct[f"x{i+1}"] = x[i] + a[i]
-    if via_group != direct:
-        raise ArithmeticError("right-action closed form disagrees with the group law")
     return direct
 
 

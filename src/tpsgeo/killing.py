@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .curvature import MetricSpec, lie_derivative_metric
+from .curvature import MetricSpec
 from .fields import VectorField, bracket
 from .linalg import Elimination, solve_exact
 from .poly import Chart, LaurentPoly, Scalar
@@ -44,10 +44,73 @@ def ansatz_basis(chart: Chart, max_degree: int) -> list[tuple[int, tuple[int, ..
     return [(k, alpha) for k in range(chart.dim) for alpha in monos]
 
 
-def _basis_field(chart: Chart, k: int, alpha: tuple[int, ...]) -> VectorField:
-    comps = [LaurentPoly.zero(chart) for _ in range(chart.dim)]
-    comps[k] = LaurentPoly(chart, {alpha: Fraction(1)})
-    return VectorField(chart, comps)
+def killing_system(
+    metric: MetricSpec, unknowns: Sequence[tuple[int, tuple[int, ...]]]
+) -> dict[tuple[int, int, int], dict[int, Scalar]]:
+    """The Killing equations (L_X g)_ij = 0, i <= j, for X = sum_u c_u X_u
+    over the ansatz unknowns X_u = x^alpha d_k: sparse rows keyed by
+    (i, j, packed exponents of the monomial), each mapping the unknown index
+    u to its coefficient.  The column of X_u comes in closed form from the
+    metric's d g table and the support of g,
+
+        (L_X g)_ij = x^alpha d_k g_ij + alpha_j x^(alpha - e_j) g_ik
+                     + alpha_i x^(alpha - e_i) g_kj,
+
+    so every term is a shift of a packed key; coefficients stay ints when
+    the metric's denominators are 1."""
+    chart = metric.chart
+    d = chart.dim
+    entries = metric.g.entries
+    dg = metric.partials()
+    units = [1 << s for s in chart.shifts]
+    # per k: the terms of d_k g_ij on the upper triangle, and of the nonzero
+    # g_ik (the support of column k)
+    dg_terms = [
+        [
+            (i, j, tuple(dg[i][j][k].packed_items()))
+            for i in range(d)
+            for j in range(i, d)
+            if dg[i][j][k].coeffs
+        ]
+        for k in range(d)
+    ]
+    g_terms = [
+        [(i, tuple(entries[i][k].packed_items())) for i in range(d) if entries[i][k].coeffs]
+        for k in range(d)
+    ]
+    rows: dict[tuple[int, int, int], dict[int, Scalar]] = {}
+
+    def add(key: tuple[int, int, int], u: int, c: Scalar) -> None:
+        row = rows.get(key)
+        if row is None:
+            rows[key] = {u: c}
+        else:
+            row[u] = row.get(u, 0) + c
+
+    for u, (k, alpha) in enumerate(unknowns):
+        # adding off to a packed key multiplies its monomial by x^alpha
+        off = chart.pack(alpha) - chart.bias
+        for i, j, terms in dg_terms[k]:
+            for key, c in terms:
+                add((i, j, key + off), u, c)
+        for j, e in enumerate(alpha):
+            if not e:
+                continue
+            # alpha_j x^(alpha - e_j) g_ik at (i, j) and, as the g_kj term,
+            # at (j, i): one upper entry, which on the diagonal gets both
+            shift = off - units[j]
+            for i, terms in g_terms[k]:
+                at = (i, j) if i <= j else (j, i)
+                f = 2 * e if i == j else e
+                for key, c in terms:
+                    add((*at, key + shift), u, f * c)
+    for key in [key for key, row in rows.items() if not all(row.values())]:
+        row = {u: c for u, c in rows[key].items() if c}
+        if row:
+            rows[key] = row
+        else:
+            del rows[key]
+    return rows
 
 
 def killing_solve(metric: MetricSpec, max_degree: int) -> list[VectorField]:
@@ -55,25 +118,10 @@ def killing_solve(metric: MetricSpec, max_degree: int) -> list[VectorField]:
     degree <= max_degree; exact, deterministic basis."""
     chart = metric.chart
     unknowns = ansatz_basis(chart, max_degree)
-    # rows are keyed (i, j, packed exponents of the monomial); packed keys
-    # sort like exponent tuples
-    columns: list[dict[tuple[int, int, int], Scalar]] = []
-    for k, alpha in unknowns:
-        lg = lie_derivative_metric(metric, _basis_field(chart, k, alpha))
-        col: dict[tuple[int, int, int], Scalar] = {}
-        for i, row in enumerate(lg.entries):
-            for j in range(i, chart.dim):
-                for beta, coef in row[j].packed_items():
-                    col[(i, j, beta)] = coef
-        columns.append(col)
-
-    row_keys = sorted({key for col in columns for key in col})
-    row_index = {key: r for r, key in enumerate(row_keys)}
-    rows: list[dict[int, Scalar]] = [dict() for _ in row_keys]
-    for u, col in enumerate(columns):
-        for key, coef in col.items():
-            rows[row_index[key]][u] = coef
-
+    system = killing_system(metric, unknowns)
+    # packed keys sort like exponent tuples; an equation that repeats an
+    # earlier one adds nothing to the elimination
+    rows = list({tuple(system[key].items()): system[key] for key in sorted(system)}.values())
     fields = []
     for vec in Elimination(rows).kernel(range(len(unknowns))):
         terms: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(chart.dim)]

@@ -21,7 +21,7 @@ from .curvature import (
     sectional,
     trace_form,
 )
-from .fields import VectorField, bracket
+from .fields import VectorField, apply_matrix_field, bracket
 from .linalg import PolyMatrix
 from .poly import LaurentPoly
 from .report import Result, check
@@ -130,88 +130,94 @@ def _table_diff_witness(got: dict, expect: dict):
 # curvature suites
 
 
-def _riemann_apply(riem, chart, a: VectorField, b: VectorField, c: VectorField) -> VectorField:
-    """R(A,B)C by tensor contraction; R is function-linear in all slots, so
-    contracting polynomial components agrees with the operator definition."""
-    d = chart.dim
-    comps = []
+def _riemann_planes(riem) -> dict[tuple[int, int], list[tuple[int, int, LaurentPoly]]]:
+    """The nonzero components R^i_{jkl}, grouped by their plane slots (k, l)."""
+    d = len(riem)
+    planes: dict[tuple[int, int], list[tuple[int, int, LaurentPoly]]] = {}
     for i in range(d):
-        acc = LaurentPoly.zero(chart)
         for j in range(d):
-            if c.comps[j].is_zero():
-                continue
             for k in range(d):
-                if a.comps[k].is_zero():
-                    continue
                 for l in range(d):
                     r = riem[i][j][k][l]
-                    if r.is_zero() or b.comps[l].is_zero():
-                        continue
-                    acc = acc + r * c.comps[j] * a.comps[k] * b.comps[l]
-        comps.append(acc)
-    return VectorField(chart, comps)
+                    if r.coeffs:
+                        planes.setdefault((k, l), []).append((i, j, r))
+    return planes
+
+
+def _riemann_operator(planes, chart, a: VectorField, b: VectorField) -> PolyMatrix:
+    """R(A,B) as the matrix with entries R^i_{jkl} A^k B^l, built once per
+    plane; R(A,B)C is its product with C.  R is function-linear in all
+    slots, so contracting polynomial components agrees with the operator
+    definition."""
+    zero = LaurentPoly.zero(chart)
+    m = [[zero] * chart.dim for _ in range(chart.dim)]
+    for (k, l), comps in planes.items():
+        ak, bl = a.comps[k], b.comps[l]
+        if ak.coeffs and bl.coeffs:
+            w = ak * bl
+            for i, j, r in comps:
+                m[i][j] = m[i][j] + r * w
+    return PolyMatrix(chart, m)
 
 
 def _transform_table_result(n: int, metric: MetricSpec, riem) -> Result:
     """R(A,B)C on every ordered frame pair against the constant-coefficient
     table: only xi-P, xi-X, P-P, X-X, P-X planes act, with 1/4 and 1/2
-    coefficients."""
+    coefficients.  Each plane's operator is built once and applied to every
+    C."""
     t = tps.build(n)
     chart = metric.chart
     xi, P, X = t.frame["xi"], t.frame["P"], t.frame["X"]
     zero = VectorField.zero(chart)
     mismatches = []
+    planes = _riemann_planes(riem)
 
-    def record(a, b, c, expect, label):
-        got = _riemann_apply(riem, chart, a, b, c)
-        if got != expect:
+    def op(a, b):
+        return _riemann_operator(planes, chart, a, b)
+
+    def record(r, c, expect, label):
+        if apply_matrix_field(r, c) != expect:
             mismatches.append(label)
 
     for i in range(n):
-        record(xi, P[i], xi, P[i].scale(QUARTER), f"R(xi,P{i+1})xi")
-        record(xi, X[i], xi, X[i].scale(QUARTER), f"R(xi,X{i+1})xi")
+        xi_p, xi_x = op(xi, P[i]), op(xi, X[i])
+        record(xi_p, xi, P[i].scale(QUARTER), f"R(xi,P{i+1})xi")
+        record(xi_x, xi, X[i].scale(QUARTER), f"R(xi,X{i+1})xi")
         for j in range(n):
-            record(xi, P[i], P[j], zero, f"R(xi,P{i+1})P{j+1}")
-            record(
-                xi, P[i], X[j],
-                xi.scale(-QUARTER if i == j else 0),
-                f"R(xi,P{i+1})X{j+1}",
-            )
-            record(
-                xi, X[i], P[j],
-                xi.scale(-QUARTER if i == j else 0),
-                f"R(xi,X{i+1})P{j+1}",
-            )
-            record(xi, X[i], X[j], zero, f"R(xi,X{i+1})X{j+1}")
+            record(xi_p, P[j], zero, f"R(xi,P{i+1})P{j+1}")
+            record(xi_p, X[j], xi.scale(-QUARTER if i == j else 0), f"R(xi,P{i+1})X{j+1}")
+            record(xi_x, P[j], xi.scale(-QUARTER if i == j else 0), f"R(xi,X{i+1})P{j+1}")
+            record(xi_x, X[j], zero, f"R(xi,X{i+1})X{j+1}")
 
     for i in range(n):
         for j in range(n):
-            record(P[i], P[j], xi, zero, f"R(P{i+1},P{j+1})xi")
-            record(X[i], X[j], xi, zero, f"R(X{i+1},X{j+1})xi")
-            record(P[i], X[j], xi, zero, f"R(P{i+1},X{j+1})xi")
+            pp, xx, px = op(P[i], P[j]), op(X[i], X[j]), op(P[i], X[j])
+            record(pp, xi, zero, f"R(P{i+1},P{j+1})xi")
+            record(xx, xi, zero, f"R(X{i+1},X{j+1})xi")
+            record(px, xi, zero, f"R(P{i+1},X{j+1})xi")
             for k in range(n):
-                record(P[i], P[j], P[k], zero, f"R(P{i+1},P{j+1})P{k+1}")
+                record(pp, P[k], zero, f"R(P{i+1},P{j+1})P{k+1}")
                 record(
-                    P[i], P[j], X[k],
+                    pp, X[k],
                     P[j].scale(QUARTER if i == k else 0)
                     - P[i].scale(QUARTER if j == k else 0),
                     f"R(P{i+1},P{j+1})X{k+1}",
                 )
-                record(X[i], X[j], X[k], zero, f"R(X{i+1},X{j+1})X{k+1}")
+                record(xx, X[k], zero, f"R(X{i+1},X{j+1})X{k+1}")
                 record(
-                    X[i], X[j], P[k],
+                    xx, P[k],
                     X[j].scale(QUARTER if i == k else 0)
                     - X[i].scale(QUARTER if j == k else 0),
                     f"R(X{i+1},X{j+1})P{k+1}",
                 )
                 record(
-                    P[i], X[j], P[k],
+                    px, P[k],
                     P[i].scale(QUARTER if j == k else 0)
                     + P[k].scale(HALF if i == j else 0),
                     f"R(P{i+1},X{j+1})P{k+1}",
                 )
                 record(
-                    P[i], X[j], X[k],
+                    px, X[k],
                     X[j].scale(-QUARTER if i == k else 0)
                     - X[k].scale(HALF if i == j else 0),
                     f"R(P{i+1},X{j+1})X{k+1}",
@@ -227,6 +233,7 @@ def _transform_table_result(n: int, metric: MetricSpec, riem) -> Result:
 def _sectional_results(n: int, metric: MetricSpec, riem) -> list[Result]:
     t = tps.build(n)
     chart = metric.chart
+    planes = _riemann_planes(riem)
     P, X, xi = t.frame["P"], t.frame["X"], t.frame["xi"]
     dx = [VectorField.coordinate(chart, f"x{i}") for i in range(1, n + 1)]
     rng = random.Random(20260825)
@@ -235,7 +242,7 @@ def _sectional_results(n: int, metric: MetricSpec, riem) -> list[Result]:
     # conjugate pairs (P_i, d/dx^i): numerator == (3/4) denominator as
     # polynomials, then spot-evaluated at 100 random rational points
     def parts_polys(a, b):
-        num = metric.inner(_riemann_apply(riem, chart, a, b, b), a)
+        num = metric.inner(apply_matrix_field(_riemann_operator(planes, chart, a, b), b), a)
         den = metric.inner(a, a) * metric.inner(b, b) - metric.inner(a, b) ** 2
         return num, den
 

@@ -343,10 +343,13 @@ def compatibility_check(n: int) -> dict:
 # Killing catalog
 
 
-def killing_catalog(n: int) -> list[tuple[str, VectorField]]:
+# built once per n, like phase_metric: the fields are immutable and keep
+# their Jacobians for every bracket taken of them
+@functools.cache
+def killing_catalog(n: int) -> tuple[tuple[str, VectorField], ...]:
     """Generators of the isometry algebra of the phase metric, dimension
     n^2 + 2n + 1: the Reeb field, A_i = x^i d/dx0 - d/dp_i, B_j = -d/dx^j,
-    and Q^k_l = p_l d/dp_k - x^k d/dx^l."""
+    and Q^k_l = p_l d/dp_k - x^k d/dx^l, as (label, field) pairs."""
     chart = tps_chart(n)
 
     def x(i):
@@ -365,7 +368,7 @@ def killing_catalog(n: int) -> list[tuple[str, VectorField]]:
             out.append(
                 (f"Q{k}_{l}", VectorField.from_dict(chart, {f"p{k}": p(l), f"x{l}": -x(k)}))
             )
-    return out
+    return tuple(out)
 
 
 def catalog_killing_report(n: int) -> dict:

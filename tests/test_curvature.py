@@ -18,10 +18,10 @@ from tpsgeo.curvature import (
     sectional_parts,
     trace_form,
 )
-from tpsgeo.fields import VectorField, bracket, pairing
+from tpsgeo.fields import VectorField, apply_matrix_field, bracket, pairing
 from tpsgeo.linalg import PolyMatrix
 from tpsgeo.poly import Chart, LaurentPoly
-from tpsgeo import sympl, tps
+from tpsgeo import suites, sympl, tps
 
 HALF = Fraction(1, 2)
 
@@ -348,6 +348,50 @@ class TestGramAndLie:
                     expect[i][j] = acc
             assert lie_derivative_metric(m, x) == PolyMatrix(chart, expect)
         assert m.partials() is m.partials()
+
+
+@pytest.mark.parametrize("space,n", [("tps", 1), ("tps", 2), ("sympl", 1)])
+def test_per_plane_riemann_operator_matches_the_full_contraction(space, n):
+    # (R(A,B)C)^i = R^i_{jkl} C^j A^k B^l, summed here over every j, k, l
+    m = tps.phase_metric(n) if space == "tps" else sympl.sympl_metric(n)
+    chart, d = m.chart, m.chart.dim
+    riem = riemann_tensor(m)
+    planes = suites._riemann_planes(riem)
+    rng = random.Random(5)
+
+    def rand_field():
+        comps = []
+        for _ in range(d):
+            terms = {}
+            for _ in range(rng.randint(0, 2)):
+                exps = [0] * d
+                exps[rng.randrange(d)] += rng.randint(0, 1)
+                terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            comps.append(LaurentPoly(chart, terms))
+        return VectorField(chart, comps)
+
+    coords = [VectorField.coordinate(chart, nm) for nm in chart.names]
+    # on coordinate fields, R(d_k, d_l) d_j has the components R^i_{jkl}
+    for k, a in enumerate(coords):
+        for l, b in enumerate(coords):
+            op = suites._riemann_operator(planes, chart, a, b)
+            for j, c in enumerate(coords):
+                got = apply_matrix_field(op, c).comps
+                assert list(got) == [riem[i][j][k][l] for i in range(d)]
+    fields = coords + [rand_field() for _ in range(4)]
+    for _ in range(10):
+        a, b = rng.choice(fields), rng.choice(fields)
+        op = suites._riemann_operator(planes, chart, a, b)
+        for c in rng.sample(fields, 3):
+            expect = []
+            for i in range(d):
+                acc = LaurentPoly.zero(chart)
+                for j in range(d):
+                    for k in range(d):
+                        for l in range(d):
+                            acc = acc + riem[i][j][k][l] * c.comps[j] * a.comps[k] * b.comps[l]
+                expect.append(acc)
+            assert apply_matrix_field(op, c) == VectorField(chart, expect)
 
 
 # ----------------------------------------------------------------------

@@ -263,3 +263,30 @@ def test_lie_derivative_commutes_with_d(a, b):
     lhs = alpha.d().lie_derivative(x)
     rhs = alpha.lie_derivative(x).d()
     assert lhs == rhs
+
+
+vector_fields = st.lists(coeff_polys, min_size=3, max_size=3).map(
+    lambda comps: VectorField(CH, comps)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_fields, vector_fields)
+def test_bracket_from_the_cached_jacobians_matches_the_formula(x, y):
+    # [X, Y]^k = X^i d_i Y^k - Y^i d_i X^k over every i, with each partial
+    # taken here
+    expect = []
+    for xk, yk in zip(x.comps, y.comps):
+        acc = LaurentPoly.zero(CH)
+        for xi, yi, nm in zip(x.comps, y.comps, CH.names):
+            acc = acc + xi * yk.partial(nm) - yi * xk.partial(nm)
+        expect.append(acc)
+    expect = VectorField(CH, expect)
+    assert bracket(x, y) == expect
+    # a second bracket reads the Jacobians built by the first
+    assert bracket(x, y) == expect
+    assert bracket(y, x) == expect.scale(-1)
+    assert x.jacobian() == tuple(
+        tuple((i, p) for i, p in enumerate(c.partial(nm) for nm in CH.names) if not p.is_zero())
+        for c in x.comps
+    )

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import types
 from fractions import Fraction
 
 import pytest
@@ -285,8 +284,9 @@ def test_equal_elements_from_different_inputs_are_equal_and_hash_alike():
 
 
 def test_flipped_central_sign_fails_the_group_axiom_claim(monkeypatch):
-    # the suite sees a group law whose cocycle <a, b1> enters with the wrong
-    # sign; inverses then fail and the claim names the offending element
+    # the group law's cocycle <a, b1> enters with the wrong sign; inverses
+    # then fail, the closed-form right action no longer matches the law, and
+    # each claim names an offending element instead of raising
     def flipped(g, g1):
         return hg.HeisElement(
             [x + y for x, y in zip(g.a, g1.a)],
@@ -294,16 +294,16 @@ def test_flipped_central_sign_fails_the_group_axiom_claim(monkeypatch):
             g.c + g1.c - sum((x * y for x, y in zip(g.a, g1.b)), Fraction(0)),
         )
 
-    mutant = types.SimpleNamespace(**{**vars(hg), "multiply": flipped})
-    monkeypatch.setattr(suites, "heisenberg", mutant)
+    monkeypatch.setattr(hg, "multiply", flipped)
     for n in (1, 2):
-        claim = next(
-            r
-            for r in suites.suite_heisenberg(n)
-            if r.claim == "group axioms hold exactly over 200 random rational triples"
-        )
-        assert claim.status == "fail"
-        witness = json.loads(claim.witness)
+        claims = {r.claim: r for r in suites.suite_heisenberg(n)}
+        axioms = claims["group axioms hold exactly over 200 random rational triples"]
+        assert axioms.status == "fail"
+        witness = json.loads(axioms.witness)
         assert set(witness) == {"a", "b", "c"} and len(witness["a"]) == n
-        g = hg.HeisElement.from_json(claim.witness)
+        g = hg.HeisElement.from_json(axioms.witness)
         assert flipped(g, hg.inverse(g)) != hg.identity(n)
+        action = claims["chart map intertwines right translation with its closed-form action"]
+        assert action.status == "fail"
+        assert len(hg.HeisElement.from_json(action.witness).a) == n
+

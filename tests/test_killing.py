@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from tpsgeo.curvature import MetricSpec
+from tpsgeo.curvature import MetricSpec, lie_derivative_metric
+from tpsgeo.fields import VectorField
 from tpsgeo.killing import (
     ansatz_basis,
     killing_solve,
+    killing_system,
     monomials_up_to,
     span_contains,
     spans_equal,
@@ -16,7 +18,7 @@ from tpsgeo.killing import (
 )
 from tpsgeo.linalg import PolyMatrix
 from tpsgeo.poly import Chart, LaurentPoly
-from tpsgeo import sympl, tps
+from tpsgeo import suites, sympl, tps
 
 
 class TestMonomials:
@@ -47,6 +49,58 @@ class TestGenericMetrics:
         C = structure_constants(fields)
         # sl(2) is not abelian
         assert any(v != 0 for row in C for col in row for v in col)
+
+
+def per_unknown_system(metric, unknowns):
+    """The Killing equations built one unknown at a time: the column of
+    X_u = x^alpha d_k is the upper triangle of L_{X_u} g."""
+    chart = metric.chart
+    rows = {}
+    for u, (k, alpha) in enumerate(unknowns):
+        comps = [LaurentPoly.zero(chart)] * chart.dim
+        comps[k] = LaurentPoly(chart, {alpha: 1})
+        lg = lie_derivative_metric(metric, VectorField(chart, comps))
+        for i, row in enumerate(lg.entries):
+            for j in range(i, chart.dim):
+                for key, coef in row[j].packed_items():
+                    rows.setdefault((i, j, key), {})[u] = coef
+    return rows
+
+
+def fractional_metric(n):
+    """A metric with Fraction entries and a negative power: the Killing rows
+    then mix ints and Fractions."""
+    chart = Chart(["u", "v", "w"], invertible=["w"])
+    w = LaurentPoly.variable(chart, "w")
+    z, one = LaurentPoly.zero(chart), LaurentPoly.one(chart)
+    g = [
+        [one * Fraction(1, 2), w * Fraction(n, 3), z],
+        [w * Fraction(n, 3), w.inverse(), one],
+        [z, one, z],
+    ]
+    return MetricSpec("fractional", chart, PolyMatrix(chart, g))
+
+
+METRICS = {
+    "tps": tps.phase_metric,
+    "sympl": sympl.sympl_metric,
+    "tampered": suites.tampered_metric,
+    "fractional": fractional_metric,
+}
+
+
+@pytest.mark.parametrize(
+    "space,n,degree",
+    [("tps", n, 2) for n in (1, 2, 3)]
+    + [("sympl", n, 2) for n in (1, 2, 3)]
+    + [("tps", 1, 3), ("tampered", 2, 2), ("fractional", 1, 2), ("fractional", 2, 3)],
+)
+def test_direct_killing_columns_match_the_per_unknown_lie_derivatives(space, n, degree):
+    m = METRICS[space](n)
+    unknowns = ansatz_basis(m.chart, degree)
+    system = killing_system(m, unknowns)
+    assert system == per_unknown_system(m, unknowns)
+    assert all(row and all(row.values()) for row in system.values())
 
 
 class TestPhaseSpaceKilling:

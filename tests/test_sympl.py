@@ -2,14 +2,15 @@
 complex structure, scaling action, projectivization, cells, quadric, affine
 symplectomorphism."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
-from tpsgeo.fields import Form
+from tpsgeo.fields import Form, VectorField
 from tpsgeo.linalg import solve_exact
 from tpsgeo.poly import LaurentPoly
-from tpsgeo import sympl, tps
+from tpsgeo import suites, sympl, tps
 
 HALF = Fraction(1, 2)
 
@@ -248,14 +249,7 @@ def test_transitions_match_the_per_target_solve(n):
                 assert sympl.transition_relations(n, a, b) == per_target_transitions(n, a, b)
 
 
-@pytest.fixture
-def fresh_chart_factors():
-    sympl._chart_factors.cache_clear()
-    yield
-    sympl._chart_factors.cache_clear()
-
-
-def test_one_wrong_chart_exponent_fails_the_projective_report(monkeypatch, fresh_chart_factors):
+def test_one_wrong_chart_exponent_fails_the_projective_report(monkeypatch, clear_caches):
     # V_0's coordinate p_1 x^0 becomes p_1 (x^0)^2: no longer scaling
     # invariant, and no longer a monomial in the other charts' coordinates
     original = sympl.proj_chart_functions
@@ -275,6 +269,112 @@ def test_one_wrong_chart_exponent_fails_the_projective_report(monkeypatch, fresh
         assert not rep["all_transitions_monomial"]
         with pytest.raises(ValueError):
             sympl.transition_relations(n, ("U", 0), ("V", 0))
+
+
+def test_a_broken_printed_transition_fails_the_projective_report(monkeypatch, clear_caches):
+    # U_0's p_1/p_0 becomes p_1 p_0^-2: it is still a monomial, but the U_1
+    # coordinate x^0 p_1 is no longer one in U_0's coordinates, so the
+    # printed U_0 -> U_1 example cannot be formed
+    original = sympl.proj_chart_functions
+
+    def mutated(n, cid):
+        out = original(n, cid)
+        if cid == ("U", 0):
+            f = out["pr1"]
+            out["pr1"] = f * LaurentPoly.variable(f.chart, "p0", -1)
+        return out
+
+    monkeypatch.setattr(sympl, "proj_chart_functions", mutated)
+    with pytest.raises(ValueError):
+        sympl.transition_relations(1, ("U", 0), ("U", 1))
+    rep = sympl.proj_report(1)
+    assert not rep["passed"]
+    assert not rep["u0_u1_example"]
+    assert not rep["all_transitions_monomial"]
+
+
+def sympl_killing_claims(n):
+    return {r.claim: r for r in suites.suite_killing("sympl", n, 2)}
+
+
+def test_one_flipped_sign_in_a_catalog_field_fails_the_isometry_claim(monkeypatch, clear_caches):
+    # Q^0_1 = x^0 d/dx^1 - p_1 d/dp_0 becomes x^0 d/dx^1 + p_1 d/dp_0; the
+    # mutant catalog is served per n through a cache, as the real one is
+    build = sympl.killing_catalog.__wrapped__
+
+    def flipped(n):
+        cat = dict(build(n))
+        chart = sympl.sympl_chart(n)
+        cat["Q0_1"] = VectorField.from_dict(
+            chart,
+            {"x1": LaurentPoly.variable(chart, "x0"), "p0": LaurentPoly.variable(chart, "p1")},
+        )
+        return tuple(cat.items())
+
+    mutant = functools.cache(flipped)
+    monkeypatch.setattr(sympl, "killing_catalog", mutant)
+    for n in (1, 2):
+        assert sympl.catalog_report(n)["non_killing"] == ["Q0_1"]
+        claims = sympl_killing_claims(n)
+        assert claims["every catalog field is a metric isometry generator"].status == "fail"
+        assert claims["solved span equals the catalog span"].status == "fail"
+        # the mutant no longer closes into an algebra: a failed claim, not
+        # a ValueError out of the suite
+        sl = claims["rescaled generators reproduce the traceless-matrix bracket exactly"]
+        assert sl.status == "fail"
+    assert mutant.cache_info().hits > 0
+
+
+def test_one_scaled_sl_generator_entry_fails_the_embedding_claim(monkeypatch, clear_caches):
+    # X_0 -> 2i E_{n+1,0}: still traceless and independent, but its
+    # brackets with the D family are off by the factor 2
+    original = sympl.sl_matrices
+
+    def scaled(n):
+        mats = dict(original(n))
+        mats["X0"] = {key: 2 * v for key, v in mats["X0"].items()}
+        return list(mats.items())
+
+    monkeypatch.setattr(sympl, "sl_matrices", scaled)
+    for n in (1, 2):
+        rep = sympl.sl_embedding_report(n)
+        assert rep["traceless"] and rep["independent"]
+        assert not rep["brackets_match"] and not rep["passed"]
+        claim = sympl_killing_claims(n)[
+            "rescaled generators reproduce the traceless-matrix bracket exactly"
+        ]
+        assert claim.status == "fail"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cached_catalogs_are_tuples_of_immutable_fields(n):
+    for build in (tps.killing_catalog, sympl.killing_catalog):
+        cat = build(n)
+        assert cat is build(n)
+        assert isinstance(cat, tuple)
+        for entry in cat:
+            assert isinstance(entry, tuple)
+            label, field = entry
+            assert isinstance(label, str) and isinstance(field, VectorField)
+            assert isinstance(field.comps, tuple)
+            for name in ("comps", "chart", "_jacobian"):
+                with pytest.raises(AttributeError):
+                    setattr(field, name, None)
+            with pytest.raises(AttributeError):
+                del field.comps
+
+
+def test_the_cache_fixture_finds_every_package_cache():
+    from conftest import CACHES
+
+    for cached in (
+        tps.phase_metric,
+        tps.killing_catalog,
+        sympl.sympl_metric,
+        sympl.killing_catalog,
+        sympl._chart_factors,
+    ):
+        assert cached in CACHES
 
 
 class TestCells:
