@@ -300,14 +300,6 @@ class SectionalForm:
         return num / den
 
 
-def sectional_parts(
-    metric: MetricSpec, a: VectorField, b: VectorField, point: Mapping
-) -> tuple[Fraction, Fraction]:
-    """(numerator, denominator) of the sectional curvature at the point:
-    num = g(R(A,B)B, A), den = g(A,A) g(B,B) - g(A,B)^2."""
-    return SectionalForm(metric, a, b).parts(point)
-
-
 def sectional(metric: MetricSpec, a: VectorField, b: VectorField, point: Mapping) -> Fraction:
     return SectionalForm(metric, a, b).at(point)
 

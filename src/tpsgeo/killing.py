@@ -9,9 +9,9 @@ reduces to one exact sparse kernel computation over the rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .curvature import MetricSpec
+from .curvature import MetricSpec, lie_derivative_metric
 from .fields import VectorField, bracket
 from .linalg import Elimination, solve_exact
 from .poly import Chart, LaurentPoly, Scalar
@@ -132,8 +132,22 @@ def killing_solve(metric: MetricSpec, max_degree: int) -> list[VectorField]:
     return fields
 
 
+def catalog_report(
+    metric: MetricSpec, catalog: Sequence[tuple[str, VectorField]], expected_count: int
+) -> dict:
+    """Every (label, field) of the catalog is a Killing field of the metric,
+    and the catalog has the expected number of generators."""
+    bad = [label for label, field in catalog if not lie_derivative_metric(metric, field).is_zero()]
+    return {
+        "count": len(catalog),
+        "expected_count": expected_count,
+        "non_killing": bad,
+        "passed": not bad and len(catalog) == expected_count,
+    }
+
+
 # ----------------------------------------------------------------------
-# span comparison and structure constants
+# span comparison, structure constants and closed-form bracket tables
 
 
 def _entries(field: VectorField) -> dict[tuple[int, int], Scalar]:
@@ -181,3 +195,55 @@ def structure_constants(fields: Sequence[VectorField]) -> list[list[list[Fractio
                 out[a][b][c] = coeffs[c]
                 out[b][a][c] = -coeffs[c]
     return out
+
+
+# A closed-form bracket table over field labels: (a, b) -> {c: coefficient}
+# for [X_a, X_b] = sum_c coefficient X_c; a pair it does not list brackets
+# to zero.
+BracketTable = dict[tuple[str, str], dict[str, Scalar]]
+
+
+def bracket_table(terms: Iterable[tuple[str, str, str, Scalar]]) -> BracketTable:
+    """The table of the bracket terms (a, b, c, coefficient), the
+    coefficients of one (a, b, c) summed."""
+    table: BracketTable = {}
+    for a, b, c, coef in terms:
+        row = table.setdefault((a, b), {})
+        row[c] = row.get(c, 0) + coef
+    return table
+
+
+def combination_equals(
+    value: VectorField, coeffs: Mapping[str, Scalar], fields: Mapping[str, VectorField]
+) -> bool:
+    """value == sum_c coeffs[c] fields[c], the sum built from the nonzero
+    coefficients only; false when a label with a nonzero coefficient is
+    not among the fields."""
+    expect = None
+    for label, c in coeffs.items():
+        if not c:
+            continue
+        field = fields.get(label)
+        if field is None:
+            return False
+        term = field if c == 1 else field.scale(c)
+        expect = term if expect is None else expect + term
+    return value.is_zero() if expect is None else value == expect
+
+
+def bracket_failures(fields: Sequence[tuple[str, VectorField]], table: BracketTable) -> list[str]:
+    """The "[a,b]" labels of the pairs a-before-b of the labelled fields
+    whose bracket differs from the table.  A table pair that the list does
+    not hold in that order fails too, so a catalog that lacks a field fails
+    the pairs that name it."""
+    by_label = dict(fields)
+    order = {label: k for k, (label, _) in enumerate(fields)}
+    failures = []
+    for k, (a, fa) in enumerate(fields):
+        for b, fb in fields[k + 1:]:
+            if not combination_equals(bracket(fa, fb), table.get((a, b), {}), by_label):
+                failures.append(f"[{a},{b}]")
+    failures.extend(
+        f"[{a},{b}]" for a, b in table if a not in order or b not in order or order[a] >= order[b]
+    )
+    return failures

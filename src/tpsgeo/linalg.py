@@ -46,12 +46,6 @@ class PolyMatrix:
         one = LaurentPoly.one(chart)
         return PolyMatrix(chart, [[one if i == j else z for j in range(nn)] for i in range(nn)])
 
-    @staticmethod
-    def from_scalars(chart: Chart, grid: Sequence[Sequence]) -> "PolyMatrix":
-        return PolyMatrix(
-            chart, [[LaurentPoly.constant(chart, v) for v in row] for row in grid]
-        )
-
     def __getitem__(self, ij: tuple[int, int]) -> LaurentPoly:
         i, j = ij
         return self.entries[i][j]

@@ -21,7 +21,7 @@ from .curvature import (
     sectional,
     trace_form,
 )
-from .fields import VectorField, apply_matrix_field, bracket
+from .fields import VectorField, apply_matrix_field
 from .linalg import PolyMatrix
 from .poly import LaurentPoly
 from .report import Result, check
@@ -160,68 +160,60 @@ def _riemann_operator(planes, chart, a: VectorField, b: VectorField) -> PolyMatr
     return PolyMatrix(chart, m)
 
 
-def _transform_table_result(n: int, metric: MetricSpec, riem) -> Result:
-    """R(A,B)C on every ordered frame pair against the constant-coefficient
-    table: only xi-P, xi-X, P-P, X-X, P-X planes act, with 1/4 and 1/2
-    coefficients.  Each plane's operator is built once and applied to every
-    C."""
-    t = tps.build(n)
-    chart = metric.chart
-    xi, P, X = t.frame["xi"], t.frame["P"], t.frame["X"]
-    zero = VectorField.zero(chart)
-    mismatches = []
-    planes = _riemann_planes(riem)
+def _transform_table(n: int) -> list[tuple[str, str, str, dict[str, Fraction]]]:
+    """R(A,B)C on the frame pairs as (A, B, C, {label: coefficient}) records
+    for R(A,B)C = sum coefficient * frame[label], in the order they are
+    checked: only the xi-P, xi-X, P-P, X-X and P-X planes act, with 1/4 and
+    1/2 coefficients."""
+    P = [f"P{i}" for i in range(1, n + 1)]
+    X = [f"X{i}" for i in range(1, n + 1)]
+    out = []
 
-    def op(a, b):
-        return _riemann_operator(planes, chart, a, b)
-
-    def record(r, c, expect, label):
-        if apply_matrix_field(r, c) != expect:
-            mismatches.append(label)
+    def rec(a, b, c, *terms):
+        # a term (label, coefficient, holds) counts when its delta holds
+        coeffs: dict[str, Fraction] = {}
+        for label, coef, holds in terms:
+            if holds:
+                coeffs[label] = coeffs.get(label, 0) + coef
+        out.append((a, b, c, coeffs))
 
     for i in range(n):
-        xi_p, xi_x = op(xi, P[i]), op(xi, X[i])
-        record(xi_p, xi, P[i].scale(QUARTER), f"R(xi,P{i+1})xi")
-        record(xi_x, xi, X[i].scale(QUARTER), f"R(xi,X{i+1})xi")
+        rec("xi", P[i], "xi", (P[i], QUARTER, True))
+        rec("xi", X[i], "xi", (X[i], QUARTER, True))
         for j in range(n):
-            record(xi_p, P[j], zero, f"R(xi,P{i+1})P{j+1}")
-            record(xi_p, X[j], xi.scale(-QUARTER if i == j else 0), f"R(xi,P{i+1})X{j+1}")
-            record(xi_x, P[j], xi.scale(-QUARTER if i == j else 0), f"R(xi,X{i+1})P{j+1}")
-            record(xi_x, X[j], zero, f"R(xi,X{i+1})X{j+1}")
+            rec("xi", P[i], P[j])
+            rec("xi", P[i], X[j], ("xi", -QUARTER, i == j))
+            rec("xi", X[i], P[j], ("xi", -QUARTER, i == j))
+            rec("xi", X[i], X[j])
 
     for i in range(n):
         for j in range(n):
-            pp, xx, px = op(P[i], P[j]), op(X[i], X[j]), op(P[i], X[j])
-            record(pp, xi, zero, f"R(P{i+1},P{j+1})xi")
-            record(xx, xi, zero, f"R(X{i+1},X{j+1})xi")
-            record(px, xi, zero, f"R(P{i+1},X{j+1})xi")
+            rec(P[i], P[j], "xi")
+            rec(X[i], X[j], "xi")
+            rec(P[i], X[j], "xi")
             for k in range(n):
-                record(pp, P[k], zero, f"R(P{i+1},P{j+1})P{k+1}")
-                record(
-                    pp, X[k],
-                    P[j].scale(QUARTER if i == k else 0)
-                    - P[i].scale(QUARTER if j == k else 0),
-                    f"R(P{i+1},P{j+1})X{k+1}",
-                )
-                record(xx, X[k], zero, f"R(X{i+1},X{j+1})X{k+1}")
-                record(
-                    xx, P[k],
-                    X[j].scale(QUARTER if i == k else 0)
-                    - X[i].scale(QUARTER if j == k else 0),
-                    f"R(X{i+1},X{j+1})P{k+1}",
-                )
-                record(
-                    px, P[k],
-                    P[i].scale(QUARTER if j == k else 0)
-                    + P[k].scale(HALF if i == j else 0),
-                    f"R(P{i+1},X{j+1})P{k+1}",
-                )
-                record(
-                    px, X[k],
-                    X[j].scale(-QUARTER if i == k else 0)
-                    - X[k].scale(HALF if i == j else 0),
-                    f"R(P{i+1},X{j+1})X{k+1}",
-                )
+                rec(P[i], P[j], P[k])
+                rec(P[i], P[j], X[k], (P[j], QUARTER, i == k), (P[i], -QUARTER, j == k))
+                rec(X[i], X[j], X[k])
+                rec(X[i], X[j], P[k], (X[j], QUARTER, i == k), (X[i], -QUARTER, j == k))
+                rec(P[i], X[j], P[k], (P[i], QUARTER, j == k), (P[k], HALF, i == j))
+                rec(P[i], X[j], X[k], (X[j], -QUARTER, i == k), (X[k], -HALF, i == j))
+    return out
+
+
+def _transform_table_result(n: int, metric: MetricSpec, riem) -> Result:
+    """R(A,B)C on every frame pair of the table against its coefficients.
+    Each plane's operator is built once and applied to every C."""
+    labels = ["xi", *(f"P{i}" for i in range(1, n + 1)), *(f"X{i}" for i in range(1, n + 1))]
+    frame = dict(zip(labels, tps.build(n).frame_list()))
+    planes = _riemann_planes(riem)
+    ops: dict[tuple[str, str], PolyMatrix] = {}
+    mismatches = []
+    for a, b, c, coeffs in _transform_table(n):
+        if (a, b) not in ops:
+            ops[a, b] = _riemann_operator(planes, metric.chart, frame[a], frame[b])
+        if not killing.combination_equals(apply_matrix_field(ops[a, b], frame[c]), coeffs, frame):
+            mismatches.append(f"R({a},{b}){c}")
     return check(
         "curvature transform R(A,B)C matches the frame table on all pairs",
         "curvature-table",
@@ -458,59 +450,6 @@ def suite_curvature(space: str, n: int) -> list[Result]:
 # isometry suites
 
 
-def _tps_bracket_results(n: int) -> list[Result]:
-    """The catalog brackets in closed form: [A_i, B_j] = delta_ij xi,
-    [Q^k_l, A_i] = -delta_il A_k, [Q^k_l, B_j] = delta_kj B_l,
-    [Q^k_l, Q^r_s] = delta_ks Q^r_l - delta_rl Q^k_s, everything else zero."""
-    cat = dict(tps.killing_catalog(n))
-    chart = tps.tps_chart(n)
-    zero = VectorField.zero(chart)
-
-    def expected(la: str, lb: str) -> VectorField:
-        if la == "xi" or lb == "xi":
-            return zero
-        if la[0] == "A" and lb[0] == "A":
-            return zero
-        if la[0] == "B" and lb[0] == "B":
-            return zero
-        if la[0] == "A" and lb[0] == "B":
-            return cat["xi"] if la[1:] == lb[1:] else zero
-        if la[0] == "B" and lb[0] == "A":
-            return cat["xi"].scale(-1) if la[1:] == lb[1:] else zero
-        if la[0] == "Q" and lb[0] == "Q":
-            k, l = (int(s) for s in la[1:].split("_"))
-            r, s = (int(t) for t in lb[1:].split("_"))
-            acc = zero
-            if s == k:
-                acc = acc + cat[f"Q{r}_{l}"]
-            if l == r:
-                acc = acc - cat[f"Q{k}_{s}"]
-            return acc
-        if la[0] == "Q":
-            k, l = (int(s) for s in la[1:].split("_"))
-            i = int(lb[1:])
-            if lb[0] == "A":
-                return cat[f"A{k}"].scale(-1) if l == i else zero
-            return cat[f"B{l}"] if k == i else zero
-        return expected(lb, la).scale(-1)
-
-    bad = []
-    labels = list(cat)
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            la, lb = labels[a], labels[b]
-            if bracket(cat[la], cat[lb]) != expected(la, lb):
-                bad.append(f"[{la},{lb}]")
-    return [
-        check(
-            "catalog brackets match the closed-form structure constants",
-            "isometry-algebra",
-            not bad,
-            witness={"failing_brackets": bad[:5]} if bad else {"pairs": len(labels) * (len(labels) - 1) // 2},
-        )
-    ]
-
-
 def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
     if degree < 1:
         raise ValueError("polynomial degree for the solver must be >= 1")
@@ -527,7 +466,8 @@ def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
                 witness={"dimension": len(fields), "expected": expect_dim},
             )
         )
-        cat = [f for _, f in tps.killing_catalog(n)]
+        catalog = tps.killing_catalog(n)
+        cat = [f for _, f in catalog]
         out.append(
             check(
                 "solved span equals the catalog span",
@@ -536,7 +476,7 @@ def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
                 witness={"catalog_size": len(cat)},
             )
         )
-        rep = tps.catalog_killing_report(n)
+        rep = killing.catalog_report(m, catalog, expect_dim)
         out.append(
             check(
                 "every catalog field is a metric isometry generator",
@@ -545,7 +485,16 @@ def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
                 witness={"non_killing": rep["non_killing"]},
             )
         )
-        out.extend(_tps_bracket_results(n))
+        bad = killing.bracket_failures(catalog, tps.catalog_brackets(n))
+        pairs = len(catalog) * (len(catalog) - 1) // 2
+        out.append(
+            check(
+                "catalog brackets match the closed-form structure constants",
+                "isometry-algebra",
+                not bad,
+                witness={"failing_brackets": bad[:5]} if bad else {"pairs": pairs},
+            )
+        )
     elif space == "sympl":
         m = sympl.sympl_metric(n)
         fields = killing.killing_solve(m, degree)
@@ -577,7 +526,7 @@ def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
                     witness=f"quadratic generators need degree >= 2; degree-1 solve found {len(fields)}",
                 )
             )
-        rep = sympl.catalog_report(n)
+        rep = killing.catalog_report(m, sympl.killing_catalog(n), expect_dim)
         out.append(
             check(
                 "every catalog field is a metric isometry generator",
@@ -592,7 +541,7 @@ def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
                 "catalog brackets match the closed-form structure constants",
                 "isometry-algebra",
                 br["passed"],
-                witness={"failures": br.get("failures", [])},
+                witness={"failures": br["failures"]},
             )
         )
         sl = sympl.sl_embedding_report(n)
@@ -601,7 +550,9 @@ def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
                 "rescaled generators reproduce the traceless-matrix bracket exactly",
                 "isometry-algebra",
                 sl["passed"],
-                witness={"dimension": (n + 2) ** 2 - 1},
+                witness={"dimension": expect_dim}
+                if sl["passed"]
+                else {k: sl[k] for k in ("dimension", "labels_match", "brackets_match")},
             )
         )
     else:
@@ -641,11 +592,13 @@ def suite_tps(n: int) -> list[Result]:
             witness={"kernel_dimension": rep["kernel_dimension"]},
         )
     )
+    comm = tps.frame_commutator_table(n)
     out.append(
         check(
             "canonical frame commutators: [P_i, X_j] = -delta_ij xi, others zero",
             "contact-structure",
-            tps.frame_commutator_table(n)["passed"],
+            comm["passed"],
+            witness=None if comm["passed"] else {"failures": comm["failures"]},
         )
     )
     out.append(
@@ -727,11 +680,13 @@ def suite_sympl(n: int) -> list[Result]:
             witness={k: emb[k] for k in ("theta_pullback", "metric_pullback", "omega_pullback")},
         )
     )
+    fr = sympl.frame_report(n)
     out.append(
         check(
             "canonical null frame satisfies its bracket and pairing table",
             "metric-split",
-            sympl.frame_report(n)["passed"],
+            fr["passed"],
+            witness=None if fr["passed"] else {k: fr[k] for k in ("failures", "pairings")},
         )
     )
     out.append(

@@ -13,8 +13,9 @@ import functools
 from fractions import Fraction
 from typing import Mapping
 
-from .curvature import MetricSpec, lie_derivative_metric
-from .fields import Form, VectorField, apply_matrix_field, bracket, sym2, tensor2, wedge_all
+from .curvature import MetricSpec
+from .fields import Form, VectorField, apply_matrix_field, sym2, tensor2, wedge_all
+from .killing import BracketTable, bracket_failures, bracket_table
 from .linalg import PolyMatrix, kernel_exact
 from .poly import Chart, LaurentPoly
 
@@ -163,21 +164,9 @@ def reeb_pinning(n: int) -> dict:
 
 def frame_commutator_table(n: int) -> dict:
     """All frame commutators vanish except [P_i, X_i] = -xi."""
-    t = build(n)
-    xi, P, X = t.frame["xi"], t.frame["P"], t.frame["X"]
-    labeled = [("xi", xi)] + [(f"P{i+1}", P[i]) for i in range(n)] + [
-        (f"X{i+1}", X[i]) for i in range(n)
-    ]
-    failures = []
-    for a, (la, fa) in enumerate(labeled):
-        for lb, fb in labeled[a + 1:]:
-            br = bracket(fa, fb)
-            if la.startswith("P") and lb.startswith("X") and la[1:] == lb[1:]:
-                expect = xi.scale(-1)
-            else:
-                expect = VectorField.zero(t.chart)
-            if br != expect:
-                failures.append((la, lb))
+    labels = ["xi", *(f"P{i}" for i in range(1, n + 1)), *(f"X{i}" for i in range(1, n + 1))]
+    table = {(f"P{i}", f"X{i}"): {"xi": -1} for i in range(1, n + 1)}
+    failures = bracket_failures(list(zip(labels, build(n).frame_list())), table)
     return {"failures": failures, "passed": not failures}
 
 
@@ -371,16 +360,24 @@ def killing_catalog(n: int) -> tuple[tuple[str, VectorField], ...]:
     return tuple(out)
 
 
-def catalog_killing_report(n: int) -> dict:
-    g = phase_metric(n)
-    bad = [label for label, field in killing_catalog(n) if not lie_derivative_metric(g, field).is_zero()]
-    count = len(killing_catalog(n))
-    return {
-        "count": count,
-        "expected_count": n * n + 2 * n + 1,
-        "non_killing": bad,
-        "passed": not bad and count == n * n + 2 * n + 1,
-    }
+def catalog_brackets(n: int) -> BracketTable:
+    """The catalog's brackets in closed form, keyed by label pairs in catalog
+    order: [A_i, B_j] = delta_ij xi, [Q^k_l, A_i] = -delta_il A_k,
+    [Q^k_l, B_j] = delta_kj B_l, [Q^k_l, Q^r_s] = delta_ks Q^r_l -
+    delta_rl Q^k_s; every other pair commutes."""
+    rng = range(1, n + 1)
+    qs = [(k, l) for k in rng for l in rng]
+    terms = [(f"A{i}", f"B{i}", "xi", 1) for i in rng]
+    for k, l in qs:
+        # [A_l, Q^k_l] = A_k and [B_k, Q^k_l] = -B_l, A and B before Q
+        terms += [(f"A{l}", f"Q{k}_{l}", f"A{k}", 1), (f"B{k}", f"Q{k}_{l}", f"B{l}", -1)]
+    for pos, (k, l) in enumerate(qs):
+        for r, s in qs[pos + 1:]:
+            if s == k:
+                terms.append((f"Q{k}_{l}", f"Q{r}_{s}", f"Q{r}_{l}", 1))
+            if l == r:
+                terms.append((f"Q{k}_{l}", f"Q{r}_{s}", f"Q{k}_{s}", -1))
+    return bracket_table(terms)
 
 
 # ----------------------------------------------------------------------
@@ -407,9 +404,6 @@ class ConstitutiveHypersurface:
         for i in range(1, n + 1):
             gd[f"p{i}"] = LaurentPoly.variable(self.chart, f"x{i}")
         self.gibbs_duhem = Form.one_form(self.chart, gd)
-
-    def member(self, point: Mapping) -> bool:
-        return self.defining.evaluate(point) == 0
 
     def generators(self) -> list[tuple[str, VectorField]]:
         chart = self.chart

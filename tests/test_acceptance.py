@@ -12,9 +12,9 @@ import pytest
 from tpsgeo import cli, heisenberg, killing, legendre, suites, sympl, tps
 from tpsgeo.curvature import (
     DegeneratePlaneError,
+    SectionalForm,
     ricci_scalar,
     sectional,
-    sectional_parts,
 )
 from tpsgeo.fields import VectorField
 from tpsgeo.jets import jet_fd_compare
@@ -95,7 +95,7 @@ class TestSectionalCurvature:
         for a, b in families:
             for _ in range(5):
                 pt = rational_point(self.t.chart, self.rng)
-                assert sectional_parts(self.m, a, b, pt) == (0, 0)
+                assert SectionalForm(self.m, a, b).parts(pt) == (0, 0)
 
     def test_mixed_pair_raises(self):
         dx2 = VectorField.coordinate(self.t.chart, "x2")
@@ -114,8 +114,8 @@ class TestIsometrySolve:
         assert len(fields) == dim
         cat = [f for _, f in tps.killing_catalog(n)]
         assert killing.spans_equal(fields, cat)
-        (bracket_result,) = suites._tps_bracket_results(n)
-        assert bracket_result.status == "exact-pass", bracket_result.witness
+        catalog = tps.killing_catalog(n)
+        assert killing.bracket_failures(catalog, tps.catalog_brackets(n)) == []
         c = killing.structure_constants(cat)
         for a in range(dim):
             for b in range(dim):

@@ -9,13 +9,13 @@ import pytest
 from tpsgeo.curvature import (
     DegeneratePlaneError,
     MetricSpec,
+    SectionalForm,
     covariant_derivative,
     lie_derivative_metric,
     ricci_scalar,
     riemann_tensor,
     riemann_transform,
     sectional,
-    sectional_parts,
     trace_form,
 )
 from tpsgeo.fields import VectorField, apply_matrix_field, bracket, pairing
@@ -234,7 +234,7 @@ class TestSectional:
         ]
         for a, b in families:
             for pt in self.points:
-                num, den = sectional_parts(self.m, a, b, pt)
+                num, den = SectionalForm(self.m, a, b).parts(pt)
                 assert num == 0 and den == 0
                 with pytest.raises(DegeneratePlaneError):
                     sectional(self.m, a, b, pt)
@@ -298,7 +298,9 @@ class TestGramAndLie:
         for i in range(1, n + 1):
             grid[i][n + i] = grid[n + i][i] = 1
         gram = [[pairing(m.g, a, b) for b in frame] for a in frame]
-        assert gram == PolyMatrix.from_scalars(m.chart, grid).entries
+        assert gram == PolyMatrix(
+            m.chart, [[LaurentPoly.constant(m.chart, v) for v in row] for row in grid]
+        ).entries
 
     def test_coordinate_frame_gram_is_metric(self):
         m = tps.phase_metric(2)
@@ -392,6 +394,24 @@ def test_per_plane_riemann_operator_matches_the_full_contraction(space, n):
                             acc = acc + riem[i][j][k][l] * c.comps[j] * a.comps[k] * b.comps[l]
                 expect.append(acc)
             assert apply_matrix_field(op, c) == VectorField(chart, expect)
+
+
+def test_one_flipped_transform_coefficient_fails_that_record(monkeypatch):
+    # R(xi, P_1) xi = P_1 / 4 becomes -P_1 / 4
+    original = suites._transform_table
+
+    def flipped(n):
+        return [
+            (a, b, c, {"P1": -coeffs["P1"]} if (a, b, c) == ("xi", "P1", "xi") else coeffs)
+            for a, b, c, coeffs in original(n)
+        ]
+
+    monkeypatch.setattr(suites, "_transform_table", flipped)
+    for n in (1, 2):
+        claims = {r.claim: r for r in suites.suite_curvature("tps", n)}
+        claim = claims["curvature transform R(A,B)C matches the frame table on all pairs"]
+        assert claim.status == "fail"
+        assert claim.witness == {"mismatches": ["R(xi,P1)xi"]}
 
 
 # ----------------------------------------------------------------------

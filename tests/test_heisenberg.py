@@ -3,6 +3,7 @@ actions, and invariance of the contact structure under right translations."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -307,3 +308,15 @@ def test_flipped_central_sign_fails_the_group_axiom_claim(monkeypatch):
         assert action.status == "fail"
         assert len(hg.HeisElement.from_json(action.witness).a) == n
 
+
+
+def test_a_tps_catalog_without_b1_fails_the_pushforward_claims(monkeypatch, clear_caches):
+    # the left-invariant frame pushes to -B_1, which the catalog lacks: the
+    # claims that compare with it fail instead of raising KeyError
+    build = tps.killing_catalog.__wrapped__
+    trimmed = functools.cache(lambda n: tuple(e for e in build(n) if e[0] != "B1"))
+    monkeypatch.setattr(tps, "killing_catalog", trimmed)
+    claims = {r.claim: r for r in suites.suite_heisenberg(1)}
+    assert claims["left-invariant frame pushes to exact isometry generators"].status == "fail"
+    assert claims["nilpotent frame spans inside the isometry algebra"].status == "fail"
+    assert claims["invariant frame pushes to (-xi, X_i, P_j)"].status == "exact-pass"

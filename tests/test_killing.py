@@ -9,6 +9,7 @@ from tpsgeo.curvature import MetricSpec, lie_derivative_metric
 from tpsgeo.fields import VectorField
 from tpsgeo.killing import (
     ansatz_basis,
+    bracket_failures,
     killing_solve,
     killing_system,
     monomials_up_to,
@@ -245,3 +246,51 @@ def test_killing_system_rank_and_kernel_match_sympy(n):
             for alpha, c in comp.terms.items():
                 vec[index[(k, alpha)]] = sympy.Rational(c.numerator, c.denominator)
         assert system * sympy.Matrix(vec) == sympy.zeros(system.rows, 1)
+
+
+# ----------------------------------------------------------------------
+# the closed-form bracket-table checker
+
+
+class TestBracketFailures:
+    def setup_method(self):
+        t = tps.build(1)
+        self.labelled = [("xi", t.frame["xi"]), ("P1", t.frame["P"][0]), ("X1", t.frame["X"][0])]
+
+    def test_the_frame_table_passes(self):
+        assert bracket_failures(self.labelled, {("P1", "X1"): {"xi": -1}}) == []
+
+    def test_an_unlisted_pair_must_commute(self):
+        assert bracket_failures(self.labelled, {}) == ["[P1,X1]"]
+
+    def test_a_wrong_coefficient_fails_its_pair(self):
+        table = {("P1", "X1"): {"xi": 1}}
+        assert bracket_failures(self.labelled, table) == ["[P1,X1]"]
+
+    def test_zero_coefficients_are_skipped(self):
+        table = {("P1", "X1"): {"xi": -1, "P1": 0}, ("xi", "P1"): {"X1": 0}}
+        assert bracket_failures(self.labelled, table) == []
+
+    def test_a_label_the_list_lacks_fails_its_pair(self):
+        table = {("P1", "X1"): {"xi": -1, "Y1": 1}}
+        assert bracket_failures(self.labelled, table) == ["[P1,X1]"]
+        # a listed pair the fields do not hold in that order fails too
+        table = {("P1", "X1"): {"xi": -1}, ("X1", "P1"): {"xi": 1}, ("P1", "Y1"): {}}
+        assert bracket_failures(self.labelled, table) == ["[X1,P1]", "[P1,Y1]"]
+
+
+def test_no_exact_suite_scales_a_field_by_zero(monkeypatch, clear_caches):
+    # the closed forms are sums over their nonzero coefficients: a field
+    # scaled by 0 is work that is thrown away
+    scale = VectorField.scale
+
+    def guarded(self, c):
+        if c == 0:
+            raise AssertionError("a vector field scaled by 0")
+        return scale(self, c)
+
+    monkeypatch.setattr(VectorField, "scale", guarded)
+    for name in ("curvature", "killing", "tps", "sympl", "heisenberg"):
+        results = suites.SUITES[name](2)
+        assert results and all(r.status != "fail" for r in results), name
+    assert all(r.status == "exact-pass" for r in suites.suite_curvature("tps", 2))

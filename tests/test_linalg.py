@@ -30,7 +30,7 @@ ZERO = LaurentPoly.zero(CH)
 
 
 def cmat(grid):
-    return PolyMatrix.from_scalars(CH, grid)
+    return PolyMatrix(CH, [[LaurentPoly.constant(CH, v) for v in row] for row in grid])
 
 
 class TestDeterminant:

@@ -10,9 +10,13 @@ import pytest
 from tpsgeo.fields import Form, VectorField
 from tpsgeo.linalg import solve_exact
 from tpsgeo.poly import LaurentPoly
-from tpsgeo import suites, sympl, tps
+from tpsgeo import killing, suites, sympl, tps
 
 HALF = Fraction(1, 2)
+
+
+def sympl_catalog_report(n):
+    return killing.catalog_report(sympl.sympl_metric(n), sympl.killing_catalog(n), (n + 2) ** 2 - 1)
 
 
 class TestMetric:
@@ -119,7 +123,7 @@ class TestFrame:
 class TestIsometries:
     @pytest.mark.parametrize("n", [1, 2])
     def test_catalog(self, n):
-        rep = sympl.catalog_report(n)
+        rep = sympl_catalog_report(n)
         assert rep["passed"]
         assert rep["count"] == (n + 2) ** 2 - 1
 
@@ -314,7 +318,7 @@ def test_one_flipped_sign_in_a_catalog_field_fails_the_isometry_claim(monkeypatc
     mutant = functools.cache(flipped)
     monkeypatch.setattr(sympl, "killing_catalog", mutant)
     for n in (1, 2):
-        assert sympl.catalog_report(n)["non_killing"] == ["Q0_1"]
+        assert sympl_catalog_report(n)["non_killing"] == ["Q0_1"]
         claims = sympl_killing_claims(n)
         assert claims["every catalog field is a metric isometry generator"].status == "fail"
         assert claims["solved span equals the catalog span"].status == "fail"
@@ -344,6 +348,40 @@ def test_one_scaled_sl_generator_entry_fails_the_embedding_claim(monkeypatch, cl
             "rescaled generators reproduce the traceless-matrix bracket exactly"
         ]
         assert claim.status == "fail"
+
+
+def test_a_catalog_without_its_last_field_fails_its_claims(monkeypatch, clear_caches):
+    # D^1 is missing: the brackets that name it, and the sl(3) picture whose
+    # labels no longer match, fail as claims instead of raising
+    build = sympl.killing_catalog.__wrapped__
+    monkeypatch.setattr(sympl, "killing_catalog", functools.cache(lambda n: build(n)[:-1]))
+    assert [label for label, _ in sympl.killing_catalog(1)][-1] == "D0"
+    claims = sympl_killing_claims(1)
+    br = claims["catalog brackets match the closed-form structure constants"]
+    assert br.status == "fail"
+    assert "[Q1_0,D0]" in br.witness["failures"]
+    sl = claims["rescaled generators reproduce the traceless-matrix bracket exactly"]
+    assert sl.status == "fail"
+    assert sl.witness["labels_match"] is False
+    rep = sympl.sl_embedding_report(1)
+    assert not rep["labels_match"] and not rep["passed"]
+
+
+def test_one_flipped_entry_in_the_bracket_table_fails_that_pair(monkeypatch):
+    # [Q^0_1, X_0] = -X_1 becomes +X_1
+    original = sympl.catalog_brackets
+
+    def flipped(n):
+        table = original(n)
+        table["Q0_1", "X0"] = {"X1": Fraction(1)}
+        return table
+
+    monkeypatch.setattr(sympl, "catalog_brackets", flipped)
+    for n in (1, 2):
+        assert sympl.bracket_report(n)["failures"] == ["[Q0_1,X0]"]
+        claim = sympl_killing_claims(n)["catalog brackets match the closed-form structure constants"]
+        assert claim.status == "fail"
+        assert claim.witness == {"failures": ["[Q0_1,X0]"]}
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -9,7 +9,7 @@ from tpsgeo.curvature import lie_derivative_metric
 from tpsgeo.fields import VectorField, apply_matrix_field
 from tpsgeo.linalg import matrix_inverse_exact
 from tpsgeo.poly import LaurentPoly
-from tpsgeo import tps
+from tpsgeo import killing, suites, tps
 
 
 class TestContactForm:
@@ -128,7 +128,7 @@ class TestAlmostContact:
 class TestKillingCatalog:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_catalog_fields_are_killing(self, n):
-        rep = tps.catalog_killing_report(n)
+        rep = killing.catalog_report(tps.phase_metric(n), tps.killing_catalog(n), n * n + 2 * n + 1)
         assert rep["passed"]
         assert rep["count"] == n * n + 2 * n + 1
 
@@ -164,8 +164,8 @@ class TestConstitutiveHypersurface:
         self.h = tps.constitutive_hypersurface(2)
 
     def test_membership(self):
-        assert self.h.member({"x0": -2, "p1": 1, "x1": 2, "p2": 0, "x2": 7})
-        assert not self.h.member({"x0": 1, "p1": 1, "x1": 2, "p2": 0, "x2": 7})
+        assert self.h.defining.evaluate({"x0": -2, "p1": 1, "x1": 2, "p2": 0, "x2": 7}) == 0
+        assert self.h.defining.evaluate({"x0": 1, "p1": 1, "x1": 2, "p2": 0, "x2": 7}) != 0
 
     def test_generator_count(self):
         # n theta-horizontal lifts plus n(n-1)/2 rotations
@@ -179,3 +179,20 @@ class TestConstitutiveHypersurface:
     def test_differential_identity(self):
         assert self.h.differential_identity()
         assert tps.constitutive_hypersurface(3).differential_identity()
+
+
+def test_one_flipped_entry_in_the_bracket_table_fails_that_pair(monkeypatch):
+    # [A_1, B_1] = xi becomes -xi
+    original = tps.catalog_brackets
+
+    def flipped(n):
+        table = original(n)
+        table["A1", "B1"] = {"xi": -1}
+        return table
+
+    monkeypatch.setattr(tps, "catalog_brackets", flipped)
+    for n in (1, 2):
+        claims = {r.claim: r for r in suites.suite_killing("tps", n, 2)}
+        claim = claims["catalog brackets match the closed-form structure constants"]
+        assert claim.status == "fail"
+        assert claim.witness == {"failing_brackets": ["[A1,B1]"]}
