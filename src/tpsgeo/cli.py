@@ -42,10 +42,15 @@ def _emit(env: ReportEnvelope, args) -> None:
         print(text)
 
 
-def cmd_curvature(args) -> ReportEnvelope:
-    limit = suites.MAX_N["curvature"][args.space]
+def _check_n(args, where: str = "") -> None:
+    """--n against suites.MAX_N, the one table of limits; where ends the message."""
+    limit = suites.MAX_N[args.command][args.space]
     if not 1 <= args.n <= limit:
-        raise UsageError(f"--n must be in 1..{limit} for --space {args.space}")
+        raise UsageError(f"--n must be in 1..{limit}{where}")
+
+
+def cmd_curvature(args) -> ReportEnvelope:
+    _check_n(args, f" for --space {args.space}")
     env = ReportEnvelope("curvature", {"space": args.space, "n": args.n})
     env.extend(suites.suite_curvature(args.space, args.n))
     return env
@@ -54,9 +59,7 @@ def cmd_curvature(args) -> ReportEnvelope:
 def cmd_killing(args) -> ReportEnvelope:
     if args.degree < 1:
         raise UsageError("--degree must be >= 1")
-    limit = suites.MAX_N["killing"][args.space]
-    if not 1 <= args.n <= limit:
-        raise UsageError(f"--n must be in 1..{limit}")
+    _check_n(args)
     env = ReportEnvelope(
         "killing", {"space": args.space, "n": args.n, "degree": args.degree}
     )

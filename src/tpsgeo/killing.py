@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .curvature import MetricSpec, lie_derivative_metric
 from .fields import VectorField, bracket
+# solve_exact is unused here; the benchmark's alias tests call it as killing.solve_exact
 from .linalg import Elimination, solve_exact
 from .poly import Chart, LaurentPoly, Scalar
 
@@ -157,13 +158,7 @@ def _entries(field: VectorField) -> dict[tuple[int, int], Scalar]:
 
 def span_contains(span: Sequence[VectorField], field: VectorField) -> bool:
     """Exact membership of a field in the rational span of a list of fields."""
-    vectors = [_entries(f) for f in span]
-    keys = sorted({key for vec in vectors for key in vec})
-    target = _entries(field)
-    if not target.keys() <= set(keys):
-        return False
-    a = [[Fraction(vec.get(key, 0)) for vec in vectors] for key in keys]
-    return solve_exact(a, [Fraction(target.get(key, 0)) for key in keys]) is not None
+    return _spans(span, [field])
 
 
 def _spans(span: Sequence[VectorField], fields: Sequence[VectorField]) -> bool:

@@ -6,6 +6,7 @@ suites do not trust the code under test."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import heisenberg, killing, legendre, sympl, tps
 from .curvature import (
+    CurvatureTensors,
     DegeneratePlaneError,
     MetricSpec,
     SectionalForm,
@@ -110,6 +112,17 @@ def expected_christoffel_sympl(n: int) -> dict:
                     if not xval.is_zero():
                         out[(f"x{i}", f"x{j}", f"x{k}")] = xval
     return out
+
+
+def _named_entries(matrix: PolyMatrix) -> dict[tuple[str, str], LaurentPoly]:
+    """The nonzero entries of a matrix, keyed by (row name, column name)."""
+    names = matrix.chart.names
+    return {
+        (names[i], names[j]): e
+        for i, row in enumerate(matrix.entries)
+        for j, e in enumerate(row)
+        if e.coeffs
+    }
 
 
 def _table_diff_witness(got: dict, expect: dict):
@@ -278,127 +291,115 @@ def _sectional_results(n: int, metric: MetricSpec, riem) -> list[Result]:
         )
     )
 
+    status, witness = "not-applicable", "needs n >= 2"
     if n >= 2:
-        raised = False
+        witness = {"raises": "DegeneratePlaneError"}
         try:
             sectional(metric, P[0], dx[1], _rand_point(chart, rng))
+            status = "fail"
         except DegeneratePlaneError:
-            raised = True
-        out.append(
-            check(
-                "mixed pair (P_1, d/dx^2) is rejected as a degenerate plane",
-                "curvature-table",
-                raised,
-                witness={"raises": "DegeneratePlaneError"},
-            )
+            status = "exact-pass"
+    out.append(
+        Result(
+            "mixed pair (P_1, d/dx^2) is rejected as a degenerate plane",
+            "curvature-table",
+            status,
+            witness=witness,
         )
-    else:
-        out.append(
-            Result(
-                "mixed pair (P_1, d/dx^2) is rejected as a degenerate plane",
-                "curvature-table",
-                "not-applicable",
-                witness="needs n >= 2",
-            )
-        )
+    )
     return out
+
+
+def _det_holds(metric: MetricSpec, want: int) -> bool:
+    return metric.det == LaurentPoly.constant(metric.chart, Fraction(want))
+
+
+def _det_claim(text: str, metric: MetricSpec, want: int) -> Result:
+    return check(
+        text,
+        "curvature-table",
+        _det_holds(metric, want),
+        witness={"det": str(metric.det), "expected": str(want)},
+    )
+
+
+def _christoffel_claim(text: str, metric: MetricSpec, expect: dict) -> Result:
+    got = metric.christoffel().nonzero()
+    ok = got == expect
+    return check(
+        text,
+        "curvature-table",
+        ok,
+        witness={"nonzero_count": len(got)} if ok else _table_diff_witness(got, expect),
+    )
+
+
+def _trace_form_claim(text: str, metric: MetricSpec) -> Result:
+    tf = trace_form(metric)
+    return check(
+        text,
+        "curvature-table",
+        all(c.is_zero() for c in tf),
+        witness={"nonzero_slots": [i for i, c in enumerate(tf) if not c.is_zero()]},
+    )
+
+
+def _tps_christoffel(n: int, metric: MetricSpec) -> Result:
+    return _christoffel_claim(
+        "Christoffel symbols match the seven closed-form families and nothing else",
+        metric,
+        expected_christoffel_tps(n),
+    )
+
+
+def _tps_ricci(n: int, cur: CurvatureTensors) -> Result:
+    expect = expected_ricci_tps(n)
+    ok = cur.ricci == expect
+    return check(
+        "Ricci tensor matches its closed form",
+        "curvature-table",
+        ok,
+        witness={"matrix_exact": True}
+        if ok
+        else _table_diff_witness(_named_entries(cur.ricci), _named_entries(expect)),
+    )
+
+
+def _tps_scalar(n: int, cur: CurvatureTensors) -> Result:
+    want = Fraction(n, 2)
+    return check(
+        "scalar curvature equals n/2",
+        "curvature-table",
+        cur.scalar == want,
+        witness={"scalar": str(cur.scalar), "expected": str(want)},
+    )
 
 
 def _curvature_tps(n: int) -> list[Result]:
     m = tps.phase_metric(n)
-    out = []
-    want_det = LaurentPoly.constant(m.chart, Fraction((-1) ** n))
-    out.append(
-        check(
-            "det(G) = (-1)^n",
-            "curvature-table",
-            m.det == want_det,
-            witness={"det": str(m.det), "expected": str((-1) ** n)},
-        )
-    )
-
-    got = m.christoffel().nonzero()
-    expect = expected_christoffel_tps(n)
-    ok = got == expect
-    out.append(
-        check(
-            "Christoffel symbols match the seven closed-form families and nothing else",
-            "curvature-table",
-            ok,
-            witness={"nonzero_count": len(got)} if ok else _table_diff_witness(got, expect),
-        )
-    )
-
-    tf = trace_form(m)
-    out.append(
-        check(
-            "connection trace form vanishes (det G is constant)",
-            "curvature-table",
-            all(c.is_zero() for c in tf),
-            witness={"nonzero_slots": [i for i, c in enumerate(tf) if not c.is_zero()]},
-        )
-    )
-
     cur = ricci_scalar(m)
-    ric_ok = cur.ricci == expected_ricci_tps(n)
-    scal_ok = cur.scalar == Fraction(n, 2)
-    out.append(
-        check(
-            "Ricci tensor matches its closed form",
-            "curvature-table",
-            ric_ok,
-            witness={"matrix_exact": ric_ok},
-        )
-    )
-    out.append(
-        check(
-            "scalar curvature equals n/2",
-            "curvature-table",
-            scal_ok,
-            witness={"scalar": str(cur.scalar), "expected": str(Fraction(n, 2))},
-        )
-    )
-
-    out.append(_transform_table_result(n, m, cur.riemann))
-    out.extend(_sectional_results(n, m, cur.riemann))
-    return out
+    return [
+        _det_claim("det(G) = (-1)^n", m, (-1) ** n),
+        _tps_christoffel(n, m),
+        _trace_form_claim("connection trace form vanishes (det G is constant)", m),
+        _tps_ricci(n, cur),
+        _tps_scalar(n, cur),
+        _transform_table_result(n, m, cur.riemann),
+        *_sectional_results(n, m, cur.riemann),
+    ]
 
 
 def _curvature_sympl(n: int) -> list[Result]:
     m = sympl.sympl_metric(n)
-    out = []
-    want_det = LaurentPoly.constant(m.chart, Fraction((-1) ** (n + 1)))
-    out.append(
-        check(
-            "det(G-tilde) = (-1)^(n+1)",
-            "curvature-table",
-            m.det == want_det,
-            witness={"det": str(m.det), "expected": str((-1) ** (n + 1))},
-        )
-    )
-
-    got = m.christoffel().nonzero()
-    expect = expected_christoffel_sympl(n)
-    ok = got == expect
-    out.append(
-        check(
+    out = [
+        _det_claim("det(G-tilde) = (-1)^(n+1)", m, (-1) ** (n + 1)),
+        _christoffel_claim(
             "Christoffel symbols match the three closed-form families and nothing else",
-            "curvature-table",
-            ok,
-            witness={"nonzero_count": len(got)} if ok else _table_diff_witness(got, expect),
-        )
-    )
-
-    tf = trace_form(m)
-    out.append(
-        check(
-            "connection trace form vanishes (det G-tilde is constant)",
-            "curvature-table",
-            all(c.is_zero() for c in tf),
-            witness={"nonzero_slots": [i for i, c in enumerate(tf) if not c.is_zero()]},
-        )
-    )
-
+            m,
+            expected_christoffel_sympl(n),
+        ),
+        _trace_form_claim("connection trace form vanishes (det G-tilde is constant)", m),
+    ]
     rep = sympl.einstein_report(n)
     out.append(
         check(
@@ -433,131 +434,125 @@ def _curvature_sympl(n: int) -> list[Result]:
     return out
 
 
-# Largest number of conjugate pairs n each exact command accepts, by space.
+# Largest number of conjugate pairs n each exact command accepts, by space;
+# the command line checks --n against it.
 MAX_N = {"curvature": {"tps": 4, "sympl": 3}, "killing": {"tps": 3, "sympl": 3}}
 
 
-def suite_curvature(space: str, n: int) -> list[Result]:
-    limit = MAX_N["curvature"].get(space)
-    if limit is None:
+def _of_space(builders: dict, space: str):
+    if space not in builders:
         raise ValueError(f"unknown space {space!r}")
-    if not 1 <= n <= limit:
-        raise ValueError(f"{space} curvature supports 1 <= n <= {limit}")
-    return _curvature_tps(n) if space == "tps" else _curvature_sympl(n)
+    return builders[space]
+
+
+def suite_curvature(space: str, n: int) -> list[Result]:
+    return _of_space({"tps": _curvature_tps, "sympl": _curvature_sympl}, space)(n)
 
 
 # ----------------------------------------------------------------------
 # isometry suites
 
 
+def _dimension_claim(text: str, fields: list[VectorField], expected: int) -> Result:
+    return check(
+        text,
+        "isometry-algebra",
+        len(fields) == expected,
+        witness={"dimension": len(fields), "expected": expected},
+    )
+
+
+def _span_claim(fields: list[VectorField], catalog) -> Result:
+    cat = [f for _, f in catalog]
+    return check(
+        "solved span equals the catalog span",
+        "isometry-algebra",
+        killing.spans_equal(fields, cat),
+        witness={"catalog_size": len(cat)},
+    )
+
+
+def _catalog_claim(metric: MetricSpec, catalog, expected: int, shown: str) -> Result:
+    """Every catalog field is Killing and the catalog has the expected size;
+    a pass shows the report's entry `shown`, a failure all of them."""
+    rep = killing.catalog_report(metric, catalog, expected)
+    return check(
+        "every catalog field is a metric isometry generator",
+        "isometry-algebra",
+        rep["passed"],
+        witness={shown: rep[shown]}
+        if rep["passed"]
+        else {k: rep[k] for k in ("non_killing", "count", "expected_count")},
+    )
+
+
+def _bracket_claim(passed: bool, witness: dict) -> Result:
+    # each space checks its own closed-form table and gives its own witness
+    return check(
+        "catalog brackets match the closed-form structure constants",
+        "isometry-algebra",
+        passed,
+        witness=witness,
+    )
+
+
+def _killing_tps(n: int, degree: int) -> list[Result]:
+    m = tps.phase_metric(n)
+    fields = killing.killing_solve(m, degree)
+    expect_dim = (n + 1) ** 2
+    catalog = tps.killing_catalog(n)
+    bad = killing.bracket_failures(catalog, tps.catalog_brackets(n))
+    pairs = len(catalog) * (len(catalog) - 1) // 2
+    return [
+        _dimension_claim(f"degree-{degree} isometry solve has dimension (n+1)^2", fields, expect_dim),
+        _span_claim(fields, catalog),
+        _catalog_claim(m, catalog, expect_dim, "non_killing"),
+        _bracket_claim(not bad, {"failing_brackets": bad[:5]} if bad else {"pairs": pairs}),
+    ]
+
+
+def _killing_sympl(n: int, degree: int) -> list[Result]:
+    m = sympl.sympl_metric(n)
+    fields = killing.killing_solve(m, degree)
+    expect_dim = (n + 2) ** 2 - 1
+    catalog = sympl.killing_catalog(n)
+    if degree >= 2:
+        out = [
+            _dimension_claim(
+                f"degree-{degree} isometry solve has dimension (n+2)^2 - 1", fields, expect_dim
+            ),
+            _span_claim(fields, catalog),
+        ]
+    else:
+        out = [
+            Result(
+                "dimension check for the lifted metric",
+                "isometry-algebra",
+                "not-applicable",
+                witness=f"quadratic generators need degree >= 2; degree-1 solve found {len(fields)}",
+            )
+        ]
+    out.append(_catalog_claim(m, catalog, expect_dim, "count"))
+    br = sympl.bracket_report(n)
+    out.append(_bracket_claim(br["passed"], {"failures": br["failures"]}))
+    sl = sympl.sl_embedding_report(n)
+    out.append(
+        check(
+            "rescaled generators reproduce the traceless-matrix bracket exactly",
+            "isometry-algebra",
+            sl["passed"],
+            witness={"dimension": expect_dim}
+            if sl["passed"]
+            else {k: sl[k] for k in ("dimension", "labels_match", "brackets_match")},
+        )
+    )
+    return out
+
+
 def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
     if degree < 1:
         raise ValueError("polynomial degree for the solver must be >= 1")
-    out = []
-    if space == "tps":
-        m = tps.phase_metric(n)
-        fields = killing.killing_solve(m, degree)
-        expect_dim = n * n + 2 * n + 1
-        out.append(
-            check(
-                f"degree-{degree} isometry solve has dimension (n+1)^2",
-                "isometry-algebra",
-                len(fields) == expect_dim,
-                witness={"dimension": len(fields), "expected": expect_dim},
-            )
-        )
-        catalog = tps.killing_catalog(n)
-        cat = [f for _, f in catalog]
-        out.append(
-            check(
-                "solved span equals the catalog span",
-                "isometry-algebra",
-                killing.spans_equal(fields, cat),
-                witness={"catalog_size": len(cat)},
-            )
-        )
-        rep = killing.catalog_report(m, catalog, expect_dim)
-        out.append(
-            check(
-                "every catalog field is a metric isometry generator",
-                "isometry-algebra",
-                rep["passed"],
-                witness={"non_killing": rep["non_killing"]},
-            )
-        )
-        bad = killing.bracket_failures(catalog, tps.catalog_brackets(n))
-        pairs = len(catalog) * (len(catalog) - 1) // 2
-        out.append(
-            check(
-                "catalog brackets match the closed-form structure constants",
-                "isometry-algebra",
-                not bad,
-                witness={"failing_brackets": bad[:5]} if bad else {"pairs": pairs},
-            )
-        )
-    elif space == "sympl":
-        m = sympl.sympl_metric(n)
-        fields = killing.killing_solve(m, degree)
-        expect_dim = (n + 2) ** 2 - 1
-        if degree >= 2:
-            out.append(
-                check(
-                    f"degree-{degree} isometry solve has dimension (n+2)^2 - 1",
-                    "isometry-algebra",
-                    len(fields) == expect_dim,
-                    witness={"dimension": len(fields), "expected": expect_dim},
-                )
-            )
-            cat = [f for _, f in sympl.killing_catalog(n)]
-            out.append(
-                check(
-                    "solved span equals the catalog span",
-                    "isometry-algebra",
-                    killing.spans_equal(fields, cat),
-                    witness={"catalog_size": len(cat)},
-                )
-            )
-        else:
-            out.append(
-                Result(
-                    "dimension check for the lifted metric",
-                    "isometry-algebra",
-                    "not-applicable",
-                    witness=f"quadratic generators need degree >= 2; degree-1 solve found {len(fields)}",
-                )
-            )
-        rep = killing.catalog_report(m, sympl.killing_catalog(n), expect_dim)
-        out.append(
-            check(
-                "every catalog field is a metric isometry generator",
-                "isometry-algebra",
-                rep["passed"],
-                witness={"count": rep.get("count")},
-            )
-        )
-        br = sympl.bracket_report(n)
-        out.append(
-            check(
-                "catalog brackets match the closed-form structure constants",
-                "isometry-algebra",
-                br["passed"],
-                witness={"failures": br["failures"]},
-            )
-        )
-        sl = sympl.sl_embedding_report(n)
-        out.append(
-            check(
-                "rescaled generators reproduce the traceless-matrix bracket exactly",
-                "isometry-algebra",
-                sl["passed"],
-                witness={"dimension": expect_dim}
-                if sl["passed"]
-                else {k: sl[k] for k in ("dimension", "labels_match", "brackets_match")},
-            )
-        )
-    else:
-        raise ValueError(f"unknown space {space!r}")
-    return out
+    return _of_space({"tps": _killing_tps, "sympl": _killing_sympl}, space)(n, degree)
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +632,7 @@ def suite_tps(n: int) -> list[Result]:
         check(
             "phi^2 = -I + theta (x) xi with rank(phi) = 2n",
             "compatibility",
-            comp["phi_squared_ok"] and comp["rank_phi"] == 2 * n,
+            comp["phi_squared_ok"] and comp["theta_phi_zero"] and comp["rank_phi"] == 2 * n,
             witness={"rank_phi": comp["rank_phi"]},
         )
     )
@@ -857,15 +852,22 @@ def suite_heisenberg(n: int) -> list[Result]:
     )
 
     inv_rep = heisenberg.invariant_report(n)
-    for claim, key in [
-        ("chart map identifies the invariant one-form with theta", "theta_h_matches"),
+    # each claim holds when all its report keys do; the witness names the
+    # first key, or the first failing one
+    for claim, *keys in [
+        (
+            "chart map identifies the invariant one-form with theta",
+            "theta_h_matches",
+            "right_translation_invariance",
+        ),
         ("invariant frame pushes to (-xi, X_i, P_j)", "xi_pushforwards"),
         ("left-invariant frame pushes to exact isometry generators", "eta_pushforwards_exact"),
         ("central commutator matches through the chart map", "commutator_consistency"),
-        ("frame Gram matrix of the pulled metric is constant", "gram_constant"),
+        ("frame Gram matrix of the pulled metric is constant", "gram_constant", "gram_matches"),
         ("nilpotent frame spans inside the isometry algebra", "nilradical_in_isometry_span"),
     ]:
-        out.append(check(claim, "group-model", bool(inv_rep[key]), witness={"key": key}))
+        failing = [key for key in keys if not inv_rep[key]]
+        out.append(check(claim, "group-model", not failing, witness={"key": (failing or keys)[0]}))
 
     tr = heisenberg.translation_invariance_report(n)
     out.append(
@@ -1082,39 +1084,12 @@ def tampered_metric(n: int) -> MetricSpec:
 
 
 def tamper_suite(n: int = 2) -> list[Result]:
-    """Runs the curvature claims against a deliberately corrupted metric; the
-    suite is wired correctly only if this produces failures with witnesses."""
+    """Runs the curvature suite's Christoffel, Ricci and scalar claims on a
+    deliberately corrupted metric; the suite is wired correctly only if this
+    produces failures with witnesses."""
     m = tampered_metric(n)
-    out = []
-    got = m.christoffel().nonzero()
-    expect = expected_christoffel_tps(n)
-    ok = got == expect
-    out.append(
-        check(
-            "Christoffel symbols match the seven closed-form families and nothing else",
-            "curvature-table",
-            ok,
-            witness={"nonzero_count": len(got)} if ok else _table_diff_witness(got, expect),
-        )
-    )
     cur = ricci_scalar(m)
-    out.append(
-        check(
-            "Ricci tensor matches its closed form",
-            "curvature-table",
-            cur.ricci == expected_ricci_tps(n),
-            witness={"flipped_entry": "(x0, x1)"},
-        )
-    )
-    out.append(
-        check(
-            "scalar curvature equals n/2",
-            "curvature-table",
-            cur.scalar == Fraction(n, 2),
-            witness={"scalar": str(cur.scalar), "expected": str(Fraction(n, 2))},
-        )
-    )
-    return out
+    return [_tps_christoffel(n, m), _tps_ricci(n, cur), _tps_scalar(n, cur)]
 
 
 def negative_control_result(n: int = 2) -> Result:
@@ -1135,77 +1110,50 @@ def negative_control_result(n: int = 2) -> Result:
 # registry for verify-all
 
 
-def _capped(ns, n_max):
-    return [n for n in ns if n_max is None or n <= n_max]
-
-
-def _verify_curvature(n_max=None) -> list[Result]:
-    out = []
-    for n in _capped((1, 2, 3), n_max):
-        out.extend(_curvature_tps(n))
-    if n_max is None or n_max >= 4:
-        out.append(
-            check(
-                "det(G) = (-1)^n at n = 4",
-                "curvature-table",
-                tps.phase_metric(4).det
-                == LaurentPoly.constant(tps.tps_chart(4), Fraction(1)),
-            )
+def _tps_det_at(n: int) -> list[Result]:
+    return [
+        check(
+            f"det(G) = (-1)^n at n = {n}",
+            "curvature-table",
+            _det_holds(tps.phase_metric(n), (-1) ** n),
         )
-    for n in _capped((1, 2), n_max):
-        out.extend(_curvature_sympl(n))
-    if n_max is None or n_max >= 3:
-        out.append(
-            check(
-                "det(G-tilde) = (-1)^(n+1) at n = 3",
-                "curvature-table",
-                sympl.sympl_metric(3).det
-                == LaurentPoly.constant(sympl.sympl_chart(3), Fraction(1)),
-            )
+    ]
+
+
+def _sympl_det_at(n: int) -> list[Result]:
+    return [
+        check(
+            f"det(G-tilde) = (-1)^(n+1) at n = {n}",
+            "curvature-table",
+            _det_holds(sympl.sympl_metric(n), (-1) ** (n + 1)),
         )
-    return out
+    ]
 
 
-def _verify_killing(n_max=None) -> list[Result]:
-    out = []
-    for n in _capped((1, 2, 3), n_max):
-        out.extend(suite_killing("tps", n, 2))
-    out.extend(suite_killing("tps", 1, 3))
-    for n in _capped((1, 2), n_max):
-        out.extend(suite_killing("sympl", n, 2))
-    return out
-
-
-def _verify_tps(n_max=None) -> list[Result]:
-    out = []
-    for n in _capped((1, 2, 3), n_max):
-        out.extend(suite_tps(n))
-    return out
-
-
-def _verify_sympl(n_max=None) -> list[Result]:
-    out = []
-    for n in _capped((1, 2), n_max):
-        out.extend(suite_sympl(n))
-    return out
-
-
-def _verify_heisenberg(n_max=None) -> list[Result]:
-    out = []
-    for n in _capped((1, 2), n_max):
-        out.extend(suite_heisenberg(n))
-    return out
-
-
-def _verify_legendre(n_max=None) -> list[Result]:
-    return suite_legendre()
-
-
-SUITES = {
-    "curvature": _verify_curvature,
-    "killing": _verify_killing,
-    "tps": _verify_tps,
-    "sympl": _verify_sympl,
-    "heisenberg": _verify_heisenberg,
-    "legendre": _verify_legendre,
+# Per suite, its (builder, n, args) entries in the order they run: each gives
+# builder(n, *args), and --n-max drops the entries above it.
+VERIFY = {
+    "curvature": (
+        *((_curvature_tps, n, ()) for n in (1, 2, 3)),
+        (_tps_det_at, 4, ()),
+        *((_curvature_sympl, n, ()) for n in (1, 2)),
+        (_sympl_det_at, 3, ()),
+    ),
+    "killing": (
+        *((_killing_tps, n, (2,)) for n in (1, 2, 3)),
+        (_killing_tps, 1, (3,)),
+        *((_killing_sympl, n, (2,)) for n in (1, 2)),
+    ),
+    "tps": tuple((suite_tps, n, ()) for n in (1, 2, 3)),
+    "sympl": tuple((suite_sympl, n, ()) for n in (1, 2)),
+    "heisenberg": tuple((suite_heisenberg, n, ()) for n in (1, 2)),
+    # the surface checks take no n; at n = 1 they run under every --n-max
+    "legendre": ((lambda n: suite_legendre(), 1, ()),),
 }
+
+
+def _run(entries, n_max: int | None = None) -> list[Result]:
+    return [r for build, n, args in entries if n_max is None or n <= n_max for r in build(n, *args)]
+
+
+SUITES = {name: functools.partial(_run, entries) for name, entries in VERIFY.items()}

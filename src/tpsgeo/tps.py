@@ -16,7 +16,7 @@ from typing import Mapping
 from .curvature import MetricSpec
 from .fields import Form, VectorField, apply_matrix_field, sym2, tensor2, wedge_all
 from .killing import BracketTable, bracket_failures, bracket_table
-from .linalg import PolyMatrix, kernel_exact
+from .linalg import Elimination, PolyMatrix
 from .poly import Chart, LaurentPoly
 
 
@@ -149,16 +149,16 @@ def reeb_pinning(n: int) -> dict:
     d = chart.dim
     rows = []
     for b in range(d):
-        row = []
+        row = {}
         for a in range(d):
             c = omega.terms.get((a, b) if a < b else (b, a), LaurentPoly.zero(chart))
             v = c.constant_value() if c.is_constant() else None
             if v is None:
                 raise ArithmeticError("dtheta coefficients are not constant")
-            row.append(v if a < b else -v)
+            row[a] = v if a < b else -v
         rows.append(row)
-    basis = kernel_exact(rows, ncols=d)
-    ok = len(basis) == 1 and basis[0] == [Fraction(1)] + [Fraction(0)] * (d - 1)
+    basis = Elimination(rows).kernel(range(d))
+    ok = basis == [{0: 1}]
     return {"kernel_dimension": len(basis), "spans_reeb": ok, "passed": ok}
 
 

@@ -236,6 +236,28 @@ class TestNegativeControl:
         claims = {r.claim for r in fails}
         assert any("Christoffel" in c or "Ricci" in c or "scalar" in c for c in claims)
 
+    def test_tampered_ricci_names_the_entries_that_differ(self):
+        ricci = {r.claim: r for r in suites.tamper_suite()}["Ricci tensor matches its closed form"]
+        assert ricci.status == "fail"
+        names = set(tps.tps_chart(2).names)
+        wrong = ricci.witness["wrong_values"]
+        assert wrong and all(len(w["key"]) == 2 and set(w["key"]) <= names for w in wrong)
+        assert wrong[0] == {"key": ["p1", "x1"], "got": "3/2", "expected": "1/2"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_control_runs_the_curvature_suite_claims(self, monkeypatch, n):
+        # served the untampered metric, the negative control gives exactly
+        # the curvature suite's own records for the claims it shares
+        monkeypatch.setattr(suites, "tampered_metric", tps.phase_metric)
+        control = [r.to_dict() for r in suites.tamper_suite(n)]
+        real = {r.claim: r.to_dict() for r in suites.suite_curvature("tps", n)}
+        assert [r["claim"] for r in control] == [
+            "Christoffel symbols match the seven closed-form families and nothing else",
+            "Ricci tensor matches its closed form",
+            "scalar curvature equals n/2",
+        ]
+        assert control == [real[r["claim"]] for r in control]
+
     def test_control_result_passes(self):
         res = suites.negative_control_result()
         assert res.status == "exact-pass"

@@ -501,3 +501,67 @@ def test_potential_keeps_its_exit_code_contract(tmp_path_factory, inputs):
     assert "Traceback" not in err.getvalue()
     if code != 2:
         strict_json(out.getvalue())
+
+
+# ----------------------------------------------------------------------
+# fuzzing the exact commands
+
+# per flag: values the command accepts and values it must refuse; None
+# leaves the flag out.  In range only up to n = 2, so every example stays
+# cheap; 5 and above are out of range for every space.
+EXACT_FLAGS = {
+    "--space": (["tps", "sympl"], ["bogus", None]),
+    "--n": (["1", "2"], ["-1", "0", "5", "99", "1000000000000", "x", "", None]),
+    "--degree": ([None, "1", "2"], ["-1", "0", "x"]),
+    "--n-max": (["1", "2"], ["-1", "0", "x"]),
+    "--only": ([None, "tps", "heisenberg", "sympl,tps", ","], ["bogus", "tps,bogus"]),
+}
+COMMAND_FLAGS = {
+    "curvature": ["--space", "--n"],
+    "killing": ["--space", "--n", "--degree"],
+    "verify-all": ["--n-max", "--only"],
+}
+
+
+@st.composite
+def exact_argv(draw, folder):
+    """Arguments for curvature, killing or verify-all, and whether they must
+    be refused: at most one flag has a value the command must refuse, and
+    --out may name a path that cannot be written."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    bad = draw(st.sampled_from([None, None, *flags]))
+    argv = [command]
+    for name in flags:
+        accepted, refused = EXACT_FLAGS[name]
+        value = draw(st.sampled_from(refused if name == bad else accepted))
+        if value is not None:
+            argv.extend([name, value])
+    if command == "verify-all" and draw(st.booleans()):
+        argv.append("--tamper")
+    if draw(st.booleans()):
+        argv.append("--markdown")
+    # "" names the folder itself
+    out = draw(st.sampled_from([None, None, None, "fuzz-report.txt", "no-such-dir/r.txt", ""]))
+    if out is not None:
+        argv.extend(["--out", str(folder / out)])
+    return argv, bad is not None or out in ("no-such-dir/r.txt", "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_commands_keep_their_exit_code_contract(tmp_path_factory, data):
+    """curvature, killing and verify-all on any of these arguments: exit 2
+    exactly when they must be refused, else 0 or 1 with strict JSON on stdout
+    when a JSON report goes there, and never a traceback."""
+    argv, refused = data.draw(exact_argv(tmp_path_factory.getbasetemp()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            code = exc.code
+    assert code == 2 if refused else code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code != 2 and "--markdown" not in argv and "--out" not in argv:
+        strict_json(out.getvalue())

@@ -320,3 +320,19 @@ def test_a_tps_catalog_without_b1_fails_the_pushforward_claims(monkeypatch, clea
     assert claims["left-invariant frame pushes to exact isometry generators"].status == "fail"
     assert claims["nilpotent frame spans inside the isometry algebra"].status == "fail"
     assert claims["invariant frame pushes to (-xi, X_i, P_j)"].status == "exact-pass"
+
+
+@pytest.mark.parametrize(
+    "key, claim",
+    [
+        ("right_translation_invariance", "chart map identifies the invariant one-form with theta"),
+        ("gram_matches", "frame Gram matrix of the pulled metric is constant"),
+    ],
+)
+def test_each_invariant_check_fails_the_claim_that_covers_it(monkeypatch, key, claim):
+    original = hg.invariant_report
+    monkeypatch.setattr(hg, "invariant_report", lambda n: {**original(n), key: False})
+    for n in (1, 2):
+        fails = [r for r in suites.suite_heisenberg(n) if r.status == "fail"]
+        assert [r.claim for r in fails] == [claim]
+        assert fails[0].witness == {"key": key}

@@ -320,7 +320,10 @@ def test_one_flipped_sign_in_a_catalog_field_fails_the_isometry_claim(monkeypatc
     for n in (1, 2):
         assert sympl_catalog_report(n)["non_killing"] == ["Q0_1"]
         claims = sympl_killing_claims(n)
-        assert claims["every catalog field is a metric isometry generator"].status == "fail"
+        catalog = claims["every catalog field is a metric isometry generator"]
+        assert catalog.status == "fail"
+        size = (n + 2) ** 2 - 1
+        assert catalog.witness == {"non_killing": ["Q0_1"], "count": size, "expected_count": size}
         assert claims["solved span equals the catalog span"].status == "fail"
         # the mutant no longer closes into an algebra: a failed claim, not
         # a ValueError out of the suite
@@ -357,6 +360,9 @@ def test_a_catalog_without_its_last_field_fails_its_claims(monkeypatch, clear_ca
     monkeypatch.setattr(sympl, "killing_catalog", functools.cache(lambda n: build(n)[:-1]))
     assert [label for label, _ in sympl.killing_catalog(1)][-1] == "D0"
     claims = sympl_killing_claims(1)
+    catalog = claims["every catalog field is a metric isometry generator"]
+    assert catalog.status == "fail"
+    assert catalog.witness == {"non_killing": [], "count": 7, "expected_count": 8}
     br = claims["catalog brackets match the closed-form structure constants"]
     assert br.status == "fail"
     assert "[Q1_0,D0]" in br.witness["failures"]

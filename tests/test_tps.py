@@ -1,6 +1,7 @@
 """Contact phase space: form, metric, frames, signature, almost contact
 structure, Killing catalog, constitutive hypersurface."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,27 @@ def test_one_flipped_entry_in_the_bracket_table_fails_that_pair(monkeypatch):
         claim = claims["catalog brackets match the closed-form structure constants"]
         assert claim.status == "fail"
         assert claim.witness == {"failing_brackets": ["[A1,B1]"]}
+
+
+def test_a_catalog_without_b1_fails_the_catalog_claim_with_its_count(monkeypatch, clear_caches):
+    # the catalog's fields are all Killing, but one is missing: the failing
+    # witness shows the count next to the expected one
+    build = tps.killing_catalog.__wrapped__
+    trimmed = functools.cache(lambda n: tuple(e for e in build(n) if e[0] != "B1"))
+    monkeypatch.setattr(tps, "killing_catalog", trimmed)
+    for n in (1, 2):
+        claims = {r.claim: r for r in suites.suite_killing("tps", n, 2)}
+        claim = claims["every catalog field is a metric isometry generator"]
+        assert claim.status == "fail"
+        size = (n + 1) ** 2
+        assert claim.witness == {"non_killing": [], "count": size - 1, "expected_count": size}
+        assert claims["solved span equals the catalog span"].status == "fail"
+
+
+def test_theta_of_phi_not_zero_fails_the_phi_squared_claim(monkeypatch):
+    original = tps.compatibility_check
+    monkeypatch.setattr(tps, "compatibility_check", lambda n: {**original(n), "theta_phi_zero": False})
+    for n in (1, 2):
+        fails = [r for r in suites.suite_tps(n) if r.status == "fail"]
+        assert [r.claim for r in fails] == ["phi^2 = -I + theta (x) xi with rank(phi) = 2n"]
+        assert fails[0].witness == {"rank_phi": 2 * n}
