@@ -24,6 +24,10 @@ MAX_GRID_POINTS = 10**6
 # Most points analysed in one batch, so memory stays bounded on any grid.
 CHUNK = 4096
 
+# Largest Killing ansatz accepted, in unknowns; a larger --degree is refused
+# before the ansatz is built.
+MAX_ANSATZ_UNKNOWNS = 2 * 10**4
+
 
 class UsageError(Exception):
     pass
@@ -56,10 +60,25 @@ def cmd_curvature(args) -> ReportEnvelope:
     return env
 
 
+def _check_degree(args) -> None:
+    """--degree against MAX_ANSATZ_UNKNOWNS, for an --n already checked: the
+    ansatz has one unknown per coordinate and monomial of degree <= --degree,
+    dim * C(dim + degree, degree) in all, on a chart of dim = 2n + 1 (tps)
+    or 2n + 2 (sympl)."""
+    dim = 2 * args.n + (1 if args.space == "tps" else 2)
+    unknowns = dim * math.comb(dim + args.degree, args.degree)
+    if unknowns > MAX_ANSATZ_UNKNOWNS:
+        raise UsageError(
+            f"--degree {args.degree} needs {unknowns} ansatz unknowns; "
+            f"at most {MAX_ANSATZ_UNKNOWNS} are allowed"
+        )
+
+
 def cmd_killing(args) -> ReportEnvelope:
     if args.degree < 1:
         raise UsageError("--degree must be >= 1")
     _check_n(args)
+    _check_degree(args)
     env = ReportEnvelope(
         "killing", {"space": args.space, "n": args.n, "degree": args.degree}
     )

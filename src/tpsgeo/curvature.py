@@ -1,8 +1,9 @@
 """Generic pseudo-Riemannian pipeline over the exact tower.
 
-metric -> Christoffel -> Riemann -> Ricci -> scalar -> sectional, plus the
-covariant derivative, curvature transformation, and the Lie derivative of
-a metric.  Everything is symbolic and exact; no floats.
+metric -> Christoffel -> a sparse Riemann table -> {Ricci, scalar, R(A,B)},
+each table built once per metric, plus the covariant derivative, the
+sectional form and the Lie derivative of a metric.  Everything is symbolic
+and exact; no floats.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .fields import VectorField, bracket, pairing
+from .fields import VectorField, pairing
 from .linalg import PolyMatrix, bareiss_det, matrix_inverse_exact
 from .poly import Chart, LaurentPoly
 
@@ -18,7 +19,7 @@ from .poly import Chart, LaurentPoly
 class MetricSpec:
     """Symmetric exact metric with its exact inverse."""
 
-    __slots__ = ("name", "chart", "g", "g_inv", "det", "_partials", "_christoffel")
+    __slots__ = ("name", "chart", "g", "g_inv", "det", "_partials", "_christoffel", "_curvature")
 
     def __init__(self, name: str, chart: Chart, g: PolyMatrix, g_inv: PolyMatrix | None = None):
         if g.rows != g.cols or g.rows != chart.dim:
@@ -38,6 +39,7 @@ class MetricSpec:
             self.det = bareiss_det(g)
         self._partials = None
         self._christoffel = None
+        self._curvature = None
 
     @property
     def dim(self) -> int:
@@ -69,6 +71,12 @@ class MetricSpec:
             self._christoffel = christoffel(self)
         return self._christoffel
 
+    def curvature(self) -> "CurvatureTensors":
+        """The Riemann table, Ricci and scalar, built once."""
+        if self._curvature is None:
+            self._curvature = ricci_scalar(self)
+        return self._curvature
+
 
 class ChristoffelTable:
     """Gamma^a_{bc}, symmetric in (b, c); dense nested lists."""
@@ -78,12 +86,6 @@ class ChristoffelTable:
     def __init__(self, chart: Chart, gamma: Sequence[Sequence[Sequence[LaurentPoly]]]):
         self.chart = chart
         self.gamma = gamma
-        d = chart.dim
-        for a in range(d):
-            for b in range(d):
-                for c in range(b + 1, d):
-                    if gamma[a][b][c] != gamma[a][c][b]:
-                        raise ValueError("Christoffel symbols not symmetric in lower indices")
 
     def nonzero(self) -> dict[tuple[str, str, str], LaurentPoly]:
         """Map (upper, lower1, lower2) with lower1 <= lower2 positionally."""
@@ -169,18 +171,10 @@ def covariant_derivative(metric: MetricSpec, x: VectorField, y: VectorField) -> 
     return VectorField(chart, comps)
 
 
-def riemann_transform(
-    metric: MetricSpec, x: VectorField, y: VectorField, z: VectorField
-) -> VectorField:
-    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
-    a = covariant_derivative(metric, x, covariant_derivative(metric, y, z))
-    b = covariant_derivative(metric, y, covariant_derivative(metric, x, z))
-    c = covariant_derivative(metric, bracket(x, y), z)
-    return a - b - c
-
-
-def riemann_tensor(metric: MetricSpec) -> list:
-    """Components R^i_{jkl} with R(d_k, d_l) d_j = R^i_{jkl} d_i."""
+def riemann_tensor(metric: MetricSpec) -> dict[tuple[int, int, int, int], LaurentPoly]:
+    """The nonzero components R^i_{jkl}, with R(d_k, d_l) d_j = R^i_{jkl} d_i,
+    keyed (i, j, k, l); both orders of the antisymmetric pair (k, l) are
+    listed."""
     chart = metric.chart
     d = chart.dim
     names = chart.names
@@ -190,7 +184,7 @@ def riemann_tensor(metric: MetricSpec) -> list:
     support = [
         [[(s, g) for s, g in enumerate(row) if g.coeffs] for row in plane] for plane in gamma
     ]
-    riem = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    riem = {}
     for i in range(d):
         gi = gamma[i]
         for j in range(d):
@@ -211,62 +205,91 @@ def riemann_tensor(metric: MetricSpec) -> list:
                         if h.coeffs:
                             acc = acc - g * h
                     if acc.coeffs:
-                        riem[i][j][k][l] = acc
-                        riem[i][j][l][k] = -acc
+                        riem[i, j, k, l] = acc
+                        riem[i, j, l, k] = -acc
     return riem
 
 
 class CurvatureTensors:
-    __slots__ = ("riemann", "ricci", "scalar")
+    """The Riemann table of riemann_tensor, the same components grouped by
+    their plane slots as planes[k, l] = [(i, j, R^i_{jkl}), ...], the Ricci
+    matrix and the scalar."""
 
-    def __init__(self, riemann, ricci: PolyMatrix, scalar: LaurentPoly):
+    __slots__ = ("riemann", "planes", "ricci", "scalar")
+
+    def __init__(self, riemann: dict, ricci: PolyMatrix, scalar: LaurentPoly):
         self.riemann = riemann
+        self.planes: dict[tuple[int, int], list[tuple[int, int, LaurentPoly]]] = {}
+        for (i, j, k, l), r in riemann.items():
+            self.planes.setdefault((k, l), []).append((i, j, r))
         self.ricci = ricci
         self.scalar = scalar
 
 
 def ricci_scalar(metric: MetricSpec) -> CurvatureTensors:
-    """Ricci via the index formula, cross-checked against the contraction of
-    the full Riemann tensor; scalar = g^{ab} R_ab."""
+    """Ricci as the contraction R_ab = R^m_{amb} of the Riemann table;
+    scalar = g^{ab} R_ab."""
     chart = metric.chart
     d = chart.dim
-    names = chart.names
-    gamma = metric.christoffel().gamma
-
-    # index formula: R_ab = Gamma^m_{ba,m} - Gamma^m_{ma,b}
-    #                     + Gamma^m_{mc} Gamma^c_{ba} - Gamma^m_{bc} Gamma^c_{ma}
-    ric_rows = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            acc = LaurentPoly.zero(chart)
-            for m in range(d):
-                acc = acc + gamma[m][b][a].partial(names[m])
-                acc = acc - gamma[m][m][a].partial(names[b])
-                for c in range(d):
-                    if not gamma[m][m][c].is_zero() and not gamma[c][b][a].is_zero():
-                        acc = acc + gamma[m][m][c] * gamma[c][b][a]
-                    if not gamma[m][b][c].is_zero() and not gamma[c][m][a].is_zero():
-                        acc = acc - gamma[m][b][c] * gamma[c][m][a]
-            row.append(acc)
-        ric_rows.append(row)
-    ricci = PolyMatrix(chart, ric_rows)
-
     riem = riemann_tensor(metric)
-    for a in range(d):
-        for b in range(d):
-            contraction = LaurentPoly.zero(chart)
-            for m in range(d):
-                contraction = contraction + riem[m][a][m][b]
-            if contraction != ricci.entries[a][b]:
-                raise ArithmeticError("Ricci index formula disagrees with Riemann contraction")
+    zero = LaurentPoly.zero(chart)
+    rows = [[zero] * d for _ in range(d)]
+    for (m, a, k, b), r in riem.items():
+        if m == k:
+            rows[a][b] = rows[a][b] + r
+    scalar = zero
+    for ginv_row, ric_row in zip(metric.g_inv.entries, rows):
+        for gab, rab in zip(ginv_row, ric_row):
+            if gab.coeffs and rab.coeffs:
+                scalar = scalar + gab * rab
+    return CurvatureTensors(riem, PolyMatrix(chart, rows), scalar)
 
-    scalar = LaurentPoly.zero(chart)
-    for a in range(d):
-        for b in range(d):
-            if not metric.g_inv.entries[a][b].is_zero():
-                scalar = scalar + metric.g_inv.entries[a][b] * ricci.entries[a][b]
-    return CurvatureTensors(riem, ricci, scalar)
+
+def riemann_operator(
+    metric: MetricSpec, a: VectorField, b: VectorField
+) -> dict[int, dict[int, LaurentPoly]]:
+    """R(A,B) as sparse rows {i: {j: R^i_{jkl} A^k B^l}}, summed over the
+    nonzero components of A and B and the nonzero Riemann entries of their
+    planes only.  R is function-linear in every slot, so this agrees with
+    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
+    planes = metric.curvature().planes
+    rows: dict[int, dict[int, LaurentPoly]] = {}
+    for k, ak in enumerate(a.comps):
+        if not ak.coeffs:
+            continue
+        for l, bl in enumerate(b.comps):
+            comps = planes.get((k, l)) if bl.coeffs else None
+            if comps is None:
+                continue
+            w = ak * bl
+            for i, j, r in comps:
+                row = rows.setdefault(i, {})
+                term = r * w
+                row[j] = row[j] + term if j in row else term
+    return rows
+
+
+def apply_rows(rows: dict[int, dict[int, LaurentPoly]], z: VectorField) -> VectorField:
+    """The field with components sum_j rows[i][j] Z^j, over the nonzeros."""
+    zero = LaurentPoly.zero(z.chart)
+    comps = [zero] * z.chart.dim
+    for i, row in rows.items():
+        acc = zero
+        for j, r in row.items():
+            zj = z.comps[j]
+            if zj.coeffs:
+                acc = acc + r * zj
+        comps[i] = acc
+    return VectorField(z.chart, comps)
+
+
+def riemann_transform(
+    metric: MetricSpec, x: VectorField, y: VectorField, z: VectorField
+) -> VectorField:
+    """R(X,Y)Z, the sparse rows of R(X,Y) applied to Z."""
+    if any(f.chart != metric.chart for f in (x, y, z)):
+        raise ValueError("fields not over the metric chart")
+    return apply_rows(riemann_operator(metric, x, y), z)
 
 
 class DegeneratePlaneError(ValueError):
@@ -274,24 +297,20 @@ class DegeneratePlaneError(ValueError):
 
 
 class SectionalForm:
-    """The sectional curvature of the plane (A, B) as polynomials, built once
-    and evaluated at any number of points: num = g(R(A,B)B, A), and g(A,A),
-    g(B,B), g(A,B) for the plane norm."""
+    """The sectional curvature of the plane (A, B) as two polynomials, built
+    once and evaluated at any number of points: num = g(R(A,B)B, A) and the
+    plane norm den = g(A,A) g(B,B) - g(A,B)^2."""
 
-    __slots__ = ("num", "gaa", "gbb", "gab")
+    __slots__ = ("num", "den")
 
     def __init__(self, metric: MetricSpec, a: VectorField, b: VectorField):
         self.num = metric.inner(riemann_transform(metric, a, b, b), a)
-        self.gaa = metric.inner(a, a)
-        self.gbb = metric.inner(b, b)
-        self.gab = metric.inner(a, b)
+        gab = metric.inner(a, b)
+        self.den = metric.inner(a, a) * metric.inner(b, b) - gab * gab
 
     def parts(self, point: Mapping) -> tuple[Fraction, Fraction]:
-        """(numerator, denominator) at the point, with
-        den = g(A,A) g(B,B) - g(A,B)^2."""
-        num = self.num.evaluate(point)
-        gaa, gbb, gab = (f.evaluate(point) for f in (self.gaa, self.gbb, self.gab))
-        return num, gaa * gbb - gab * gab
+        """(numerator, denominator) at the point."""
+        return self.num.evaluate(point), self.den.evaluate(point)
 
     def at(self, point: Mapping) -> Fraction:
         num, den = self.parts(point)

@@ -10,7 +10,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .fields import Form, PolyMap, VectorField, bracket, pairing
-from .killing import combination_equals, span_contains
+from .killing import combination_equals, spans_contain
 from .poly import Chart, LaurentPoly
 from . import tps
 
@@ -368,7 +368,7 @@ def invariant_report(n: int) -> dict:
     # eta pushforwards land in the isometry span (they are -xi, -B_i, -A_j)
     killing_span = [f for _, f in tps.killing_catalog(n)]
     push_eta = {label: cm.push_field(f) for label, f in eta_fields.items()}
-    span_ok = all(span_contains(killing_span, f) for f in push_eta.values())
+    span_ok = spans_contain(killing_span, push_eta.values())
     eta_c_ok = push_eta["C"] == t.reeb.scale(-1)
     cat = dict(tps.killing_catalog(n))
     eta_exact_ok = all(

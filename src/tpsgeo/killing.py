@@ -158,16 +158,18 @@ def _entries(field: VectorField) -> dict[tuple[int, int], Scalar]:
 
 def span_contains(span: Sequence[VectorField], field: VectorField) -> bool:
     """Exact membership of a field in the rational span of a list of fields."""
-    return _spans(span, [field])
+    return spans_contain(span, [field])
 
 
-def _spans(span: Sequence[VectorField], fields: Sequence[VectorField]) -> bool:
+def spans_contain(span: Sequence[VectorField], fields: Iterable[VectorField]) -> bool:
+    """Exact membership of every field in the rational span, which is
+    factored once."""
     factored = Elimination(_entries(f) for f in span)
     return all(not factored.reduce(_entries(f))[1] for f in fields)
 
 
 def spans_equal(a: Sequence[VectorField], b: Sequence[VectorField]) -> bool:
-    return _spans(a, b) and _spans(b, a)
+    return spans_contain(a, b) and spans_contain(b, a)
 
 
 def structure_constants(fields: Sequence[VectorField]) -> list[list[list[Fraction]]]:

@@ -122,9 +122,9 @@ def metric_identity_check(n: int) -> bool:
     return acc == phase_metric(n).g
 
 
-def contact_volume(n: int) -> tuple[Form, Fraction]:
-    """theta ^ (dtheta)^n; returns the form and its constant coefficient in
-    the chart-ordered coordinate volume."""
+def contact_volume(n: int) -> tuple[Form, Fraction | None]:
+    """theta ^ (dtheta)^n; returns the form and its coefficient in the
+    chart-ordered coordinate volume, None unless that is a constant."""
     theta = contact_form(n)
     omega = theta.d()
     top = theta
@@ -135,26 +135,30 @@ def contact_volume(n: int) -> tuple[Form, Fraction]:
     (vol_idx,) = vol.terms
     coef = top.terms.get(vol_idx, LaurentPoly.zero(chart))
     if len(top.terms) > 1 or not coef.is_constant():
-        raise ArithmeticError("contact volume is not a constant multiple of the coordinate volume")
+        return top, None
     return top, coef.constant_value()
 
 
 def reeb_pinning(n: int) -> dict:
     """ker(dtheta) on the chart is 1-dimensional and spanned by d/dx0, and
     theta normalizes it to 1; dtheta has constant coefficients, so this is a
-    pure rational kernel computation."""
+    pure rational kernel computation.  A dtheta coefficient that is not
+    constant fails, with its coordinate pair under "nonconstant"."""
     chart = tps_chart(n)
     theta = contact_form(n)
     omega = theta.d()
     d = chart.dim
+    nonconstant = [
+        [chart.names[a] for a in key] for key, c in omega.terms.items() if not c.is_constant()
+    ]
+    if nonconstant:
+        return {"kernel_dimension": None, "nonconstant": nonconstant[:3], "passed": False}
     rows = []
     for b in range(d):
         row = {}
         for a in range(d):
             c = omega.terms.get((a, b) if a < b else (b, a), LaurentPoly.zero(chart))
-            v = c.constant_value() if c.is_constant() else None
-            if v is None:
-                raise ArithmeticError("dtheta coefficients are not constant")
+            v = c.constant_value()
             row[a] = v if a < b else -v
         rows.append(row)
     basis = Elimination(rows).kernel(range(d))

@@ -65,9 +65,7 @@ class TestRicciAndTransform:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_transform_table_all_frame_pairs(self, n):
-        m = tps.phase_metric(n)
-        cur = ricci_scalar(m)
-        res = suites._transform_table_result(n, m, cur.riemann)
+        res = suites._transform_table_result(n, tps.phase_metric(n))
         assert res.status == "exact-pass", res.witness
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpsgeo
-from tpsgeo import cli
+from tpsgeo import cli, killing, sympl, tps
 from tpsgeo.report import STATUSES
 
 
@@ -161,6 +161,32 @@ class TestExitCodes:
     def test_bad_degree_is_usage(self, capsys):
         code, _, err = run_cli(capsys, ["killing", "--space", "tps", "--n", "1", "--degree", "0"])
         assert code == 2 and "--degree" in err
+
+    def test_a_degree_past_the_ansatz_cap_is_refused_before_any_work(self, capsys, monkeypatch):
+        # 3 * C(1003, 3), about 5e8 unknowns; the suite is never entered
+        def unreachable(*args):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli.suites, "suite_killing", unreachable)
+        argv = ["killing", "--space", "tps", "--n", "1", "--degree", "1000"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "--degree" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "space,n,degree,unknowns", [("tps", 3, 6, 12012), ("tps", 2, 8, 6435), ("sympl", 3, 5, 10296)]
+    )
+    def test_the_ansatz_cap_admits_solves_of_about_ten_seconds(
+        self, capsys, monkeypatch, space, n, degree, unknowns
+    ):
+        # the cap counts the unknowns as killing.ansatz_basis builds them;
+        # the solve itself is left out here
+        chart = (tps.tps_chart if space == "tps" else sympl.sympl_chart)(n)
+        assert len(killing.ansatz_basis(chart, degree)) == unknowns <= cli.MAX_ANSATZ_UNKNOWNS
+        monkeypatch.setattr(cli.suites, "suite_killing", lambda *args: [])
+        argv = ["killing", "--space", space, "--n", str(n), "--degree", str(degree)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
 
     def test_malformed_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -512,7 +538,7 @@ def test_potential_keeps_its_exit_code_contract(tmp_path_factory, inputs):
 EXACT_FLAGS = {
     "--space": (["tps", "sympl"], ["bogus", None]),
     "--n": (["1", "2"], ["-1", "0", "5", "99", "1000000000000", "x", "", None]),
-    "--degree": ([None, "1", "2"], ["-1", "0", "x"]),
+    "--degree": ([None, "1", "2"], ["-1", "0", "1000", "x"]),
     "--n-max": (["1", "2"], ["-1", "0", "x"]),
     "--only": ([None, "tps", "heisenberg", "sympl,tps", ","], ["bogus", "tps,bogus"]),
 }

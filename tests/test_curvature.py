@@ -10,18 +10,20 @@ from tpsgeo.curvature import (
     DegeneratePlaneError,
     MetricSpec,
     SectionalForm,
+    apply_rows,
     covariant_derivative,
     lie_derivative_metric,
     ricci_scalar,
+    riemann_operator,
     riemann_tensor,
     riemann_transform,
     sectional,
     trace_form,
 )
-from tpsgeo.fields import VectorField, apply_matrix_field, bracket, pairing
+from tpsgeo.fields import VectorField, bracket, pairing
 from tpsgeo.linalg import PolyMatrix
 from tpsgeo.poly import Chart, LaurentPoly
-from tpsgeo import suites, sympl, tps
+from tpsgeo import cli, curvature, suites, sympl, tps
 
 HALF = Fraction(1, 2)
 
@@ -264,6 +266,25 @@ class TestConnectionAxioms:
                     )
                     assert s.is_zero()
 
+    @pytest.mark.parametrize("space,n", [("tps", 1), ("tps", 2), ("sympl", 1)])
+    def test_sparse_transform_matches_the_nabla_definition(self, space, n):
+        # R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z on
+        # every frame triple, with nabla read from the Christoffel table
+        if space == "tps":
+            m, frame = tps.phase_metric(n), tps.build(n).frame_list()
+        else:
+            f = sympl.canonical_frame(n)
+            m, frame = sympl.sympl_metric(n), [*f["P"], *f["X"]]
+        for a in frame:
+            for b in frame:
+                for c in frame:
+                    expect = (
+                        covariant_derivative(m, a, covariant_derivative(m, b, c))
+                        - covariant_derivative(m, b, covariant_derivative(m, a, c))
+                        - covariant_derivative(m, bracket(a, b), c)
+                    )
+                    assert riemann_transform(m, a, b, c) == expect
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_metric_compatibility(self, n):
         m = tps.phase_metric(n)
@@ -357,8 +378,10 @@ def test_per_plane_riemann_operator_matches_the_full_contraction(space, n):
     # (R(A,B)C)^i = R^i_{jkl} C^j A^k B^l, summed here over every j, k, l
     m = tps.phase_metric(n) if space == "tps" else sympl.sympl_metric(n)
     chart, d = m.chart, m.chart.dim
-    riem = riemann_tensor(m)
-    planes = suites._riemann_planes(riem)
+    table = riemann_tensor(m)
+    zero = LaurentPoly.zero(chart)
+    riem = [[[[table.get((i, j, k, l), zero) for l in range(d)] for k in range(d)]
+             for j in range(d)] for i in range(d)]
     rng = random.Random(5)
 
     def rand_field():
@@ -376,14 +399,14 @@ def test_per_plane_riemann_operator_matches_the_full_contraction(space, n):
     # on coordinate fields, R(d_k, d_l) d_j has the components R^i_{jkl}
     for k, a in enumerate(coords):
         for l, b in enumerate(coords):
-            op = suites._riemann_operator(planes, chart, a, b)
+            op = riemann_operator(m, a, b)
             for j, c in enumerate(coords):
-                got = apply_matrix_field(op, c).comps
+                got = apply_rows(op, c).comps
                 assert list(got) == [riem[i][j][k][l] for i in range(d)]
     fields = coords + [rand_field() for _ in range(4)]
     for _ in range(10):
         a, b = rng.choice(fields), rng.choice(fields)
-        op = suites._riemann_operator(planes, chart, a, b)
+        op = riemann_operator(m, a, b)
         for c in rng.sample(fields, 3):
             expect = []
             for i in range(d):
@@ -393,7 +416,23 @@ def test_per_plane_riemann_operator_matches_the_full_contraction(space, n):
                         for l in range(d):
                             acc = acc + riem[i][j][k][l] * c.comps[j] * a.comps[k] * b.comps[l]
                 expect.append(acc)
-            assert apply_matrix_field(op, c) == VectorField(chart, expect)
+            assert apply_rows(op, c) == VectorField(chart, expect)
+
+
+def test_each_metric_curvature_is_built_once(monkeypatch, clear_caches, capsys):
+    # verify-all needs the curvature of tps n = 1..3, sympl n = 1, 2 and the
+    # tampered metric; the curvature suite, the Einstein report and the
+    # Nijenhuis report read the one table of each
+    names = []
+    build = curvature.ricci_scalar
+    monkeypatch.setattr(curvature, "ricci_scalar", lambda m: names.append(m.name) or build(m))
+    assert cli.main(["verify-all"]) == 0
+    capsys.readouterr()
+    expect = [tps.phase_metric(n).name for n in (1, 2, 3)]
+    expect += [sympl.sympl_metric(n).name for n in (1, 2)] + ["tampered"]
+    assert sorted(names) == sorted(expect)
+    m = tps.phase_metric(1)
+    assert m.curvature() is m.curvature()
 
 
 def test_one_flipped_transform_coefficient_fails_that_record(monkeypatch):
@@ -460,7 +499,14 @@ def sympy_christoffel(sympy, metric):
     return xs, g, ginv, gamma
 
 
-ORACLE_METRICS = [tps.phase_metric(1), tps.phase_metric(2), sympl.sympl_metric(1)]
+# the tampered metric is the one the negative control runs the curvature
+# claims on
+ORACLE_METRICS = [
+    tps.phase_metric(1),
+    tps.phase_metric(2),
+    sympl.sympl_metric(1),
+    suites.tampered_metric(2),
+]
 
 
 @pytest.mark.parametrize("metric", ORACLE_METRICS, ids=lambda m: m.name)
@@ -500,6 +546,8 @@ def test_riemann_tensor_matches_sympy(sympy, metric):
     d = metric.dim
     xs, _g, _ginv, gamma = sympy_christoffel(sympy, metric)
     riem = riemann_tensor(metric)
+    assert all(r.coeffs for r in riem.values())
+    zero = LaurentPoly.zero(metric.chart)
     for i in range(d):
         for j in range(d):
             for k in range(d):
@@ -510,5 +558,5 @@ def test_riemann_tensor_matches_sympy(sympy, metric):
                         + sum(gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j]
                               for s in range(d))
                     )
-                    got = to_sympy(sympy, riem[i][j][k][l], xs)
+                    got = to_sympy(sympy, riem.get((i, j, k, l), zero), xs)
                     assert sympy.expand(expect - got) == 0, (i, j, k, l)

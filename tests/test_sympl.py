@@ -464,6 +464,18 @@ class TestQuadric:
     def test_signature(self, n, expect):
         assert sympl.quadric_signature(n) == expect
 
+    def test_a_changed_quadric_fails_the_signature_claim(self, monkeypatch, clear_caches):
+        # q + 1 is not diagonalized by the polarization: a failed claim, not
+        # an exception
+        original = sympl.incidence_quadric
+        monkeypatch.setattr(sympl, "incidence_quadric", lambda n: original(n) + 1)
+        for n in (1, 2):
+            assert sympl.quadric_signature(n) is None
+            claims = {r.claim: r for r in suites.suite_sympl(n)}
+            claim = claims["incidence quadric has split signature"]
+            assert claim.status == "fail"
+            assert claim.witness == {"polarization_identity": False}
+
     def test_ideal_gas(self):
         rep = sympl.ideal_gas_report(Fraction(2))
         assert rep["passed"]

@@ -2,15 +2,16 @@
 structure, Killing catalog, constitutive hypersurface."""
 
 import functools
+import math
 from fractions import Fraction
 
 import pytest
 
 from tpsgeo.curvature import lie_derivative_metric
-from tpsgeo.fields import VectorField, apply_matrix_field
+from tpsgeo.fields import Form, VectorField, apply_matrix_field
 from tpsgeo.linalg import matrix_inverse_exact
 from tpsgeo.poly import LaurentPoly
-from tpsgeo import killing, suites, tps
+from tpsgeo import cli, killing, suites, tps
 
 
 class TestContactForm:
@@ -221,3 +222,36 @@ def test_theta_of_phi_not_zero_fails_the_phi_squared_claim(monkeypatch):
         fails = [r for r in suites.suite_tps(n) if r.status == "fail"]
         assert [r.claim for r in fails] == ["phi^2 = -I + theta (x) xi with rank(phi) = 2n"]
         assert fails[0].witness == {"rank_phi": 2 * n}
+
+
+def squared_contact_form(n):
+    """theta = dx0 + sum p_l^2 dx^l: d theta = 2 sum p_l dp_l ^ dx^l is not
+    constant."""
+    chart = tps.tps_chart(n)
+    coeffs = {"x0": LaurentPoly.one(chart)}
+    for l in range(1, n + 1):
+        p = LaurentPoly.variable(chart, f"p{l}")
+        coeffs[f"x{l}"] = p * p
+    return Form.one_form(chart, coeffs)
+
+
+def test_a_nonconstant_contact_volume_fails_its_claim(monkeypatch, clear_caches, capsys):
+    monkeypatch.setattr(tps, "contact_form", squared_contact_form)
+    for n in (1, 2):
+        claims = {r.claim: r for r in suites.suite_tps(n)}
+        claim = claims["theta ^ (d theta)^n is the chart volume up to the exact constant"]
+        assert claim.status == "fail"
+        want = Fraction(math.factorial(n) * (-1) ** (n * (n - 1) // 2))
+        assert claim.witness == {"coefficient": None, "expected": want}
+    assert cli.main(["verify-all", "--only", "tps"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_nonconstant_d_theta_fails_the_reeb_claim(monkeypatch, clear_caches):
+    monkeypatch.setattr(tps, "contact_form", squared_contact_form)
+    for n in (1, 2):
+        claims = {r.claim: r for r in suites.suite_tps(n)}
+        claim = claims["Reeb field is pinned by theta(xi)=1 and xi in ker(d theta)"]
+        assert claim.status == "fail"
+        pairs = [[f"p{l}", f"x{l}"] for l in range(1, n + 1)]
+        assert claim.witness == {"kernel_dimension": None, "nonconstant": pairs}
