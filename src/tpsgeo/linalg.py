@@ -330,11 +330,20 @@ class Elimination:
         """Reduced row echelon form: leading column -> row with a leading 1
         and zeros in every other leading column, in the order found."""
         rows = {c: dict(row) for c, row in self.echelon.items()}
+        # A row holds only columns from its lead on.  Cleared from the largest
+        # lead down, each pivot row holds no other lead, so subtracting it
+        # brings no lead into a row: the rows that hold each lead are known
+        # before the loop, listed in the order of rows.
+        holders: dict = {}
+        for c2, row in rows.items():
+            for col in row:
+                if col != c2 and col in rows:
+                    holders.setdefault(col, []).append(c2)
         for c in sorted(rows, reverse=True):
             piv = rows[c]
-            for c2, row2 in rows.items():
-                if c2 != c and c in row2:
-                    _subtract(row2, row2[c], piv)
+            for c2 in holders.get(c, ()):
+                row2 = rows[c2]
+                _subtract(row2, row2[c], piv)
         return rows
 
     def kernel(self, columns: Iterable) -> list[dict]:
@@ -342,15 +351,19 @@ class Elimination:
         vector per free column, with a 1 there and 0 in the other free
         columns, in the order of columns."""
         rows = self.reduced_rows()
+        # free column -> [(lead, entry)] in the order of rows
+        free: dict = {}
+        for c, row in rows.items():
+            for col, v in row.items():
+                if col not in rows:
+                    free.setdefault(col, []).append((c, v))
         basis = []
         for f in columns:
             if f in rows:
                 continue
             vec = {f: Fraction(1)}
-            for c, row in rows.items():
-                v = row.get(f)
-                if v:
-                    vec[c] = -v
+            for c, v in free.get(f, ()):
+                vec[c] = -v
             basis.append(vec)
         return basis
 

@@ -408,11 +408,11 @@ def sl_embedding_report(n: int) -> dict:
 
     independent = not span.dependent
 
-    def expected_row(ia: int, ib: int) -> list[Fraction] | None:
-        """The rescaled field constants C^c_ab over c, or None when one of
-        them needs an odd power of sqrt(2)."""
-        row = list(c_fields[ia][ib])
-        for ic, c in enumerate(row):
+    def expected_row(ia: int, ib: int) -> dict[int, Fraction] | None:
+        """The nonzero rescaled field constants {c: C^c_ab}, or None when one
+        of them needs an odd power of sqrt(2)."""
+        row = {}
+        for ic, c in enumerate(c_fields[ia][ib]):
             if c:
                 e = weight[ia] + weight[ib] - weight[ic]
                 if e % 2:
@@ -428,7 +428,8 @@ def sl_embedding_report(n: int) -> dict:
         for ia in range(ncols):
             for ib in range(ncols):
                 coeffs, residual = span.reduce(_cbracket(mats[ia][1], mats[ib][1]))
-                ok &= not residual and coeffs == expected[ia][ib]
+                nonzero = {ic: c for ic, c in enumerate(coeffs) if c}
+                ok &= not residual and nonzero == expected[ia][ib]
     return {
         "labels_match": labels_match,
         "traceless": traceless,

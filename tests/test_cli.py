@@ -59,6 +59,57 @@ def test_importing_the_cli_loads_every_module():
     assert {m for m in json.loads(out.stdout) if m.split(".")[0] == "tpsgeo"} == expected
 
 
+# Prints OPENBLAS_NUM_THREADS and the thread count after `import tpsgeo.cli`,
+# runs the command line given, then prints the thread count again.
+THREADS_PROBE = """
+import os, sys
+def threads():
+    with open("/proc/self/status") as f:
+        return next(line.split()[1] for line in f if line.startswith("Threads:"))
+import tpsgeo.cli
+print(os.environ["OPENBLAS_NUM_THREADS"], threads(), file=sys.stderr)
+code = tpsgeo.cli.main(sys.argv[1:])
+print(threads(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def threads_probe(tmp_path, blas_threads):
+    """(OPENBLAS_NUM_THREADS seen, threads after import, threads after the
+    run, report up to its timing block) of a potential run on a small grid
+    in a fresh interpreter; blas_threads None leaves the variable unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tpsgeo.__file__))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    argv = ["potential", "--model-file", write_model(tmp_path, VDW_LITERAL), "--grid", "0.5:2:4,1.5:3:4"]
+    out = subprocess.run([sys.executable, "-c", THREADS_PROBE] + argv, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    (blas, after_import), (after_run,) = (line.split() for line in out.stderr.splitlines())
+    return blas, after_import, after_run, out.stdout.split('"timing"')[0]
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                reason="thread counts are read from /proc/self/status")
+
+
+@needs_proc
+@pytest.mark.parametrize("blas_threads", [None, ""])
+def test_tpsgeo_runs_on_one_thread(tmp_path, blas_threads):
+    # tpsgeo caps the OpenBLAS pool before numpy loads, so no idle BLAS
+    # worker is started, and the potential run starts no thread either
+    blas, after_import, after_run, _ = threads_probe(tmp_path, blas_threads)
+    assert (blas, after_import, after_run) == ("1", "1", "1")
+
+
+@needs_proc
+def test_a_user_set_blas_thread_count_wins_and_changes_no_report(tmp_path):
+    blas, _, _, report = threads_probe(tmp_path, "2")
+    assert blas == "2"
+    assert report == threads_probe(tmp_path, None)[3]
+
+
 class TestEnvelope:
     """Shape and content of the JSON report."""
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tpsgeo import heisenberg as hg
 from tpsgeo import suites, tps
+from tpsgeo.poly import Chart, LaurentPoly
 
 
 def rand_frac(rng):
@@ -58,6 +59,51 @@ class TestGroupLaw:
                 assert hg.multiply(e, g) == g
                 assert hg.multiply(g, hg.inverse(g)) == e
                 assert hg.multiply(hg.inverse(g), g) == e
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_group_axioms_hold_as_polynomial_identities(self, monkeypatch, n):
+        # An exact oracle for the sampled axioms of suite_heisenberg: multiply
+        # and inverse run unchanged on symbolic elements whose numerators are
+        # variables over an invertible variable den, and the element values
+        # num / den are compared as Laurent polynomials, so each axiom holds
+        # for every rational triple, not just for the sampled ones.
+        class Symbolic:
+            __slots__ = ("num", "den")
+
+            def __init__(self, num, den):
+                self.num, self.den = tuple(num), den
+
+            @property
+            def n(self):
+                return len(self.num) // 2
+
+        names = [f"{part}{k}_{i}" for k in range(3) for part in "ab" for i in range(n)]
+        dens = [f"d{k}" for k in range(3)]
+        chart = Chart(names + [f"c{k}" for k in range(3)] + dens, invertible=dens)
+        var = functools.partial(LaurentPoly.variable, chart)
+        g, h, k = (
+            Symbolic(
+                [var(f"{part}{j}_{i}") for part in "ab" for i in range(n)] + [var(f"c{j}")],
+                var(f"d{j}"),
+            )
+            for j in range(3)
+        )
+        # multiply and inverse build their results through _element, which
+        # reduces integer numerators to lowest terms; symbolic ones stay as
+        # they are, which leaves their values unchanged
+        monkeypatch.setattr(hg, "_element", Symbolic)
+
+        def values(el):
+            den = el.den if isinstance(el.den, LaurentPoly) else LaurentPoly.constant(chart, el.den)
+            inv = den.inverse()
+            return tuple(x * inv for x in el.num)
+
+        e = hg.identity(n)
+        assert values(hg.multiply(hg.multiply(g, h), k)) == values(hg.multiply(g, hg.multiply(h, k)))
+        assert values(hg.multiply(g, e)) == values(g) == values(hg.multiply(e, g))
+        assert values(hg.multiply(g, hg.inverse(g))) == values(e) == values(hg.multiply(hg.inverse(g), g))
+        # the identities are not vacuous: the law is not commutative
+        assert values(hg.multiply(g, h)) != values(hg.multiply(h, g))
 
     def test_noncommutative(self):
         g = hg.HeisElement([1], [0], 0)

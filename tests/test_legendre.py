@@ -4,12 +4,13 @@ adapted frames, second fundamental form, homogeneity, stability."""
 from __future__ import annotations
 
 import json
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tpsgeo import jets, legendre as lg, tps
+from tpsgeo import jets, legendre as lg, suites, tps
 from tpsgeo.jets import DomainError, Jet3, fd_oracle
 from tpsgeo.legendre import DegenerateSurfaceError
 from tpsgeo.poly import Chart, LaurentPoly
@@ -488,3 +489,36 @@ class TestBatch:
         draw = samplers(np.random.default_rng(7))["van_der_waals"]
         assert len(lg.analyze(m, [draw() for _ in range(40)])) == 40
         assert len(calls) == 1
+
+
+def test_a_mutated_hessian_fails_the_surface_claims_with_witnesses(monkeypatch):
+    # van der Waals' Hessian raised by 50 I in the suite's view of legendre
+    # only: the jet no longer matches the difference oracle, and the Hessian
+    # turns definite, so no spinodal point is left on either grid
+    def bumped(**kw):
+        model = lg.van_der_waals(**kw)
+
+        def evaluator(seeds):
+            jet = model.evaluator(seeds)
+            return Jet3(jet.nvars, jet.value, jet.grad, jet.hess + 50.0 * np.eye(2), jet.third)
+
+        return lg.PotentialModel(model.name, model.nvars, model.part_i, evaluator, model.plain,
+                                 model.parameters, model.homogeneous_degree, model.convention,
+                                 model.in_domain)
+
+    before = {r.claim: r for r in suites.suite_legendre()}
+    view = types.SimpleNamespace(**vars(lg))
+    view.van_der_waals = bumped
+    monkeypatch.setattr(suites, "legendre", view)
+    after = {r.claim: r for r in suites.suite_legendre()}
+
+    assert list(after) == list(before)
+    failed = {claim: r.witness for claim, r in after.items() if r.status == "fail"}
+    fd = "van der Waals second derivatives match the difference oracle at (S,V)=(1,2) within 1e-8 relative"
+    literal = "literal-exponent van der Waals grid contains an indefinite (spinodal) point"
+    physical = "physical-exponent van der Waals spinodal found for S in [-3, 1]"
+    assert set(failed) == {fd, literal, physical}
+    assert all(before[claim].status == "numeric-pass" for claim in failed)
+    assert failed[fd]["max_abs_diff"] > 1.0 > failed[fd]["tolerance"]
+    assert failed[literal] == before[literal].witness
+    assert failed[physical] == {"point": None}

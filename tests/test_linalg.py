@@ -276,6 +276,58 @@ class TestElimination:
         assert not factored.dependent
         assert factored.kernel([(0, (1,)), (1, ()), (1, (2,))]) == [{(1, (2,)): 1}]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_indexed_back_substitution_matches_the_full_scan(self, seed):
+        # ranks in the hundreds with long chains: row i holds column i + 1,
+        # so clearing lead i + 1 from row i brings in i + 2, and so on down
+        # to the free columns; rows arrive shuffled, with dependent ones
+        rng = random.Random(seed)
+        rank, nfree = 240, 6
+        ncols = rank + nfree
+        vectors = []
+        for i in range(rank):
+            row = {i: Fraction(rng.choice([1, 2, -3])), i + 1: Fraction(rng.choice([1, -1]))}
+            for _ in range(2):
+                row[rng.randrange(i + 1, ncols)] = Fraction(rng.randint(-2, 2) or 1, rng.randint(1, 2))
+            vectors.append(row)
+        rng.shuffle(vectors)
+        for _ in range(20):
+            a, b = rng.sample(vectors, 2)
+            vectors.insert(rng.randrange(len(vectors)), {c: a.get(c, 0) + b.get(c, 0) for c in a.keys() | b.keys()})
+        factored = Elimination(vectors)
+        assert len(factored.echelon) == rank and len(factored.dependent) == 20
+
+        def subtract(row, factor, other):
+            for c, v in other.items():
+                new = row.get(c, 0) - factor * v
+                if new:
+                    row[c] = new
+                else:
+                    row.pop(c, None)
+
+        # the former reduced_rows and kernel: every row tested for every lead
+        rows = {c: dict(row) for c, row in factored.echelon.items()}
+        for c in sorted(rows, reverse=True):
+            for c2, row2 in rows.items():
+                if c2 != c and c in row2:
+                    subtract(row2, row2[c], rows[c])
+        basis = []
+        for f in range(ncols):
+            if f not in rows:
+                vec = {f: Fraction(1)}
+                for c, row in rows.items():
+                    if row.get(f):
+                        vec[c] = -row[f]
+                basis.append(vec)
+
+        got = factored.reduced_rows()
+        # the same rows, entries and insertion orders
+        assert [(c, list(row.items())) for c, row in got.items()] == [
+            (c, list(row.items())) for c, row in rows.items()
+        ]
+        assert [list(v.items()) for v in factored.kernel(range(ncols))] == [list(v.items()) for v in basis]
+        assert len(basis) == nfree
+
 
 def test_structure_constants_catch_a_bracket_inside_the_keyset_but_outside_the_span():
     # [x d/dy, d/dx + d/dy] = -d/dy: its one monomial is a coordinate of the
