@@ -9,13 +9,15 @@ reduces to one exact sparse kernel computation over the rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .curvature import MetricSpec, lie_derivative_metric
 from .fields import VectorField, bracket
 # solve_exact is unused here; the benchmark's alias tests call it as killing.solve_exact
 from .linalg import Elimination, solve_exact
 from .poly import Chart, LaurentPoly, Scalar
+
+V = TypeVar("V")
 
 
 def monomials_up_to(dim: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -172,28 +174,6 @@ def spans_equal(a: Sequence[VectorField], b: Sequence[VectorField]) -> bool:
     return spans_contain(a, b) and spans_contain(b, a)
 
 
-def structure_constants(fields: Sequence[VectorField]) -> list[list[list[Fraction]]]:
-    """C[a][b][c] with [X_a, X_b] = sum_c C[a][b][c] X_c; raises ValueError
-    if some bracket leaves the span (the list does not close into an algebra)
-    or the fields are linearly dependent."""
-    m = len(fields)
-    factored = Elimination(_entries(f) for f in fields)
-    if factored.dependent:
-        raise ValueError("fields are linearly dependent")
-    out = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            coeffs, residual = factored.reduce(_entries(bracket(fields[a], fields[b])))
-            # the residual covers every coordinate of the bracket, monomials
-            # outside the fields' own included
-            if residual:
-                raise ValueError("bracket leaves the span: not closed")
-            for c in range(m):
-                out[a][b][c] = coeffs[c]
-                out[b][a][c] = -coeffs[c]
-    return out
-
-
 # A closed-form bracket table over field labels: (a, b) -> {c: coefficient}
 # for [X_a, X_b] = sum_c coefficient X_c; a pair it does not list brackets
 # to zero.
@@ -207,6 +187,31 @@ def bracket_table(terms: Iterable[tuple[str, str, str, Scalar]]) -> BracketTable
     for a, b, c, coef in terms:
         row = table.setdefault((a, b), {})
         row[c] = row.get(c, 0) + coef
+    return table
+
+
+def structure_constants(
+    vectors: Sequence[tuple[str, V]], coords: Callable[[V], Mapping], bracket: Callable[[V, V], V]
+) -> BracketTable:
+    """The bracket table of the labelled vectors, in the closed-form tables'
+    format: (a, b) -> {c: C} with [v_a, v_b] = sum_c C v_c, nonzero C only,
+    for the pairs a-before-b whose bracket is nonzero; coords writes a vector
+    as sparse coordinates.  Raises ValueError if the vectors are linearly
+    dependent or some bracket leaves their span (they are not an algebra)."""
+    labels = [label for label, _ in vectors]
+    factored = Elimination(coords(v) for _, v in vectors)
+    if factored.dependent:
+        raise ValueError("vectors are linearly dependent")
+    table: BracketTable = {}
+    for k, (a, va) in enumerate(vectors):
+        for b, vb in vectors[k + 1:]:
+            coeffs, residual = factored.reduce(coords(bracket(va, vb)))
+            # the residual covers every coordinate of the bracket, those
+            # outside the vectors' own included
+            if residual:
+                raise ValueError("bracket leaves the span: not closed")
+            if coeffs:
+                table[a, b] = {labels[c]: v for c, v in coeffs.items()}
     return table
 
 

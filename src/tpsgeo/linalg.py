@@ -5,9 +5,10 @@ Bareiss determinant (avoids rational-function blowup) and an adjugate-based
 exact inverse.  Over the rationals there is one eliminator, ``Elimination``:
 a sparse Gaussian elimination that factors a list of vectors once and then
 gives reduced echelon rows, the kernel, linear dependence, and the exact
-coefficients and residual of any number of right-hand sides.
+coefficients and residual of any number of right-hand sides, all sparse.
 ``rref_fraction``, ``kernel_exact``, ``solve_exact`` and
-``fraction_matrix_inverse`` are dense-list views of it.
+``fraction_matrix_inverse`` are the only dense-list views of it, kept
+because the benchmark tracer names them as targets.
 """
 
 from __future__ import annotations
@@ -281,9 +282,7 @@ class Elimination:
         # per echelon row: (vector index, leading column, leading value,
         # [(column, multiplier)] of the rows subtracted from the vector)
         self._steps: list[tuple] = []
-        self.size = 0
         for index, vector in enumerate(vectors):
-            self.size += 1
             row = {c: v for c, v in vector.items() if v}
             used = []
             while row:
@@ -302,10 +301,12 @@ class Elimination:
                 self.dependent.append(index)
         self._leads = sorted(self.echelon)
 
-    def reduce(self, vector: Mapping) -> tuple[list[Fraction], dict]:
+    def reduce(self, vector: Mapping) -> tuple[dict[int, Fraction], dict]:
         """(coefficients, residual) with vector = sum_i coefficients[i] *
-        vectors[i] + residual.  The residual is empty exactly when the vector
-        lies in the span; dependent vectors get coefficient 0."""
+        vectors[i] + residual.  The coefficients are sparse: the nonzero
+        ones only, keyed by vector index in increasing order, so dependent
+        vectors never appear.  The residual is empty exactly when the vector
+        lies in the span."""
         row = {c: v for c, v in vector.items() if v}
         along: dict = {}
         for c in self._leads:
@@ -313,7 +314,7 @@ class Elimination:
             if factor:
                 along[c] = factor
                 _subtract(row, factor, self.echelon[c])
-        coeffs = [Fraction(0)] * self.size
+        coeffs: dict[int, Fraction] = {}
         # undo the factorisation, last echelon row first: vector index =
         # lead * row(c) + sum of multiplier * row(column) over earlier rows
         for index, c, lead, used in reversed(self._steps):
@@ -324,7 +325,8 @@ class Elimination:
             coeffs[index] = x
             for cc, factor in used:
                 along[cc] = along.get(cc, 0) - factor * x
-        return coeffs, row
+        # the steps run in increasing vector index
+        return dict(reversed(coeffs.items())), row
 
     def reduced_rows(self) -> dict:
         """Reduced row echelon form: leading column -> row with a leading 1
@@ -397,7 +399,7 @@ def solve_exact(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fractio
         {i: row[j] for i, row in enumerate(a_rows) if row[j]} for j in range(ncols)
     )
     x, residual = columns.reduce(_sparse(b))
-    return None if residual else x
+    return None if residual else _dense(x, ncols)
 
 
 def fraction_matrix_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -408,4 +410,4 @@ def fraction_matrix_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     if factored.dependent:
         raise SingularMatrixError("singular rational matrix")
     # row k of the inverse writes the unit vector e_k in terms of the rows
-    return [factored.reduce({k: Fraction(1)})[0] for k in range(nn)]
+    return [_dense(factored.reduce({k: Fraction(1)})[0], nn) for k in range(nn)]

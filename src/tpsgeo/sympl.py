@@ -18,7 +18,7 @@ from .fields import Form, PolyMap, VectorField, apply_matrix_field, bracket, pai
 from .linalg import Elimination, PolyMatrix, solve_exact
 from .poly import Chart, LaurentPoly
 from . import tps
-from .killing import BracketTable, bracket_failures, bracket_table, structure_constants
+from .killing import BracketTable, _entries, bracket_failures, bracket_table, structure_constants
 
 HALF = Fraction(1, 2)
 
@@ -380,25 +380,14 @@ def sl_matrices(n: int) -> list[tuple[str, dict]]:
 
 
 def sl_embedding_report(n: int) -> dict:
-    """Structure constants of the catalog fields match those of the matrix
-    picture after rescaling C^c_ab by 2^{(e_a + e_b - e_c)/2}, where e = 0 on
-    the Q family and e = 1 on the X and D families (the sqrt(2) from the
-    normalized embedding)."""
+    """The structure-constant table of the catalog fields equals that of the
+    matrix picture after rescaling C^c_ab by 2^{(e_a + e_b - e_c)/2}, where
+    e = 0 on the Q family and e = 1 on the X and D families (the sqrt(2) from
+    the normalized embedding)."""
     cat = killing_catalog(n)
-    labels = [label for label, _ in cat]
-    try:
-        c_fields = structure_constants([f for _, f in cat])
-    except ValueError:
-        # dependent fields, or a bracket outside their span: the catalog
-        # has no structure constants to compare
-        c_fields = None
-
     mats = sl_matrices(n)
-    labels_match = [label for label, _ in mats] == labels
-    span = Elimination(mat for _, mat in mats)
-    ncols = len(mats)
-
-    weight = [0 if label.startswith("Q") else 1 for label in labels]
+    labels_match = [label for label, _ in mats] == [label for label, _ in cat]
+    weight = {label: 0 if label.startswith("Q") else 1 for label, _ in cat}
 
     traceless = all(
         sum(v for (p, i, j), v in mat.items() if i == j and p == part) == 0
@@ -406,37 +395,41 @@ def sl_embedding_report(n: int) -> dict:
         for part in (0, 1)
     )
 
-    independent = not span.dependent
+    independent = not Elimination(mat for _, mat in mats).dependent
 
-    def expected_row(ia: int, ib: int) -> dict[int, Fraction] | None:
-        """The nonzero rescaled field constants {c: C^c_ab}, or None when one
-        of them needs an odd power of sqrt(2)."""
-        row = {}
-        for ic, c in enumerate(c_fields[ia][ib]):
-            if c:
-                e = weight[ia] + weight[ib] - weight[ic]
+    def rescaled(fields: BracketTable) -> BracketTable | None:
+        """The field table with C^c_ab rescaled, or None when some entry
+        needs an odd power of sqrt(2)."""
+        out = {}
+        for (a, b), row in fields.items():
+            out[a, b] = {}
+            for c, v in row.items():
+                e = weight[a] + weight[b] - weight[c]
                 if e % 2:
                     return None
-                row[ic] = c * 2 ** (e // 2)
-        return row
+                out[a, b][c] = v * 2 ** (e // 2)
+        return out
 
-    # the constants are compared label by label, so a catalog whose labels
+    # the tables are compared label by label, so a catalog whose labels
     # differ from the matrix picture's has nothing to compare
-    ok = c_fields is not None and labels_match
-    if ok:
-        expected = [[expected_row(ia, ib) for ib in range(ncols)] for ia in range(ncols)]
-        for ia in range(ncols):
-            for ib in range(ncols):
-                coeffs, residual = span.reduce(_cbracket(mats[ia][1], mats[ib][1]))
-                nonzero = {ic: c for ic, c in enumerate(coeffs) if c}
-                ok &= not residual and nonzero == expected[ia][ib]
+    ok = False
+    if labels_match:
+        try:
+            fields = structure_constants(cat, _entries, bracket)
+            matrices = structure_constants(mats, lambda mat: mat, _cbracket)
+        except ValueError:
+            # dependent vectors, or a bracket outside their span: there is
+            # no table to compare
+            pass
+        else:
+            ok = rescaled(fields) == matrices
     return {
         "labels_match": labels_match,
         "traceless": traceless,
         "independent": independent,
-        "brackets_match": bool(ok),
-        "dimension": ncols,
-        "passed": bool(traceless and independent and ok),
+        "brackets_match": ok,
+        "dimension": len(mats),
+        "passed": traceless and independent and ok,
     }
 
 
@@ -678,9 +671,8 @@ def transition_relations(
             raise ValueError(f"no monomial transition for {nm_b}")
         rel = {}
         check = LaurentPoly.one(chart)
-        for coef, nm_a in zip(sol, a_names):
-            if coef == 0:
-                continue
+        for k, coef in sol.items():
+            nm_a = a_names[k]
             if coef.denominator != 1:
                 raise ValueError(f"non-integer exponent in transition for {nm_b}")
             rel[nm_a] = int(coef)

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from tpsgeo.curvature import MetricSpec, lie_derivative_metric
-from tpsgeo.fields import VectorField
+from tpsgeo.fields import VectorField, bracket
 from tpsgeo.killing import (
+    _entries,
     ansatz_basis,
     bracket_failures,
     killing_solve,
@@ -47,9 +48,10 @@ class TestGenericMetrics:
         m = MetricSpec("hyperbolic", chart, PolyMatrix(chart, [[y2inv, z], [z, y2inv]]))
         fields = killing_solve(m, 2)
         assert len(fields) == 3
-        C = structure_constants(fields)
+        labelled = [(str(k), f) for k, f in enumerate(fields)]
+        C = structure_constants(labelled, _entries, bracket)
         # sl(2) is not abelian
-        assert any(v != 0 for row in C for col in row for v in col)
+        assert any(v != 0 for row in C.values() for v in row.values())
 
 
 def per_unknown_system(metric, unknowns):
@@ -142,60 +144,64 @@ class TestStructureConstants:
         self.n = 2
         self.labeled = tps.killing_catalog(self.n)
         self.labels = [l for l, _ in self.labeled]
-        self.C = structure_constants([f for _, f in self.labeled])
+        self.C = structure_constants(self.labeled, _entries, bracket)
         self.idx = {l: i for i, l in enumerate(self.labels)}
 
-    def coeffs(self, a, b):
-        return {
-            self.labels[c]: v
-            for c, v in enumerate(self.C[self.idx[a]][self.idx[b]])
-            if v
-        }
-
     def test_heisenberg_pair(self):
-        assert self.coeffs("A1", "B1") == {"xi": 1}
-        assert self.coeffs("A1", "B2") == {}
-        assert self.coeffs("A1", "A2") == {}
-        assert self.coeffs("B1", "B2") == {}
+        assert self.C["A1", "B1"] == {"xi": 1}
+        assert ("A1", "B2") not in self.C
+        assert ("A1", "A2") not in self.C
+        assert ("B1", "B2") not in self.C
 
     def test_gl_action(self):
-        assert self.coeffs("Q1_2", "A2") == {"A1": -1}
-        assert self.coeffs("Q1_2", "A1") == {}
-        assert self.coeffs("Q1_2", "B1") == {"B2": 1}
-        assert self.coeffs("Q1_2", "Q2_1") == {"Q1_1": -1, "Q2_2": 1}
+        # the table keys each pair in catalog order, where A and B come
+        # before Q: [Q1_2, A2] = -A1 is stored as [A2, Q1_2] = A1
+        assert self.C["A2", "Q1_2"] == {"A1": 1}
+        assert ("A1", "Q1_2") not in self.C
+        assert self.C["B1", "Q1_2"] == {"B2": -1}
+        assert self.C["Q1_2", "Q2_1"] == {"Q1_1": -1, "Q2_2": 1}
 
     def test_center(self):
-        for l in self.labels:
-            assert self.coeffs("xi", l) == {}
+        assert not [pair for pair in self.C if "xi" in pair]
 
     def test_antisymmetry_and_jacobi(self):
-        m = len(self.labels)
-        C = self.C
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    assert C[a][b][c] == -C[b][a][c]
-        for a in range(m):
-            for b in range(a + 1, m):
-                for c in range(b + 1, m):
-                    for d in range(m):
-                        s = sum(
-                            C[a][b][e] * C[e][c][d]
-                            + C[b][c][e] * C[e][a][d]
-                            + C[c][a][e] * C[e][b][d]
-                            for e in range(m)
-                        )
-                        assert s == 0
+        # one entry per unordered pair, in catalog order, nonzero rows only
+        assert all(self.idx[a] < self.idx[b] and row for (a, b), row in self.C.items())
+
+        def row(a, b):
+            if self.idx[a] > self.idx[b]:
+                return {c: -v for c, v in row(b, a).items()}
+            return self.C.get((a, b), {})
+
+        def double(a, b, c):
+            """[[a, b], c] as {label: coefficient}."""
+            out = {}
+            for e, u in row(a, b).items():
+                for d, v in row(e, c).items():
+                    out[d] = out.get(d, 0) + u * v
+            return out
+
+        labels = self.labels
+        for i, a in enumerate(labels):
+            for j, b in enumerate(labels[i + 1:], i + 1):
+                for c in labels[j + 1:]:
+                    total = {}
+                    for term in (double(a, b, c), double(b, c, a), double(c, a, b)):
+                        for d, v in term.items():
+                            total[d] = total.get(d, 0) + v
+                    assert not any(total.values())
 
     def test_not_closed_raises(self):
         cat = dict(self.labeled)
         with pytest.raises(ValueError):
-            structure_constants([cat["A1"], cat["B1"]])
+            structure_constants([("A1", cat["A1"]), ("B1", cat["B1"])], _entries, bracket)
 
     def test_dependent_raises(self):
         cat = dict(self.labeled)
         with pytest.raises(ValueError):
-            structure_constants([cat["xi"], cat["xi"].scale(2)])
+            structure_constants(
+                [("xi", cat["xi"]), ("2xi", cat["xi"].scale(2))], _entries, bracket
+            )
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpsgeo.fields import VectorField
-from tpsgeo.killing import structure_constants
+from tpsgeo.fields import VectorField, bracket
+from tpsgeo.killing import _entries, structure_constants
 from tpsgeo.linalg import (
     Elimination,
     PolyMatrix,
@@ -242,7 +242,7 @@ class TestElimination:
                     b[rng.randrange(len(b))] += 1
                 coeffs, residual = columns.reduce(sparse(b))
                 want = solve_exact(rows, b)
-                assert (None if residual else coeffs) == want
+                assert (None if residual else coeffs) == (None if want is None else sparse(want))
 
     def test_coefficients_and_residual_rebuild_the_vector(self):
         vectors = [sparse(r) for r in random_matrix(3, nrows=5, ncols=9)]
@@ -250,15 +250,15 @@ class TestElimination:
         target = {0: Fraction(1), 4: Fraction(-2, 3), 8: Fraction(5)}
         coeffs, residual = factored.reduce(target)
         rebuilt = dict(residual)
-        for c, v in zip(coeffs, vectors):
-            for k, e in v.items():
+        for i, c in coeffs.items():
+            for k, e in vectors[i].items():
                 rebuilt[k] = rebuilt.get(k, 0) + c * e
         assert {k: v for k, v in rebuilt.items() if v} == target
 
     def test_vector_outside_the_span_leaves_a_residual(self):
         factored = Elimination([{0: Fraction(1), 1: Fraction(1)}, {2: Fraction(3)}])
         coeffs, residual = factored.reduce({0: Fraction(2), 1: Fraction(2), 2: Fraction(1)})
-        assert coeffs == [2, Fraction(1, 3)] and not residual
+        assert coeffs == {0: 2, 1: Fraction(1, 3)} and not residual
         coeffs, residual = factored.reduce({0: Fraction(1), 2: Fraction(1)})
         assert residual == {1: -1}
 
@@ -267,9 +267,11 @@ class TestElimination:
         factored = Elimination(vectors)
         assert factored.dependent == [1, 2]
         assert len(factored.echelon) == 2
-        # dependent vectors get coefficient 0; the others carry the combination
+        # dependent vectors get no coefficient; the others carry the combination
         coeffs, residual = factored.reduce({0: Fraction(1), 1: Fraction(5)})
-        assert coeffs == [1, 0, 0, 3] and not residual
+        assert coeffs == {0: 1, 3: 3} and not residual
+        # keyed in increasing index order, the dependent indices absent
+        assert list(coeffs) == [0, 3]
 
     def test_columns_may_be_tuples(self):
         factored = Elimination([{(0, (1,)): Fraction(2)}, {(1, ()): Fraction(1), (0, (1,)): Fraction(1)}])
@@ -335,9 +337,13 @@ def test_structure_constants_catch_a_bracket_inside_the_keyset_but_outside_the_s
     chart = Chart(["x", "y"])
     x = LaurentPoly.variable(chart, "x")
     one, zero = LaurentPoly.one(chart), LaurentPoly.zero(chart)
-    fields = [VectorField(chart, [zero, x]), VectorField(chart, [one, one])]
+    fields = [("a", VectorField(chart, [zero, x])), ("b", VectorField(chart, [one, one]))]
     with pytest.raises(ValueError, match="not closed"):
-        structure_constants(fields)
-    closed = [VectorField(chart, [zero, x]), VectorField(chart, [one, zero]), VectorField(chart, [zero, one])]
-    c = structure_constants(closed)
-    assert c[0][1] == [0, 0, -1] and c[1][0] == [0, 0, 1]
+        structure_constants(fields, _entries, bracket)
+    closed = [
+        ("a", VectorField(chart, [zero, x])),
+        ("b", VectorField(chart, [one, zero])),
+        ("c", VectorField(chart, [zero, one])),
+    ]
+    # [a, b] = -c; the pairs that bracket to zero are not listed
+    assert structure_constants(closed, _entries, bracket) == {("a", "b"): {"c": -1}}

@@ -12,6 +12,8 @@ from tpsgeo.linalg import solve_exact
 from tpsgeo.poly import LaurentPoly
 from tpsgeo import killing, suites, sympl, tps
 
+from test_acceptance import computed_matches_closed_form
+
 HALF = Fraction(1, 2)
 
 
@@ -148,11 +150,57 @@ class TestIsometries:
         assert bracket(cat["D0"], cat["D1"]).is_zero()
         assert bracket(cat["D1"], cat["D2"]).is_zero()
 
-    @pytest.mark.parametrize("n", [1, 2])
+    # n = 4 and 5 lie past the command line's MAX_N (3); the sparse tables
+    # keep them cheap
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_sl_embedding(self, n):
         rep = sympl.sl_embedding_report(n)
         assert rep["passed"]
         assert rep["dimension"] == (n + 2) ** 2 - 1
+        assert computed_matches_closed_form(sympl.killing_catalog(n), sympl.catalog_brackets(n))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matrix_table_matches_sympy(self, n):
+        # an optional test dependency (pyproject.toml); skipped where missing
+        sympy = pytest.importorskip("sympy")
+        m = n + 2
+
+        def unit(i, j):
+            return sympy.Matrix(m, m, lambda r, c: int((r, c) == (i, j)))
+
+        # the picture as printed: Q^i_j -> E_ij - delta_ij/(n+2),
+        # X_s -> i E_{n+1,s}, D^l -> i E_{l,n+1}
+        mats = [
+            (f"Q{i}_{j}", unit(i, j) - (sympy.eye(m) / m if i == j else sympy.zeros(m, m)))
+            for i in range(n + 1)
+            for j in range(n + 1)
+        ]
+        mats += [(f"X{s}", sympy.I * unit(m - 1, s)) for s in range(n + 1)]
+        mats += [(f"D{l}", sympy.I * unit(l, m - 1)) for l in range(n + 1)]
+        for (label, sparse), (want_label, want) in zip(sympl.sl_matrices(n), mats, strict=True):
+            got = sympy.zeros(m, m)
+            for (part, i, j), v in sparse.items():
+                got[i, j] += (sympy.I if part else 1) * sympy.Rational(v.numerator, v.denominator)
+            assert label == want_label and got == want
+
+        def coords(mat):
+            """Real parts, then imaginary parts, as one column."""
+            return sympy.Matrix([sympy.re(v) for v in mat] + [sympy.im(v) for v in mat])
+
+        basis = sympy.Matrix.hstack(*[coords(mat) for _, mat in mats])
+        assert basis.rank() == len(mats)
+        left = (basis.T * basis).inv() * basis.T
+        table = {}
+        for k, (a, x) in enumerate(mats):
+            for b, y in mats[k + 1:]:
+                target = coords(x * y - y * x)
+                sol = left * target
+                assert basis * sol == target  # the commutator lies in the span
+                row = {mats[c][0]: Fraction(int(v.p), int(v.q)) for c, v in enumerate(sol) if v}
+                if row:
+                    table[a, b] = row
+        got = killing.structure_constants(sympl.sl_matrices(n), lambda mat: mat, sympl._cbracket)
+        assert got == table
 
 
 class TestConeComplexStructure:
