@@ -320,11 +320,6 @@ class Form:
             return part1
         return part1 + self.insert(x).d()
 
-    def coefficient(self, names: Sequence[str]) -> LaurentPoly:
-        idx, sign = _sort_with_sign(tuple(self.chart.index(nm) for nm in names))
-        c = self.terms.get(idx, LaurentPoly.zero(self.chart))
-        return -c if sign < 0 else c
-
     def with_chart(self, chart: Chart) -> "Form":
         """Reinterpret on a larger chart (new coordinates get no terms)."""
         pos = [chart.index(nm) for nm in self.chart.names]
@@ -452,6 +447,11 @@ class PolyMap:
         self.inverse_map = inverse
         if inverse is not None and (inverse.src != dst or inverse.dst != src):
             raise ValueError("inverse charts do not match")
+
+    def at(self, point: Mapping[str, Scalar]) -> dict[str, Fraction]:
+        """The image of a point, given by its source coordinates, keyed by
+        the target names."""
+        return {nm: c.evaluate(point) for nm, c in self.comps.items()}
 
     def pull_function(self, f: LaurentPoly) -> LaurentPoly:
         if f.chart != self.dst:

@@ -4,6 +4,7 @@ phase space, translation actions, and the invariant-structure checks."""
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -236,35 +237,28 @@ def multiply_matches_matrices(g: HeisElement, g1: HeisElement) -> bool:
 
 
 def chi(g: HeisElement) -> dict[str, Fraction]:
-    """(a, b, c) -> (x0 = -c, p = b, x = a)."""
-    a, b = g.a, g.b
-    out = {"x0": -g.c}
-    for i in range(g.n):
-        out[f"p{i+1}"] = b[i]
-        out[f"x{i+1}"] = a[i]
-    return out
+    """(a, b, c) -> (x0 = -c, p = b, x = a), evaluated from chi_map."""
+    cm = chi_map(g.n)
+    return cm.at(dict(zip(cm.src.names, (*g.a, *g.b, g.c))))
 
 
 def chi_inv(point: Mapping, n: int) -> HeisElement:
-    return HeisElement(
-        [Fraction(point[f"x{i+1}"]) for i in range(n)],
-        [Fraction(point[f"p{i+1}"]) for i in range(n)],
-        -Fraction(point["x0"]),
-    )
+    """The element over a point of the contact phase space, evaluated from
+    the inverse of chi_map."""
+    *ab, c = chi_map(n).inverse_map.at(point).values()
+    return HeisElement(ab[:n], ab[n:], c)
 
 
 def right_action(g: HeisElement, point: Mapping) -> dict[str, Fraction]:
-    """chi o (right translation by g) o chi^{-1} in closed form:
-    (x0 - c - <b, x>, p + b, x + a).  The group-model suite compares it with
-    chi(chi^{-1}(point) g) through multiply."""
+    """chi o (right translation by g) o chi^{-1}: translation_map(n, "right")
+    at the point, with g's coordinates as the parameters.  The group-model
+    suite compares it with chi(chi^{-1}(point) g) through multiply."""
     n = g.n
-    a, b = g.a, g.b
-    x = [Fraction(point[f"x{i+1}"]) for i in range(n)]
-    direct = {"x0": Fraction(point["x0"]) - g.c - _dot(b, x)}
-    for i in range(n):
-        direct[f"p{i+1}"] = Fraction(point[f"p{i+1}"]) + b[i]
-        direct[f"x{i+1}"] = x[i] + a[i]
-    return direct
+    m = translation_map(n, "right")
+    # the chart is (x0, p, x) followed by the parameters (ga, gb, gc)
+    base, params = m.src.names[: 2 * n + 1], m.src.names[2 * n + 1 :]
+    image = m.at({**point, **dict(zip(params, (*g.a, *g.b, g.c)))})
+    return {nm: image[nm] for nm in base}
 
 
 # ----------------------------------------------------------------------
@@ -275,17 +269,17 @@ def group_chart(n: int) -> Chart:
     return Chart([f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)] + ["c"])
 
 
+# built once per n, like the Killing catalogs: callers share the map and
+# must not change it
+@functools.cache
 def chi_map(n: int) -> PolyMap:
-    src = group_chart(n)
-    dst = tps.tps_chart(n)
-    comps = {"x0": -LaurentPoly.variable(src, "c")}
-    for i in range(1, n + 1):
-        comps[f"p{i}"] = LaurentPoly.variable(src, f"b{i}")
-        comps[f"x{i}"] = LaurentPoly.variable(src, f"a{i}")
-    inv_comps = {"c": -LaurentPoly.variable(dst, "x0")}
-    for i in range(1, n + 1):
-        inv_comps[f"b{i}"] = LaurentPoly.variable(dst, f"p{i}")
-        inv_comps[f"a{i}"] = LaurentPoly.variable(dst, f"x{i}")
+    """(a, b, c) -> (x0 = -c, p = b, x = a), with its exact inverse."""
+    src, dst = group_chart(n), tps.tps_chart(n)
+    # (target, source, sign): each coordinate is a signed coordinate of the other chart
+    pairs = [("x0", "c", -1)]
+    pairs += [(f"{t}{i}", f"{s}{i}", 1) for i in range(1, n + 1) for t, s in (("p", "b"), ("x", "a"))]
+    comps = {t: LaurentPoly.variable(src, s) * sign for t, s, sign in pairs}
+    inv_comps = {s: LaurentPoly.variable(dst, t) * sign for t, s, sign in pairs}
     return PolyMap(src, dst, comps, inverse=PolyMap(dst, src, inv_comps))
 
 
@@ -400,40 +394,42 @@ def invariant_report(n: int) -> dict:
     }
 
 
+@functools.cache
+def translation_map(n: int, kind: str) -> PolyMap:
+    """chi o (translation by the symbolic element (ga, gb, gc)) o chi^{-1}
+    on the contact phase space, the parameters carried along unchanged:
+    right, (x0 - gc - <gb, x>, p + gb, x + ga); left,
+    (x0 - gc - <ga, p>, p + gb, x + ga).  Cached per (n, kind); callers
+    share the map and must not change it."""
+    if kind not in ("right", "left"):
+        raise ValueError("translation kind must be right or left")
+    params = [f"ga{i}" for i in range(1, n + 1)] + [f"gb{i}" for i in range(1, n + 1)] + ["gc"]
+    ext = tps.tps_chart(n).extend(params)
+
+    def v(nm):
+        return LaurentPoly.variable(ext, nm)
+
+    comps = {nm: v(nm) for nm in params}
+    shift = v("x0") - v("gc")
+    for i in range(1, n + 1):
+        shift = shift - (v(f"gb{i}") * v(f"x{i}") if kind == "right" else v(f"ga{i}") * v(f"p{i}"))
+        comps[f"p{i}"] = v(f"p{i}") + v(f"gb{i}")
+        comps[f"x{i}"] = v(f"x{i}") + v(f"ga{i}")
+    comps["x0"] = shift
+    return PolyMap(ext, ext, comps)
+
+
 def translation_invariance_report(n: int) -> dict:
     """With a symbolic group element (ga, gb, gc): the right action preserves
     theta and G exactly; the left action does not (its theta pullback gains
     sum gb_i dx^i - sum ga_i dp_i)."""
-    base = tps.tps_chart(n)
-    params = [f"ga{i}" for i in range(1, n + 1)] + [f"gb{i}" for i in range(1, n + 1)] + ["gc"]
-    ext = base.extend(params)
+    right_map = translation_map(n, "right")
+    left_map = translation_map(n, "left")
+    ext = right_map.src
+    params = ext.names[2 * n + 1 :]
 
     theta = tps.contact_form(n).with_chart(ext)
     g = tps.phase_metric(n).g.with_chart(ext)
-
-    def action_map(kind):
-        comps = {nm: LaurentPoly.variable(ext, nm) for nm in params}
-        shift = LaurentPoly.variable(ext, "x0") - LaurentPoly.variable(ext, "gc")
-        for i in range(1, n + 1):
-            if kind == "right":
-                shift = shift - LaurentPoly.variable(ext, f"gb{i}") * LaurentPoly.variable(
-                    ext, f"x{i}"
-                )
-            else:
-                shift = shift - LaurentPoly.variable(ext, f"ga{i}") * LaurentPoly.variable(
-                    ext, f"p{i}"
-                )
-            comps[f"p{i}"] = LaurentPoly.variable(ext, f"p{i}") + LaurentPoly.variable(
-                ext, f"gb{i}"
-            )
-            comps[f"x{i}"] = LaurentPoly.variable(ext, f"x{i}") + LaurentPoly.variable(
-                ext, f"ga{i}"
-            )
-        comps["x0"] = shift
-        return PolyMap(ext, ext, comps)
-
-    right_map = action_map("right")
-    left_map = action_map("left")
     right_theta_ok = right_map.pull_form(theta, params) == theta
     right_metric_ok = right_map.pull_metric(g, params) == g
     left_theta = left_map.pull_form(theta, params)

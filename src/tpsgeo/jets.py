@@ -174,17 +174,6 @@ class Jet3:
         arr = (self.value, self.grad, self.hess, self.third)[len(idx)]
         return np.asarray(arr)[(Ellipsis,) + idx][()]
 
-    def symmetry_ok(self) -> bool:
-        h, t = self.hess, self.third
-        lead = tuple(range(t.ndim - 3))
-        return bool(
-            np.array_equal(h, np.swapaxes(h, -1, -2))
-            and all(
-                np.array_equal(t, t.transpose(lead + tuple(len(lead) + q for q in p)))
-                for p in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-            )
-        )
-
     def __repr__(self) -> str:
         return f"Jet3(nvars={self.nvars}, value={self.value})"
 

@@ -496,7 +496,11 @@ def _killing_sympl(n: int, degree: int) -> list[Result]:
     out.append(_catalog_claim(m, catalog, expect_dim, "count"))
     br = sympl.bracket_report(n)
     out.append(_bracket_claim(br["passed"], {"failures": br["failures"]}))
+    # the matrices reproduce the printed table and the bracket claim proves
+    # that the fields do: the embedding needs both (sl_embedding_report)
     sl = sympl.sl_embedding_report(n)
+    sl["passed"] &= br["passed"]
+    sl["brackets_match"] &= br["passed"]
     out.append(
         check(
             "rescaled generators reproduce the traceless-matrix bracket exactly",

@@ -18,7 +18,7 @@ from .fields import Form, PolyMap, VectorField, apply_matrix_field, bracket, pai
 from .linalg import Elimination, PolyMatrix, solve_exact
 from .poly import Chart, LaurentPoly
 from . import tps
-from .killing import BracketTable, _entries, bracket_failures, bracket_table, structure_constants
+from .killing import BracketTable, bracket_failures, bracket_table, structure_constants
 
 HALF = Fraction(1, 2)
 
@@ -380,14 +380,20 @@ def sl_matrices(n: int) -> list[tuple[str, dict]]:
 
 
 def sl_embedding_report(n: int) -> dict:
-    """The structure-constant table of the catalog fields equals that of the
-    matrix picture after rescaling C^c_ab by 2^{(e_a + e_b - e_c)/2}, where
-    e = 0 on the Q family and e = 1 on the X and D families (the sqrt(2) from
-    the normalized embedding)."""
-    cat = killing_catalog(n)
+    """The structure-constant table of the matrix picture equals the printed
+    catalog table catalog_brackets(n) after rescaling C^c_ab by
+    2^{(e_a + e_b - e_c)/2}, where e = 0 on the Q family and e = 1 on the X
+    and D families (the sqrt(2) from the normalized embedding).
+
+    The catalog fields are not bracketed here.  bracket_report proves that
+    their table is the printed one, so together the two reports prove that
+    M_a -> 2^{e_a/2} X_a is a Lie algebra homomorphism from the real span of
+    the matrices, a real form of sl(n+2, C).  That form is simple, so a
+    homomorphism with a nonzero image is injective: the fields are
+    independent and span a copy of it, with no separate check."""
     mats = sl_matrices(n)
-    labels_match = [label for label, _ in mats] == [label for label, _ in cat]
-    weight = {label: 0 if label.startswith("Q") else 1 for label, _ in cat}
+    labels_match = [label for label, _ in mats] == [label for label, _ in killing_catalog(n)]
+    weight = {label: 0 if label.startswith("Q") else 1 for label, _ in mats}
 
     traceless = all(
         sum(v for (p, i, j), v in mat.items() if i == j and p == part) == 0
@@ -397,17 +403,23 @@ def sl_embedding_report(n: int) -> dict:
 
     independent = not Elimination(mat for _, mat in mats).dependent
 
-    def rescaled(fields: BracketTable) -> BracketTable | None:
-        """The field table with C^c_ab rescaled, or None when some entry
-        needs an odd power of sqrt(2)."""
+    def rescaled(printed: BracketTable) -> BracketTable | None:
+        """The printed table with C^c_ab rescaled and its zero entries
+        dropped, or None when some entry names a label outside the picture
+        or needs an odd power of sqrt(2)."""
         out = {}
-        for (a, b), row in fields.items():
-            out[a, b] = {}
+        for (a, b), row in printed.items():
+            new = {}
             for c, v in row.items():
+                if not weight.keys() >= {a, b, c}:
+                    return None
                 e = weight[a] + weight[b] - weight[c]
                 if e % 2:
                     return None
-                out[a, b][c] = v * 2 ** (e // 2)
+                if v:
+                    new[c] = v * 2 ** (e // 2)
+            if new:
+                out[a, b] = new
         return out
 
     # the tables are compared label by label, so a catalog whose labels
@@ -415,14 +427,13 @@ def sl_embedding_report(n: int) -> dict:
     ok = False
     if labels_match:
         try:
-            fields = structure_constants(cat, _entries, bracket)
             matrices = structure_constants(mats, lambda mat: mat, _cbracket)
         except ValueError:
-            # dependent vectors, or a bracket outside their span: there is
+            # dependent matrices, or a bracket outside their span: there is
             # no table to compare
             pass
         else:
-            ok = rescaled(fields) == matrices
+            ok = rescaled(catalog_brackets(n)) == matrices
     return {
         "labels_match": labels_match,
         "traceless": traceless,
@@ -534,21 +545,22 @@ def nijenhuis_report(n: int) -> dict:
 # scaling (hyperbolic rotation) action
 
 
+# built once per n, like _chart_factors: callers share the map and must not
+# change it
+@functools.cache
 def hyperbolic_map(n: int) -> PolyMap:
-    """(p, x) -> (lam p, lam^{-1} x) with lam a fresh invertible symbol."""
-    chart = sympl_chart(n).extend(["lam"], invertible=["lam"])
+    """(p, x) -> (lam p, lam^{-1} x) on the localized cone, with lam a fresh
+    invertible symbol; the inverse scales by lam^{-1}."""
+    chart = _localized_chart(n).extend(["lam"], invertible=["lam"])
     lam = LaurentPoly.variable(chart, "lam")
     lam_inv = LaurentPoly.variable(chart, "lam", -1)
     comps = {"lam": lam}
-    for i in range(n + 1):
-        comps[f"p{i}"] = lam * LaurentPoly.variable(chart, f"p{i}")
-        comps[f"x{i}"] = lam_inv * LaurentPoly.variable(chart, f"x{i}")
     inv_comps = {"lam": lam}
     for i in range(n + 1):
-        inv_comps[f"p{i}"] = lam_inv * LaurentPoly.variable(chart, f"p{i}")
-        inv_comps[f"x{i}"] = lam * LaurentPoly.variable(chart, f"x{i}")
-    inverse = PolyMap(chart, chart, inv_comps)
-    return PolyMap(chart, chart, comps, inverse=inverse)
+        p, x = LaurentPoly.variable(chart, f"p{i}"), LaurentPoly.variable(chart, f"x{i}")
+        comps[f"p{i}"], comps[f"x{i}"] = lam * p, lam_inv * x
+        inv_comps[f"p{i}"], inv_comps[f"x{i}"] = lam_inv * p, lam * x
+    return PolyMap(chart, chart, comps, inverse=PolyMap(chart, chart, inv_comps))
 
 
 def hyperbolic_report(n: int) -> dict:
@@ -579,14 +591,13 @@ def hyperbolic_report(n: int) -> dict:
 
 
 def hyperbolic_action_point(n: int, point: Mapping, lam) -> dict:
+    """The scaling by a nonzero lam at a point (p, x), from hyperbolic_map."""
     lam = Fraction(lam)
     if lam == 0:
         raise ValueError("scale must be nonzero")
-    out = {}
-    for i in range(n + 1):
-        out[f"p{i}"] = Fraction(point[f"p{i}"]) * lam
-        out[f"x{i}"] = Fraction(point[f"x{i}"]) / lam
-    return out
+    image = hyperbolic_map(n).at({**point, "lam": lam})
+    del image["lam"]
+    return image
 
 
 # ----------------------------------------------------------------------
@@ -687,19 +698,11 @@ def proj_report(n: int) -> dict:
     """Scaling invariance of every chart function (weight zero in the
     exponent lattice, plus a symbolic pullback check) and existence of exact
     monomial transitions for every ordered chart pair."""
-    chart = _localized_chart(n)
-    ext = chart.extend(["lam"], invertible=["lam"])
-    comps = {"lam": LaurentPoly.variable(ext, "lam")}
-    for i in range(n + 1):
-        comps[f"p{i}"] = LaurentPoly.variable(ext, "lam") * LaurentPoly.variable(ext, f"p{i}")
-        comps[f"x{i}"] = LaurentPoly.variable(ext, "lam", -1) * LaurentPoly.variable(
-            ext, f"x{i}"
-        )
-    act = PolyMap(ext, ext, comps)
+    act = hyperbolic_map(n)
     invariant = True
     for cid in proj_chart_ids(n):
         for f in _chart_factors(n, cid)[0].values():
-            lifted = f.with_chart(ext)
+            lifted = f.with_chart(act.src)
             invariant &= act.pull_function(lifted) == lifted
 
     transitions_ok = True

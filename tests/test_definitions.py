@@ -1,8 +1,10 @@
-"""Every module-level function and class of the package is used by the
-package.  No linter ships with the project, so this scan keeps the rule that
-no definition lives on for the tests alone: it reads each module's syntax
-tree and looks for the definition's name, read as a name or as an
-attribute, anywhere in the package outside the definition itself."""
+"""Every module-level function and class of the package, and every method
+that is not a dunder, is used by the package.  No linter ships with the
+project, so this scan keeps the rule that no definition lives on for the
+tests alone: it reads each module's syntax tree and looks for the
+definition's name, read as a name or as an attribute, anywhere in the
+package outside the definition itself.  A method is matched by its name
+alone, so one that shares its name with a used attribute passes."""
 
 import ast
 import os
@@ -21,13 +23,25 @@ UNCALLED = {
 }
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Name -> node of each module-level function and class."""
-    return {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
+    """Qualified name -> node of each module-level function and class, and
+    of each method of those classes that is not a dunder."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            out[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, DEFINITIONS) and not is_dunder(sub.name):
+                    out[f"{node.name}.{sub.name}"] = sub
+    return out
 
 
 def referenced_names(node: ast.AST) -> set[str]:
@@ -41,27 +55,36 @@ def referenced_names(node: ast.AST) -> set[str]:
     return out
 
 
+def uses(node: ast.stmt) -> set[str]:
+    """The names the statement reads outside its own definition: a
+    recursive call is not a use, and a class is read statement by
+    statement, so a method that calls itself does not count either."""
+    if isinstance(node, ast.ClassDef):
+        header = node.bases + node.keywords + node.decorator_list
+        names = set().union(*map(referenced_names, header), *map(uses, node.body))
+    else:
+        names = referenced_names(node)
+    if isinstance(node, DEFINITIONS):
+        names.discard(node.name)
+    return names
+
+
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """module.name of each definition that no code outside it reads."""
+    """module.name, or module.Class.method, of each definition that no code
+    outside it reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    used = set()
-    for tree in trees.values():
-        for node in tree.body:
-            names = referenced_names(node)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.discard(node.name)  # a recursive call is not a use
-            used |= names
+    used = set().union(*(uses(node) for tree in trees.values() for node in tree.body))
     return sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
         for name in definitions(tree)
-        if name not in used
+        if name.rpartition(".")[2] not in used
     )
 
 
 def traced_targets() -> set[str]:
-    """module.name of each module-level benchmark tracer target."""
-    return {name for name in load_tracer().TARGETS if name.count(".") == 1}
+    """Each benchmark tracer target: module.name or module.Class.method."""
+    return set(load_tracer().TARGETS)
 
 
 def package_sources() -> dict[str, str]:
@@ -92,3 +115,14 @@ def test_the_scan_finds_an_unused_definition():
         "b": "def helper():\n    return used_by_name\n\ndef used_by_name():\n    pass\n",
     }
     assert unreferenced(sources) == ["a.Unused", "a.dead"]
+
+
+def test_the_scan_finds_an_unused_method():
+    sources = {
+        "a": "class Used:\n    def __init__(self):\n        self.go()\n\n"
+        "    def go(self):\n        return self\n\n"
+        "    def again(self, n):\n        return self.again(n - 1)\n\n"
+        "    @property\n    def size(self):\n        return 0\n\n"
+        "def main():\n    return Used().size\n\nmain()\n",
+    }
+    assert unreferenced(sources) == ["a.Used.again"]

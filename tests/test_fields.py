@@ -89,9 +89,11 @@ class TestForms:
         assert f.lie_derivative(x).terms[()] == x.apply(var("p1") * var("x1"))
 
     def test_coefficient_sign(self):
-        omega = Form(CH, 2, {(1, 2): LaurentPoly.one(CH)})
-        assert omega.coefficient(["p1", "x1"]) == 1
-        assert omega.coefficient(["x1", "p1"]) == -1
+        # terms are keyed by increasing indices: dx1 ^ dp1 = -dp1 ^ dx1
+        omega = Form.d_coord(CH, "x1").wedge(Form.d_coord(CH, "p1"))
+        assert omega.terms == {(CH.index("p1"), CH.index("x1")): -1}
+        assert omega(coord("p1"), coord("x1")) == -1
+        assert omega(coord("x1"), coord("p1")) == 1
 
 
 class TestTensors:
@@ -222,7 +224,8 @@ class TestChartLifts:
         chart = Chart(["x1", "p1", "x0"])
         omega = Form.d_coord(CH, "p1").wedge(Form.d_coord(CH, "x1")).scale(var("x0"))
         lifted = omega.with_chart(chart)
-        assert lifted.coefficient(["p1", "x1"]) == LaurentPoly.variable(chart, "x0")
+        # on (x1, p1, x0) the term is keyed (x1, p1), so its sign flips
+        assert lifted.terms == {(0, 1): -LaurentPoly.variable(chart, "x0")}
 
     def test_phase_metric(self):
         ext = self.ext

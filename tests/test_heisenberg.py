@@ -28,6 +28,20 @@ def rand_element(rng, n):
     )
 
 
+class Symbolic:
+    """A HeisElement stand-in whose numerators and denominator may be
+    Laurent polynomials: the group law runs on it unchanged."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = tuple(num), den
+
+    @property
+    def n(self):
+        return len(self.num) // 2
+
+
 class TestGroupLaw:
     """Multiplication, identity, inverses."""
 
@@ -67,16 +81,6 @@ class TestGroupLaw:
         # variables over an invertible variable den, and the element values
         # num / den are compared as Laurent polynomials, so each axiom holds
         # for every rational triple, not just for the sampled ones.
-        class Symbolic:
-            __slots__ = ("num", "den")
-
-            def __init__(self, num, den):
-                self.num, self.den = tuple(num), den
-
-            @property
-            def n(self):
-                return len(self.num) // 2
-
         names = [f"{part}{k}_{i}" for k in range(3) for part in "ab" for i in range(n)]
         dens = [f"d{k}" for k in range(3)]
         chart = Chart(names + [f"c{k}" for k in range(3)] + dens, invertible=dens)
@@ -185,11 +189,50 @@ class TestChi:
         cm = hg.chi_map(2)
         assert cm.inverse_map.compose(cm).comps == PolyMap.identity(cm.src).comps
         assert cm.compose(cm.inverse_map).comps == PolyMap.identity(cm.dst).comps
-        rng = random.Random(7)
-        g = rand_element(rng, 2)
-        pt = {"a1": g.a[0], "a2": g.a[1], "b1": g.b[0], "b2": g.b[1], "c": g.c}
-        image = {nm: comp.evaluate(pt) for nm, comp in cm.comps.items()}
-        assert image == hg.chi(g)
+        pt = {"a1": 1, "a2": Fraction(-2, 3), "b1": 5, "b2": Fraction(1, 7), "c": Fraction(9, 4)}
+        image = {
+            "x0": Fraction(-9, 4),
+            "p1": Fraction(5),
+            "p2": Fraction(1, 7),
+            "x1": Fraction(1),
+            "x2": Fraction(-2, 3),
+        }
+        assert cm.at(pt) == image
+        assert cm.inverse_map.at(image) == {nm: Fraction(v) for nm, v in pt.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_right_action_is_the_group_law_as_a_polynomial_identity(monkeypatch, n):
+    # An exact oracle for the 25 sampled points of suite_heisenberg: multiply
+    # runs unchanged on the symbolic elements chi^{-1}(x0, p, x) and
+    # (ga, gb, gc), whose numerators are Laurent polynomials over 1, and chi
+    # of the product equals translation_map(n, "right") on every point.
+    cm = hg.chi_map(n)
+    right, left = hg.translation_map(n, "right"), hg.translation_map(n, "left")
+    ext = right.src
+    point = Symbolic([c.with_chart(ext) for c in cm.inverse_map.comps.values()], 1)
+    g = Symbolic([LaurentPoly.variable(ext, nm) for nm in ext.names[2 * n + 1 :]], 1)
+    monkeypatch.setattr(hg, "_element", Symbolic)
+
+    def chi_of(product):
+        assert product.den == 1
+        values = dict(zip(cm.src.names, product.num))
+        return {nm: c.substitute(values, ext) for nm, c in cm.comps.items()}
+
+    image = chi_of(hg.multiply(point, g))
+    assert image == {nm: right.comps[nm] for nm in image}
+    # not vacuous: the left translation is chi of the other product
+    assert image != {nm: left.comps[nm] for nm in image}
+    image = chi_of(hg.multiply(g, point))
+    assert image == {nm: left.comps[nm] for nm in image}
+
+
+def test_each_action_map_is_built_once_per_n():
+    for n in (1, 2):
+        assert hg.chi_map(n) is hg.chi_map(n)
+        assert hg.translation_map(n, "right") is hg.translation_map(n, "right")
+    with pytest.raises(ValueError):
+        hg.translation_map(1, "up")
 
 
 class TestInvariance:

@@ -522,3 +522,58 @@ def test_a_mutated_hessian_fails_the_surface_claims_with_witnesses(monkeypatch):
     assert failed[fd]["max_abs_diff"] > 1.0 > failed[fd]["tolerance"]
     assert failed[literal] == before[literal].witness
     assert failed[physical] == {"point": None}
+
+
+def chain_rule_x0_row(model, base, jet):
+    """dx0/db_k = d_k phi - sum_{i in I} (delta_ik d_i phi + b_i d_ik phi),
+    the chain rule on x0 = phi - sum_{i in I} b_i d_i phi, from the jet
+    alone."""
+    b = np.asarray(base, dtype=float)
+    row = np.array(jet.grad, dtype=float)
+    for i in model.part_i:
+        row[..., i - 1] -= jet.grad[..., i - 1]
+        row = row - b[..., i - 1, None] * jet.hess[..., i - 1, :]
+    return row
+
+
+def suite_surfaces(monkeypatch):
+    """(name, model, base points) of every surface the legendre suite
+    samples, recorded from a run of the suite itself."""
+    seen = []
+
+    def recording(model, base):
+        seen.append((model.name, model, np.array(base)))
+        return lg.induced_metric(model, base)
+
+    view = types.SimpleNamespace(**vars(lg))
+    view.induced_metric = recording
+    monkeypatch.setattr(suites, "legendre", view)
+    suites.suite_legendre()
+    return seen
+
+
+def x0_row_mismatch(model, base, jet, tangent):
+    row = chain_rule_x0_row(model, base, jet)
+    return float(np.max(np.abs(tangent[..., 0] - row) / (1.0 + np.abs(row))))
+
+
+def test_the_tangent_x0_row_is_the_chain_rule_of_x0(monkeypatch):
+    # the frame writes the x0 row as -sum p_s t_{x_s}, the contact condition;
+    # on a Legendre surface that is dx0/db by the chain rule, which this
+    # computes from the jet alone
+    surfaces = suite_surfaces(monkeypatch)
+    assert len(surfaces) == 6
+    assert any(model.part_i for _, model, _ in surfaces)  # quadratic_mixed
+    for name, model, base in surfaces:
+        sp = lg.surface_point(model, base)
+        assert x0_row_mismatch(model, base, sp["jet"], sp["tangent"]) < 1e-12, name
+
+
+def test_flipped_momenta_on_j_fail_the_chain_rule_row(monkeypatch):
+    # p_j = +d_j phi instead of -d_j phi: the frame still satisfies the
+    # contact condition it is built from, but no longer the chain rule
+    for name, model, base in suite_surfaces(monkeypatch):
+        jet = model.jet(base)
+        p = np.where(model._in_i(), base, jet.grad)
+        tangent = lg._tangent_frame(model, jet, p)
+        assert x0_row_mismatch(model, base, jet, tangent) > 1e-3, name

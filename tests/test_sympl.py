@@ -377,6 +377,10 @@ def test_one_flipped_sign_in_a_catalog_field_fails_the_isometry_claim(monkeypatc
         # a ValueError out of the suite
         sl = claims["rescaled generators reproduce the traceless-matrix bracket exactly"]
         assert sl.status == "fail"
+        # the matrices still reproduce the printed table; the mutant's
+        # failed brackets fail the embedding
+        assert sympl.sl_embedding_report(n)["passed"]
+        assert sl.witness["brackets_match"] is False
     assert mutant.cache_info().hits > 0
 
 
@@ -433,9 +437,67 @@ def test_one_flipped_entry_in_the_bracket_table_fails_that_pair(monkeypatch):
     monkeypatch.setattr(sympl, "catalog_brackets", flipped)
     for n in (1, 2):
         assert sympl.bracket_report(n)["failures"] == ["[Q0_1,X0]"]
-        claim = sympl_killing_claims(n)["catalog brackets match the closed-form structure constants"]
+        claims = sympl_killing_claims(n)
+        claim = claims["catalog brackets match the closed-form structure constants"]
         assert claim.status == "fail"
         assert claim.witness == {"failures": ["[Q0_1,X0]"]}
+        # the matrices no longer reproduce the printed table either
+        assert not sympl.sl_embedding_report(n)["brackets_match"]
+        sl = claims["rescaled generators reproduce the traceless-matrix bracket exactly"]
+        assert sl.status == "fail"
+        assert sl.witness == {
+            "dimension": (n + 2) ** 2 - 1,
+            "labels_match": True,
+            "brackets_match": False,
+        }
+
+
+def test_a_bracket_table_naming_an_unknown_label_fails_both_claims(monkeypatch):
+    # [Q^0_1, X_0] = -X_1 written with a label the catalog lacks: a failed
+    # comparison in both claims, not a KeyError
+    original = sympl.catalog_brackets
+
+    def misnamed(n):
+        table = original(n)
+        table["Q0_1", "X0"] = {"Y1": Fraction(-1)}
+        return table
+
+    monkeypatch.setattr(sympl, "catalog_brackets", misnamed)
+    assert not sympl.sl_embedding_report(1)["brackets_match"]
+    claims = sympl_killing_claims(1)
+    assert claims["catalog brackets match the closed-form structure constants"].status == "fail"
+    sl = claims["rescaled generators reproduce the traceless-matrix bracket exactly"]
+    assert sl.status == "fail" and sl.witness["brackets_match"] is False
+
+
+@pytest.mark.parametrize("n, pairs", [(1, 28), (2, 105)])
+def test_the_sympl_suite_brackets_each_catalog_pair_once(monkeypatch, n, pairs):
+    # m = (n+2)^2 - 1 fields have m(m-1)/2 pairs; the bracket claim takes
+    # each once, and the sl(n+2) claim reads the printed table instead of
+    # bracketing the fields again
+    import importlib
+    import pkgutil
+
+    import tpsgeo
+    from tpsgeo import fields
+
+    original = fields.bracket
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return original(x, y)
+
+    for info in pkgutil.iter_modules(tpsgeo.__path__):
+        module = importlib.import_module(f"tpsgeo.{info.name}")
+        if getattr(module, "bracket", None) is original:
+            monkeypatch.setattr(module, "bracket", counted)
+    assert sympl.bracket is counted and killing.bracket is counted
+    m = (n + 2) ** 2 - 1
+    assert pairs == m * (m - 1) // 2
+    results = suites.suite_killing("sympl", n, 2)
+    assert all(r.status == "exact-pass" for r in results)
+    assert len(calls) == pairs
 
 
 @pytest.mark.parametrize("n", [1, 2])
