@@ -450,8 +450,9 @@ class PolyMap:
 
     def at(self, point: Mapping[str, Scalar]) -> dict[str, Fraction]:
         """The image of a point, given by its source coordinates, keyed by
-        the target names."""
-        return {nm: c.evaluate(point) for nm, c in self.comps.items()}
+        the target names; the point is converted once for all components."""
+        vals = self.src.point_values(point)
+        return {nm: c.evaluate_values(vals) for nm, c in self.comps.items()}
 
     def pull_function(self, f: LaurentPoly) -> LaurentPoly:
         if f.chart != self.dst:

@@ -378,9 +378,6 @@ def invariant_report(n: int) -> dict:
             push = cm.push_field(bracket(xi_fields[f"A{i}"], xi_fields[f"B{j}"]))
             comm_ok &= push == t.reeb if i == j else push.is_zero()
 
-    passed = bool(
-        theta_ok and push_xi_ok and lie_ok and gram_ok and span_ok and eta_c_ok and eta_exact_ok and comm_ok
-    )
     return {
         "theta_h_matches": theta_ok,
         "xi_pushforwards": push_xi_ok,
@@ -390,7 +387,6 @@ def invariant_report(n: int) -> dict:
         "nilradical_in_isometry_span": span_ok,
         "eta_pushforwards_exact": eta_c_ok and eta_exact_ok,
         "commutator_consistency": comm_ok,
-        "passed": passed,
     }
 
 
@@ -419,10 +415,10 @@ def translation_map(n: int, kind: str) -> PolyMap:
     return PolyMap(ext, ext, comps)
 
 
-def translation_invariance_report(n: int) -> dict:
-    """With a symbolic group element (ga, gb, gc): the right action preserves
-    theta and G exactly; the left action does not (its theta pullback gains
-    sum gb_i dx^i - sum ga_i dp_i)."""
+def translation_invariance_report(n: int) -> tuple[tuple[bool, None], tuple[bool, None]]:
+    """Two (passed, witness) pairs, with a symbolic group element
+    (ga, gb, gc): the right action preserves theta and G exactly; the left
+    action does not (its theta pullback gains sum gb_i dx^i - sum ga_i dp_i)."""
     right_map = translation_map(n, "right")
     left_map = translation_map(n, "left")
     ext = right_map.src
@@ -443,10 +439,4 @@ def translation_invariance_report(n: int) -> dict:
                 f"p{i}": -LaurentPoly.variable(ext, f"ga{i}"),
             },
         )
-    left_defect_ok = defect == expect_defect
-    return {
-        "right_preserves_theta": right_theta_ok,
-        "right_preserves_metric": right_metric_ok,
-        "left_theta_defect_matches": left_defect_ok,
-        "passed": bool(right_theta_ok and right_metric_ok and left_defect_ok),
-    }
+    return (right_theta_ok and right_metric_ok, None), (defect == expect_defect, None)

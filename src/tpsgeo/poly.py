@@ -99,6 +99,17 @@ class Chart:
         """No negative exponent on a variable that is not invertible."""
         return key & self._fixed == self._fixed
 
+    def point_values(self, point: Mapping[str, Scalar]) -> list[tuple[int, int]]:
+        """The point's value of each chart name, in chart order, as
+        (numerator, denominator); ValueError if a name has no value."""
+        vals = []
+        for nm in self.names:
+            if nm not in point:
+                raise ValueError(f"missing value for {nm}")
+            v = _as_fraction(point[nm])
+            vals.append((v.numerator, v.denominator))
+        return vals
+
 
 def _as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, Fraction):
@@ -462,12 +473,10 @@ class LaurentPoly:
         return _normal(chart, t, self.den, bound)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        vals = []
-        for nm in self.chart.names:
-            if nm not in point:
-                raise ValueError(f"missing value for {nm}")
-            v = _as_fraction(point[nm])
-            vals.append((v.numerator, v.denominator))
+        return self.evaluate_values(self.chart.point_values(point))
+
+    def evaluate_values(self, vals: Sequence[tuple[int, int]]) -> Fraction:
+        """The value at a point given as the chart's point_values."""
         # in integers: the sum num/den over the least common denominator
         shifts = self.chart.shifts
         total, den = 0, 1

@@ -2,7 +2,12 @@
 family of closed-form facts (curvature tables, isometry algebras, the
 nilpotent group model, potential-surface geometry) and reports claim by
 claim.  Expected tables are rebuilt here from their index formulas so the
-suites do not trust the code under test."""
+suites do not trust the code under test.
+
+The structure checks of tps, sympl and heisenberg return a (passed, witness)
+pair per claim, the witness None where the claim prints none; this module
+keeps each claim's text, family and order, and _claims turns the rows
+(text, family, pair) into results."""
 
 from __future__ import annotations
 
@@ -352,7 +357,8 @@ def _curvature_tps(n: int) -> list[Result]:
 
 def _curvature_sympl(n: int) -> list[Result]:
     m = sympl.sympl_metric(n)
-    out = [
+    einstein, scalar = sympl.einstein_report(n)
+    return [
         _det_claim("det(G-tilde) = (-1)^(n+1)", m, (-1) ** (n + 1)),
         _christoffel_claim(
             "Christoffel symbols match the three closed-form families and nothing else",
@@ -360,39 +366,16 @@ def _curvature_sympl(n: int) -> list[Result]:
             expected_christoffel_sympl(n),
         ),
         _trace_form_claim("connection trace form vanishes (det G-tilde is constant)", m),
+        *_claims(
+            ("lifted metric is Einstein: Ric = ((n+2)/2) G-tilde", "curvature-table", einstein),
+            ("scalar curvature equals (n+1)(n+2)", "curvature-table", scalar),
+            (
+                "symplectic top power matches the paired volume with unit Pfaffian sign",
+                "contact-structure",
+                sympl.volume_report(n),
+            ),
+        ),
     ]
-    rep = sympl.einstein_report(n)
-    out.append(
-        check(
-            "lifted metric is Einstein: Ric = ((n+2)/2) G-tilde",
-            "curvature-table",
-            rep["einstein_factor"] is not None,
-            witness={"einstein_factor": rep["einstein_factor"]},
-        )
-    )
-    scal = rep["scalar"]
-    out.append(
-        check(
-            "scalar curvature equals (n+1)(n+2)",
-            "curvature-table",
-            scal == rep["scalar_expected"],
-            witness={
-                "scalar": scal.constant_value() if scal.is_constant() else str(scal),
-                "expected": rep["scalar_expected"],
-            },
-        )
-    )
-
-    vol = sympl.volume_report(n)
-    out.append(
-        check(
-            "symplectic top power matches the paired volume with unit Pfaffian sign",
-            "contact-structure",
-            vol["passed"],
-            witness={"pfaffian_sign": vol["pfaffian_sign"]},
-        )
-    )
-    return out
 
 
 # Largest number of conjugate pairs n each exact command accepts, by space;
@@ -494,21 +477,19 @@ def _killing_sympl(n: int, degree: int) -> list[Result]:
             )
         ]
     out.append(_catalog_claim(m, catalog, expect_dim, "count"))
-    br = sympl.bracket_report(n)
-    out.append(_bracket_claim(br["passed"], {"failures": br["failures"]}))
+    br_ok, br = sympl.bracket_report(n)
+    out.append(_bracket_claim(br_ok, br))
     # the matrices reproduce the printed table and the bracket claim proves
     # that the fields do: the embedding needs both (sl_embedding_report)
-    sl = sympl.sl_embedding_report(n)
-    sl["passed"] &= br["passed"]
-    sl["brackets_match"] &= br["passed"]
+    sl_ok, sl = sympl.sl_embedding_report(n)
+    sl_ok &= br_ok
+    sl["brackets_match"] &= br_ok
     out.append(
         check(
             "rescaled generators reproduce the traceless-matrix bracket exactly",
             "isometry-algebra",
-            sl["passed"],
-            witness={"dimension": expect_dim}
-            if sl["passed"]
-            else {k: sl[k] for k in ("dimension", "labels_match", "brackets_match")},
+            sl_ok,
+            witness={"dimension": expect_dim} if sl_ok else sl,
         )
     )
     return out
@@ -524,59 +505,18 @@ def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
 # structure suites for verify-all
 
 
-def suite_tps(n: int) -> list[Result]:
-    out = []
-    out.append(
-        check(
-            "metric identity: G = theta (x) theta + sym(dp,dx)",
-            "contact-structure",
-            tps.metric_identity_check(n),
-        )
-    )
+def _claims(*rows) -> list[Result]:
+    """One result per (claim text, family, (passed, witness)) row."""
+    return [check(text, ref, passed, witness) for text, ref, (passed, witness) in rows]
+
+
+def _contact_volume(n: int) -> tuple[bool, dict]:
     _, coef = tps.contact_volume(n)
     want = Fraction(math.factorial(n) * (-1) ** (n * (n - 1) // 2))
-    out.append(
-        check(
-            "theta ^ (d theta)^n is the chart volume up to the exact constant",
-            "contact-structure",
-            coef == want,
-            witness={"coefficient": coef, "expected": want},
-        )
-    )
-    rep = tps.reeb_pinning(n)
-    out.append(
-        check(
-            "Reeb field is pinned by theta(xi)=1 and xi in ker(d theta)",
-            "contact-structure",
-            rep["passed"],
-            witness={k: rep[k] for k in ("kernel_dimension", "nonconstant") if k in rep},
-        )
-    )
-    comm = tps.frame_commutator_table(n)
-    out.append(
-        check(
-            "canonical frame commutators: [P_i, X_j] = -delta_ij xi, others zero",
-            "contact-structure",
-            comm["passed"],
-            witness=None if comm["passed"] else {"failures": comm["failures"]},
-        )
-    )
-    out.append(
-        check(
-            "d theta restricted to the horizontal frame is the standard pairing",
-            "contact-structure",
-            tps.symplectic_gram_on_horizontal(n)["passed"],
-        )
-    )
-    sp = tps.split_report(n)
-    out.append(
-        check(
-            "orthogonal split has signature (n+1, n)",
-            "metric-split",
-            sp["passed"],
-            witness={"normalized_diagonal": sp["normalized_diagonal"]},
-        )
-    )
+    return coef == want, {"coefficient": coef, "expected": want}
+
+
+def _light_cone(n: int) -> tuple[bool, dict]:
     t = tps.build(n)
     pt = _rand_point(t.chart, random.Random(7))
     cone = {
@@ -584,164 +524,130 @@ def suite_tps(n: int) -> list[Result]:
         "P_1": tps.light_cone_class(n, t.frame["P"][0], pt),
         "X_1": tps.light_cone_class(n, t.frame["X"][0], pt),
     }
-    out.append(
-        check(
-            "light cone: xi is positive, P_1 and X_1 are null",
-            "metric-split",
-            cone == {"xi": "positive", "P_1": "null", "X_1": "null"},
-            witness=cone,
-        )
-    )
-    comp = tps.compatibility_check(n)
-    out.append(
-        check(
-            "phi^2 = -I + theta (x) xi with rank(phi) = 2n",
-            "compatibility",
-            comp["phi_squared_ok"] and comp["theta_phi_zero"] and comp["rank_phi"] == 2 * n,
-            witness={"rank_phi": comp["rank_phi"]},
-        )
-    )
-    out.append(
-        check(
+    return cone == {"xi": "positive", "P_1": "null", "X_1": "null"}, cone
+
+
+def suite_tps(n: int) -> list[Result]:
+    phi_squared, modified, classical = tps.compatibility_check(n)
+    return _claims(
+        (
+            "metric identity: G = theta (x) theta + sym(dp,dx)",
+            "contact-structure",
+            tps.metric_identity_check(n),
+        ),
+        (
+            "theta ^ (d theta)^n is the chart volume up to the exact constant",
+            "contact-structure",
+            _contact_volume(n),
+        ),
+        (
+            "Reeb field is pinned by theta(xi)=1 and xi in ker(d theta)",
+            "contact-structure",
+            tps.reeb_pinning(n),
+        ),
+        (
+            "canonical frame commutators: [P_i, X_j] = -delta_ij xi, others zero",
+            "contact-structure",
+            tps.frame_commutator_table(n),
+        ),
+        (
+            "d theta restricted to the horizontal frame is the standard pairing",
+            "contact-structure",
+            tps.symplectic_gram_on_horizontal(n),
+        ),
+        ("orthogonal split has signature (n+1, n)", "metric-split", tps.split_report(n)),
+        ("light cone: xi is positive, P_1 and X_1 are null", "metric-split", _light_cone(n)),
+        ("phi^2 = -I + theta (x) xi with rank(phi) = 2n", "compatibility", phi_squared),
+        (
             "modified pairing law G(phi A, phi B) = -G(A,B) + theta(A)theta(B)",
             "compatibility",
-            comp["modified_law_ok"],
-        )
-    )
-    out.append(
-        check(
-            "classical pairing law fails, witnessed on (X_1, P_1)",
-            "compatibility",
-            comp["classical_law_fails"],
-            witness={"lhs_vs_rhs": comp["classical_witness"]},
-        )
-    )
-    hyp = tps.constitutive_hypersurface(n)
-    gen = hyp.generator_report()
-    out.append(
-        check(
+            modified,
+        ),
+        ("classical pairing law fails, witnessed on (X_1, P_1)", "compatibility", classical),
+        (
             "constitutive hypersurface generators are tangent, horizontal, and pairing-free",
             "contact-structure",
-            gen["passed"] and hyp.differential_identity(),
-            witness={"generators": sorted(gen["generators"])},
-        )
+            tps.constitutive_hypersurface(n).generator_report(),
+        ),
     )
-    return out
+
+
+def _cells(n: int) -> tuple[bool, dict]:
+    failing = [k for k in range(n + 1) if not sympl.cell_report(n, k)]
+    return not failing, {"cells": list(range(n + 1)), "failing": failing}
+
+
+def _quadric(n: int) -> tuple[bool, dict]:
+    sig = sympl.quadric_signature(n)
+    witness = {"signature": list(sig)} if sig else {"polarization_identity": False}
+    return sig == (n + 1, n + 1, 0), witness
 
 
 def suite_sympl(n: int) -> list[Result]:
-    out = []
-    emb = sympl.embedding_report(n)
-    out.append(
-        check(
+    torsion, nonparallel, ricci_reeb = sympl.nijenhuis_report(n)
+    # the ideal-gas example is stated at n = 2 only
+    gas = [
+        (
+            "ideal-gas ray lies in the expected projective cell",
+            "projective-cells",
+            sympl.ideal_gas_report(Fraction(2)),
+        )
+    ] if n == 2 else []
+    return _claims(
+        (
             "p_0 = 1 embedding pulls the lifted forms back to the contact data",
             "contact-structure",
-            emb["passed"],
-            witness={k: emb[k] for k in ("theta_pullback", "metric_pullback", "omega_pullback")},
-        )
-    )
-    fr = sympl.frame_report(n)
-    out.append(
-        check(
+            sympl.embedding_report(n),
+        ),
+        (
             "canonical null frame satisfies its bracket and pairing table",
             "metric-split",
-            fr["passed"],
-            witness=None if fr["passed"] else {k: fr[k] for k in ("failures", "pairings")},
-        )
-    )
-    out.append(
-        check(
+            sympl.frame_report(n),
+        ),
+        (
             "null cone identity G(V,V) = 2 sum f_i g_i on the frame coefficients",
             "metric-split",
-            sympl.null_cone_identity(n)["passed"],
-        )
-    )
-    ham = sympl.hamiltonian_report(n)
-    out.append(
-        check(
+            sympl.null_cone_identity(n),
+        ),
+        (
             "catalog generators are Hamiltonian for the symplectic form",
             "isometry-algebra",
-            ham["passed"],
-            witness={"failures": ham.get("failures", [])},
-        )
-    )
-    nij = sympl.nijenhuis_report(n)
-    out.append(
-        check(
+            sympl.hamiltonian_report(n),
+        ),
+        (
             "cone complex structure has vanishing torsion on the frame pairs",
             "compatibility",
-            nij["j_squared_minus_identity"] and nij["torsion_failures"] == 0,
-            witness={"pairs_checked": nij["pairs_checked"]},
-        )
-    )
-    out.append(
-        check(
+            torsion,
+        ),
+        (
             "non-parallelism witness -2 d theta(phi X_1, X_1) theta(xi) = -2",
             "compatibility",
-            nij["remark_witness"] == "-2" and nij["nonparallel_witness"] == "1",
-            witness={"remark": nij["remark_witness"], "direct": nij["nonparallel_witness"]},
-        )
-    )
-    out.append(
-        check(
-            "Ricci pairing of the Reeb direction equals -n/2",
-            "curvature-table",
-            nij["ricci_reeb"] == Fraction(-n, 2),
-            witness={"ricci_reeb": nij["ricci_reeb"]},
-        )
-    )
-    out.append(
-        check(
+            nonparallel,
+        ),
+        ("Ricci pairing of the Reeb direction equals -n/2", "curvature-table", ricci_reeb),
+        (
             "scaling action preserves the lifted metric and rescales theta-tilde",
             "isometry-algebra",
-            sympl.hyperbolic_report(n)["passed"],
-        )
-    )
-    out.append(
-        check(
+            sympl.hyperbolic_report(n),
+        ),
+        (
             "projective charts cover, with exact transition maps",
             "projective-cells",
-            sympl.proj_report(n)["passed"],
-        )
-    )
-    cell_bad = [k for k in range(n + 1) if not sympl.cell_report(n, k)["passed"]]
-    out.append(
-        check(
+            sympl.proj_report(n),
+        ),
+        (
             "cell restrictions have the stated contact form and metric blocks",
             "projective-cells",
-            not cell_bad,
-            witness={"cells": list(range(n + 1)), "failing": cell_bad},
-        )
-    )
-    sig = sympl.quadric_signature(n)
-    out.append(
-        check(
-            "incidence quadric has split signature",
-            "projective-cells",
-            sig == (n + 1, n + 1, 0),
-            witness={"signature": list(sig)} if sig else {"polarization_identity": False},
-        )
-    )
-    if n == 2:
-        gas = sympl.ideal_gas_report(Fraction(2))
-        out.append(
-            check(
-                "ideal-gas ray lies in the expected projective cell",
-                "projective-cells",
-                gas["passed"],
-                witness={"cell": gas["cell"], "lam": gas["lam"]},
-            )
-        )
-    aff = sympl.affine_report(n)
-    out.append(
-        check(
+            _cells(n),
+        ),
+        ("incidence quadric has split signature", "projective-cells", _quadric(n)),
+        *gas,
+        (
             "affine change of contact potential is an exact symplectomorphism",
             "contact-structure",
-            aff["passed"],
-            witness={"omega_pullback_sign": aff["omega_pullback_sign"]},
-        )
+            sympl.affine_report(n),
+        ),
     )
-    return out
 
 
 def suite_heisenberg(n: int) -> list[Result]:
@@ -834,20 +740,10 @@ def suite_heisenberg(n: int) -> list[Result]:
         failing = [key for key in keys if not inv_rep[key]]
         out.append(check(claim, "group-model", not failing, witness={"key": (failing or keys)[0]}))
 
-    tr = heisenberg.translation_invariance_report(n)
-    out.append(
-        check(
-            "right translations preserve theta and G with symbolic parameters",
-            "group-model",
-            tr["right_preserves_theta"] and tr["right_preserves_metric"],
-        )
-    )
-    out.append(
-        check(
-            "left translation defect on theta equals sum(gb_i dx^i - ga_i dp_i)",
-            "group-model",
-            tr["left_theta_defect_matches"],
-        )
+    right, left = heisenberg.translation_invariance_report(n)
+    out += _claims(
+        ("right translations preserve theta and G with symbolic parameters", "group-model", right),
+        ("left translation defect on theta equals sum(gb_i dx^i - ga_i dp_i)", "group-model", left),
     )
 
     g = rand_el()

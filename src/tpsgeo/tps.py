@@ -16,7 +16,7 @@ from typing import Mapping
 from .curvature import MetricSpec
 from .fields import Form, VectorField, apply_matrix_field, sym2, tensor2, wedge_all
 from .killing import BracketTable, bracket_failures, bracket_table
-from .linalg import Elimination, PolyMatrix
+from .linalg import Elimination, PolyMatrix, bareiss_det
 from .poly import Chart, LaurentPoly
 
 
@@ -112,14 +112,14 @@ def phase_metric(n: int) -> MetricSpec:
     return MetricSpec(f"tps-metric-n{n}", chart, PolyMatrix(chart, g), PolyMatrix(chart, ginv))
 
 
-def metric_identity_check(n: int) -> bool:
+def metric_identity_check(n: int) -> tuple[bool, None]:
     """Expand 2 sum dp_l . dx^l + theta (x) theta and compare with the matrix."""
     chart = tps_chart(n)
     theta = contact_form(n)
     acc = tensor2(theta, theta)
     for l in range(1, n + 1):
         acc = acc + sym2(Form.d_coord(chart, f"p{l}"), Form.d_coord(chart, f"x{l}")).scale(2)
-    return acc == phase_metric(n).g
+    return acc == phase_metric(n).g, None
 
 
 def contact_volume(n: int) -> tuple[Form, Fraction | None]:
@@ -139,7 +139,7 @@ def contact_volume(n: int) -> tuple[Form, Fraction | None]:
     return top, coef.constant_value()
 
 
-def reeb_pinning(n: int) -> dict:
+def reeb_pinning(n: int) -> tuple[bool, dict]:
     """ker(dtheta) on the chart is 1-dimensional and spanned by d/dx0, and
     theta normalizes it to 1; dtheta has constant coefficients, so this is a
     pure rational kernel computation.  A dtheta coefficient that is not
@@ -152,7 +152,7 @@ def reeb_pinning(n: int) -> dict:
         [chart.names[a] for a in key] for key, c in omega.terms.items() if not c.is_constant()
     ]
     if nonconstant:
-        return {"kernel_dimension": None, "nonconstant": nonconstant[:3], "passed": False}
+        return False, {"kernel_dimension": None, "nonconstant": nonconstant[:3]}
     rows = []
     for b in range(d):
         row = {}
@@ -162,19 +162,18 @@ def reeb_pinning(n: int) -> dict:
             row[a] = v if a < b else -v
         rows.append(row)
     basis = Elimination(rows).kernel(range(d))
-    ok = basis == [{0: 1}]
-    return {"kernel_dimension": len(basis), "spans_reeb": ok, "passed": ok}
+    return basis == [{0: 1}], {"kernel_dimension": len(basis)}
 
 
-def frame_commutator_table(n: int) -> dict:
+def frame_commutator_table(n: int) -> tuple[bool, dict | None]:
     """All frame commutators vanish except [P_i, X_i] = -xi."""
     labels = ["xi", *(f"P{i}" for i in range(1, n + 1)), *(f"X{i}" for i in range(1, n + 1))]
     table = {(f"P{i}", f"X{i}"): {"xi": -1} for i in range(1, n + 1)}
     failures = bracket_failures(list(zip(labels, build(n).frame_list())), table)
-    return {"failures": failures, "passed": not failures}
+    return not failures, {"failures": failures} if failures else None
 
 
-def symplectic_gram_on_horizontal(n: int) -> dict:
+def symplectic_gram_on_horizontal(n: int) -> tuple[bool, None]:
     """dtheta Gram on span(P, X): omega(P_i, X_j) = delta, omega(P,P) =
     omega(X,X) = 0."""
     t = build(n)
@@ -186,7 +185,7 @@ def symplectic_gram_on_horizontal(n: int) -> dict:
             ok &= omega(P[i], X[j]) == (1 if i == j else 0)
             ok &= omega(P[i], P[j]).is_zero()
             ok &= omega(X[i], X[j]).is_zero()
-    return {"passed": bool(ok)}
+    return bool(ok), None
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +209,7 @@ def signature_split(n: int) -> tuple[list[tuple[VectorField, Fraction]], list[tu
     return plus, minus
 
 
-def split_report(n: int) -> dict:
+def split_report(n: int) -> tuple[bool, dict]:
     plus, minus = signature_split(n)
     g = phase_metric(n)
     fields = [f for f, _ in plus] + [f for f, _ in minus]
@@ -223,7 +222,7 @@ def split_report(n: int) -> dict:
     # rescaled Gram: diagonal q/|q| = sign(q), off-diagonal already exactly 0
     normalized = [1 if q > 0 else -1 for q in norms]
     ok &= normalized == [1] * (n + 1) + [-1] * n
-    return {"normalized_diagonal": normalized, "passed": bool(ok)}
+    return bool(ok), {"normalized_diagonal": normalized}
 
 
 def light_cone_class(n: int, x: VectorField, point: Mapping) -> str:
@@ -255,11 +254,12 @@ def almost_contact_tensor(n: int) -> PolyMatrix:
     return PolyMatrix(chart, m)
 
 
-def compatibility_check(n: int) -> dict:
-    """phi^2 = -I + theta (x) xi; the modified pairing law
-    G(phi A, phi B) = -G(A, B) + theta(A) theta(B) holds on all frame pairs;
-    the classical law G(phi A, phi B) = G(A, B) - theta(A) theta(B) fails,
-    with (X1, P1) as witness.  Also rank(phi) = 2n."""
+def compatibility_check(n: int) -> tuple[tuple[bool, dict], tuple[bool, None], tuple[bool, dict]]:
+    """Three (passed, witness) pairs: phi^2 = -I + theta (x) xi with
+    theta o phi = 0 and rank(phi) = 2n; the modified pairing law
+    G(phi A, phi B) = -G(A, B) + theta(A) theta(B) on all frame pairs and as
+    a matrix identity; and the classical law G(phi A, phi B) = G(A, B) -
+    theta(A) theta(B) failing, with (X1, P1) as witness."""
     t = build(n)
     chart = t.chart
     g = phase_metric(n)
@@ -277,14 +277,18 @@ def compatibility_check(n: int) -> dict:
             for a in range(chart.dim)
         ],
     )
-    phi_sq_ok = (phi @ phi) + PolyMatrix.identity(chart, chart.dim) - theta_xi
-    phi_sq_ok = phi_sq_ok.is_zero()
-
-    phi_reeb_zero = apply_matrix_field(phi, t.reeb).is_zero()
+    phi_sq_ok = ((phi @ phi) + PolyMatrix.identity(chart, chart.dim) - theta_xi).is_zero()
 
     theta_phi_zero = all(
         theta(apply_matrix_field(phi, VectorField.coordinate(chart, nm))).is_zero()
         for nm in chart.names
+    )
+
+    # rank phi = 2n everywhere: ker phi = span(xi) follows from phi(xi) = 0
+    # together with phi^2 = -I + theta(x)xi (any kernel vector V satisfies
+    # V = theta(V) xi); det phi = 0 confirms rank < 2n+1
+    rank_ok = (
+        phi_sq_ok and apply_matrix_field(phi, t.reeb).is_zero() and bareiss_det(phi).is_zero()
     )
 
     frame = t.frame_list()
@@ -295,41 +299,17 @@ def compatibility_check(n: int) -> dict:
             rhs = -g.inner(a, b) + theta(a) * theta(b)
             modified_ok &= lhs == rhs
     # matrix form of the same law: phi^T G phi + G - theta theta^T = 0
-    modified_matrix_ok = (
-        (phi.transpose() @ g.g @ phi) + g.g - tensor2(theta, theta)
-    ).is_zero()
+    modified_ok &= ((phi.transpose() @ g.g @ phi) + g.g - tensor2(theta, theta)).is_zero()
 
     x1, p1 = t.frame["X"][0], t.frame["P"][0]
     witness_lhs = g.inner(apply_matrix_field(phi, x1), apply_matrix_field(phi, p1))
     witness_rhs = g.inner(x1, p1) - theta(x1) * theta(p1)
-    classical_fails = witness_lhs != witness_rhs
 
-    # rank phi = 2n everywhere: ker phi = span(xi) follows from phi(xi) = 0
-    # together with phi^2 = -I + theta(x)xi (any kernel vector V satisfies
-    # V = theta(V) xi); det phi = 0 confirms rank < 2n+1
-    from .linalg import bareiss_det
-
-    rank_ok = phi_sq_ok and phi_reeb_zero and bareiss_det(phi).is_zero()
-
-    passed = bool(
-        phi_sq_ok
-        and phi_reeb_zero
-        and theta_phi_zero
-        and modified_ok
-        and modified_matrix_ok
-        and classical_fails
-        and rank_ok
+    return (
+        (bool(phi_sq_ok and theta_phi_zero and rank_ok), {"rank_phi": 2 * n if rank_ok else None}),
+        (bool(modified_ok), None),
+        (witness_lhs != witness_rhs, {"lhs_vs_rhs": (str(witness_lhs), str(witness_rhs))}),
     )
-    return {
-        "phi_squared_ok": bool(phi_sq_ok),
-        "phi_reeb_zero": bool(phi_reeb_zero),
-        "theta_phi_zero": bool(theta_phi_zero),
-        "modified_law_ok": bool(modified_ok and modified_matrix_ok),
-        "classical_law_fails": bool(classical_fails),
-        "classical_witness": (str(witness_lhs), str(witness_rhs)),
-        "rank_phi": 2 * n if rank_ok else None,
-        "passed": passed,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -410,17 +390,10 @@ class ConstitutiveHypersurface:
         self.gibbs_duhem = Form.one_form(self.chart, gd)
 
     def generators(self) -> list[tuple[str, VectorField]]:
+        """The theta-horizontal lifts X1..Xn of the canonical frame, then the
+        rotations P{i}_{j} = x^j d/dp_i - x^i d/dp_j."""
         chart = self.chart
-        out = []
-        for l in range(1, self.n + 1):
-            out.append(
-                (
-                    f"X{l}",
-                    VectorField.from_dict(
-                        chart, {f"x{l}": 1, "x0": -LaurentPoly.variable(chart, f"p{l}")}
-                    ),
-                )
-            )
+        out = [(f"X{l}", f) for l, f in enumerate(canonical_frame(self.n)["X"], 1)]
         for i in range(1, self.n + 1):
             for j in range(i + 1, self.n + 1):
                 out.append(
@@ -437,18 +410,19 @@ class ConstitutiveHypersurface:
                 )
         return out
 
-    def generator_report(self) -> dict:
+    def generator_report(self) -> tuple[bool, dict]:
         """Each generator is tangent to the hypersurface, theta-horizontal,
-        and annihilated by the Gibbs-Duhem 1-form - all identically."""
-        rows = {}
-        ok = True
-        for label, v in self.generators():
-            tangent = v.apply(self.defining).is_zero()
-            horizontal = self.theta(v).is_zero()
-            gd_zero = self.gibbs_duhem(v).is_zero()
-            rows[label] = {"tangent": tangent, "horizontal": horizontal, "gibbs_duhem_zero": gd_zero}
-            ok &= tangent and horizontal and gd_zero
-        return {"generators": rows, "passed": bool(ok)}
+        and annihilated by the Gibbs-Duhem 1-form - all identically - and
+        the differential identity holds; the witness names the generators."""
+        gens = self.generators()
+        ok = all(
+            v.apply(self.defining).is_zero()
+            and self.theta(v).is_zero()
+            and self.gibbs_duhem(v).is_zero()
+            for _, v in gens
+        )
+        ok = ok and self.differential_identity()
+        return ok, {"generators": sorted(label for label, _ in gens)}
 
     def differential_identity(self) -> bool:
         """theta + sum x^i dp_i = d(defining function), globally."""

@@ -137,15 +137,16 @@ class TestLiftedMetric:
 
     @pytest.mark.parametrize("n,dim", [(1, 8), (2, 15)])
     def test_einstein_dimensions_and_bracket_change(self, n, dim):
-        rep = sympl.einstein_report(n)
-        assert rep["passed"]
-        assert rep["einstein_factor"] == Fraction(n + 2, 2)
-        assert rep["scalar"] == (n + 1) * (n + 2)
+        (einstein_ok, einstein), (scalar_ok, scalar) = sympl.einstein_report(n)
+        assert einstein_ok and einstein == {"einstein_factor": Fraction(n + 2, 2)}
+        assert scalar_ok and scalar["scalar"] == (n + 1) * (n + 2)
+        assert sympl.sympl_metric(n).det == (-1) ** (n + 1)
         fields = killing.killing_solve(sympl.sympl_metric(n), 2)
         assert len(fields) == dim
         cat = [f for _, f in sympl.killing_catalog(n)]
         assert killing.spans_equal(fields, cat)
-        assert sympl.sl_embedding_report(n)["passed"]
+        sl_ok, _ = sympl.sl_embedding_report(n)
+        assert sl_ok
 
 
 class TestConeComplexStructure:
@@ -154,12 +155,10 @@ class TestConeComplexStructure:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_torsion_witnesses(self, n):
-        rep = sympl.nijenhuis_report(n)
-        assert rep["passed"]
-        assert rep["torsion_failures"] == 0
-        assert rep["remark_witness"] == "-2"
-        assert rep["nonparallel_witness"] == "1"
-        assert rep["ricci_reeb"] == Fraction(-n, 2)
+        (torsion_ok, _), nonparallel, ricci_reeb = sympl.nijenhuis_report(n)
+        assert torsion_ok
+        assert nonparallel == (True, {"remark": "-2", "direct": "1"})
+        assert ricci_reeb == (True, {"ricci_reeb": Fraction(-n, 2)})
 
 
 class TestGroupModel:
@@ -178,9 +177,8 @@ class TestGroupModel:
         assert rep["right_translation_invariance"]
         assert rep["gram_constant"] and rep["gram_matches"]
         assert rep["xi_pushforwards"] and rep["eta_pushforwards_exact"]
-        tr = heisenberg.translation_invariance_report(n)
-        assert tr["right_preserves_theta"] and tr["right_preserves_metric"]
-        assert tr["left_theta_defect_matches"]
+        (right_ok, _), (left_ok, _) = heisenberg.translation_invariance_report(n)
+        assert right_ok and left_ok
 
 
 class TestPotentialSurfaces:
@@ -223,11 +221,12 @@ class TestProjectiveStructure:
     for every cell at n = 2, and the ideal-gas membership example."""
 
     def test_charts_cells_and_example(self):
-        assert sympl.proj_report(2)["passed"]
+        proj_ok, _ = sympl.proj_report(2)
+        assert proj_ok
         for k in (0, 1, 2):
-            assert sympl.cell_report(2, k)["passed"]
-        gas = sympl.ideal_gas_report(Fraction(2))
-        assert gas["passed"] and gas["cell"] == 1
+            assert sympl.cell_report(2, k) is True
+        gas_ok, gas = sympl.ideal_gas_report(Fraction(2))
+        assert gas_ok and gas["cell"] == 1
 
 
 class TestNegativeControl:

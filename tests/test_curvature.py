@@ -499,6 +499,34 @@ def sympy_christoffel(sympy, metric):
     return xs, g, ginv, gamma
 
 
+def sympy_riemann(sympy, xs, gamma):
+    """R^i_{jkl} from Gamma, with R(d_k, d_l) d_j = R^i_{jkl} d_i, as nested
+    lists indexed [i][j][k][l]:
+    R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
+              + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}."""
+    r = range(len(xs))
+    return [
+        [
+            [
+                [
+                    sympy.expand(
+                        gamma[i][l][j].diff(xs[k])
+                        - gamma[i][k][j].diff(xs[l])
+                        + sum(
+                            gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j]
+                            for s in r
+                        )
+                    )
+                    for l in r
+                ]
+                for k in r
+            ]
+            for j in r
+        ]
+        for i in r
+    ]
+
+
 # the tampered metric is the one the negative control runs the curvature
 # claims on
 ORACLE_METRICS = [
@@ -541,10 +569,9 @@ def test_christoffel_ricci_and_scalar_match_sympy(sympy, metric):
 
 @pytest.mark.parametrize("metric", ORACLE_METRICS, ids=lambda m: m.name)
 def test_riemann_tensor_matches_sympy(sympy, metric):
-    # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj}
-    #           + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}
     d = metric.dim
     xs, _g, _ginv, gamma = sympy_christoffel(sympy, metric)
+    expect = sympy_riemann(sympy, xs, gamma)
     riem = riemann_tensor(metric)
     assert all(r.coeffs for r in riem.values())
     zero = LaurentPoly.zero(metric.chart)
@@ -552,11 +579,44 @@ def test_riemann_tensor_matches_sympy(sympy, metric):
         for j in range(d):
             for k in range(d):
                 for l in range(d):
-                    expect = (
-                        gamma[i][l][j].diff(xs[k])
-                        - gamma[i][k][j].diff(xs[l])
-                        + sum(gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j]
-                              for s in range(d))
-                    )
                     got = to_sympy(sympy, riem.get((i, j, k, l), zero), xs)
-                    assert sympy.expand(expect - got) == 0, (i, j, k, l)
+                    assert sympy.expand(expect[i][j][k][l] - got) == 0, (i, j, k, l)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sectional_forms_match_sympy(sympy, n):
+    # the planes of the sectional claims: g(R(A,B)B, A) and |A ^ B|^2 from
+    # sympy's own Riemann tensor against SectionalForm's num and den
+    metric = tps.phase_metric(n)
+    xs, g, _ginv, gamma = sympy_christoffel(sympy, metric)
+    riem = sympy_riemann(sympy, xs, gamma)
+    r = range(metric.dim)
+    t = tps.build(n)
+    P, X, xi = t.frame["P"], t.frame["X"], t.frame["xi"]
+    dx = [VectorField.coordinate(metric.chart, f"x{i}") for i in range(1, n + 1)]
+
+    def inner(u, v):
+        return sum(g[a, b] * u[a] * v[b] for a in r for b in r)
+
+    def parts(a, b):
+        A = [to_sympy(sympy, c, xs) for c in a.comps]
+        B = [to_sympy(sympy, c, xs) for c in b.comps]
+        rabb = [
+            sum(riem[i][j][k][l] * A[k] * B[l] * B[j] for j in r for k in r for l in r)
+            for i in r
+        ]
+        num = sympy.expand(inner(rabb, A))
+        den = sympy.expand(inner(A, A) * inner(B, B) - inner(A, B) ** 2)
+        form = SectionalForm(metric, a, b)
+        assert sympy.expand(num - to_sympy(sympy, form.num, xs)) == 0
+        assert sympy.expand(den - to_sympy(sympy, form.den, xs)) == 0
+        return num, den
+
+    for i in range(n):
+        num, den = parts(P[i], dx[i])
+        assert den != 0 and sympy.expand(4 * num - 3 * den) == 0
+    vanishing = [(xi, P[0]), (xi, dx[0]), (xi, X[0])]
+    if n >= 2:
+        vanishing += [(P[0], P[1]), (dx[0], dx[1])]
+    for a, b in vanishing:
+        assert parts(a, b) == (0, 0)

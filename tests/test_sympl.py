@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tpsgeo.fields import Form, VectorField
-from tpsgeo.linalg import solve_exact
+from tpsgeo.linalg import Elimination, solve_exact
 from tpsgeo.poly import LaurentPoly
 from tpsgeo import killing, suites, sympl, tps
 
@@ -70,22 +70,24 @@ class TestMetric:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_einstein(self, n):
-        rep = sympl.einstein_report(n)
-        assert rep["passed"]
-        assert rep["einstein_factor"] == Fraction(n + 2, 2)
-        assert rep["scalar"] == (n + 1) * (n + 2)
+        (einstein_ok, einstein), (scalar_ok, scalar) = sympl.einstein_report(n)
+        assert einstein_ok and einstein == {"einstein_factor": Fraction(n + 2, 2)}
+        want = (n + 1) * (n + 2)
+        assert scalar_ok and scalar == {"scalar": want, "expected": want}
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_volume(self, n):
-        rep = sympl.volume_report(n)
-        assert rep["passed"]
-        assert rep["pfaffian_sign"] == (-1) ** (n * (n + 1) // 2)
+        passed, witness = sympl.volume_report(n)
+        assert passed
+        assert witness == {"pfaffian_sign": (-1) ** (n * (n + 1) // 2)}
 
 
 class TestEmbedding:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pullbacks(self, n):
-        assert sympl.embedding_report(n)["passed"]
+        passed, witness = sympl.embedding_report(n)
+        assert passed
+        assert witness == {"theta_pullback": True, "metric_pullback": True, "omega_pullback": True}
 
     def test_theta_pullback_explicit(self):
         j = sympl.embedding(2)
@@ -104,7 +106,8 @@ class TestEmbedding:
 class TestFrame:
     @pytest.mark.parametrize("n", [1, 2])
     def test_report(self, n):
-        assert sympl.frame_report(n)["passed"]
+        passed, witness = sympl.frame_report(n)
+        assert passed and witness is None
 
     def test_single_relations(self):
         from tpsgeo.fields import bracket
@@ -119,7 +122,8 @@ class TestFrame:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_null_cone(self, n):
-        assert sympl.null_cone_identity(n)["passed"]
+        passed, witness = sympl.null_cone_identity(n)
+        assert passed and witness is None
 
 
 class TestIsometries:
@@ -131,11 +135,11 @@ class TestIsometries:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_brackets(self, n):
-        assert sympl.bracket_report(n)["passed"]
+        assert sympl.bracket_report(n) == (True, {"failures": []})
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_hamiltonians(self, n):
-        assert sympl.hamiltonian_report(n)["passed"]
+        assert sympl.hamiltonian_report(n) == (True, {"failures": []})
 
     def test_hamiltonian_translation_example(self):
         s = sympl.build(1)
@@ -154,9 +158,10 @@ class TestIsometries:
     # keep them cheap
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_sl_embedding(self, n):
-        rep = sympl.sl_embedding_report(n)
-        assert rep["passed"]
-        assert rep["dimension"] == (n + 2) ** 2 - 1
+        passed, witness = sympl.sl_embedding_report(n)
+        assert passed
+        dim = (n + 2) ** 2 - 1
+        assert witness == {"dimension": dim, "labels_match": True, "brackets_match": True}
         assert computed_matches_closed_form(sympl.killing_catalog(n), sympl.catalog_brackets(n))
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -206,18 +211,22 @@ class TestIsometries:
 class TestConeComplexStructure:
     @pytest.mark.parametrize("n", [1, 2])
     def test_nijenhuis(self, n):
-        rep = sympl.nijenhuis_report(n)
-        assert rep["passed"]
-        assert rep["pairs_checked"] == (2 * n + 2) * (2 * n + 3) // 2
-        assert rep["remark_witness"] == "-2"
-        assert rep["nonparallel_witness"] == "1"
-        assert rep["ricci_reeb"] == Fraction(-n, 2)
+        torsion, nonparallel, ricci_reeb = sympl.nijenhuis_report(n)
+        assert torsion == (True, {"pairs_checked": (2 * n + 2) * (2 * n + 3) // 2})
+        assert nonparallel == (True, {"remark": "-2", "direct": "1"})
+        assert ricci_reeb == (True, {"ricci_reeb": Fraction(-n, 2)})
 
 
 class TestScalingAction:
     @pytest.mark.parametrize("n", [1, 2])
     def test_invariance(self, n):
-        assert sympl.hyperbolic_report(n)["passed"]
+        passed, witness = sympl.hyperbolic_report(n)
+        assert passed and witness is None
+        # at lam = 1 the scaling is the identity
+        f = sympl.hyperbolic_map(n)
+        one = {"lam": LaurentPoly.one(f.src)}
+        for nm in set(f.src.names) - {"lam"}:
+            assert f.comps[nm].substitute(one, f.src) == LaurentPoly.variable(f.src, nm)
 
     def test_point_action(self):
         pt = {"p0": 1, "p1": 2, "x0": 3, "x1": 4}
@@ -242,7 +251,8 @@ class TestProjectivization:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_report(self, n):
-        assert sympl.proj_report(n)["passed"]
+        passed, witness = sympl.proj_report(n)
+        assert passed and witness is None
 
     def test_u0_u1_transition_relation(self):
         rel = sympl.transition_relations(1, ("U", 0), ("U", 1))
@@ -315,10 +325,11 @@ def test_one_wrong_chart_exponent_fails_the_projective_report(monkeypatch, clear
 
     monkeypatch.setattr(sympl, "proj_chart_functions", mutated)
     for n in (1, 2):
-        rep = sympl.proj_report(n)
-        assert not rep["passed"]
-        assert not rep["scaling_invariant"]
-        assert not rep["all_transitions_monomial"]
+        passed, _ = sympl.proj_report(n)
+        assert not passed
+        act = sympl.hyperbolic_map(n)
+        lifted = sympl.proj_chart_functions(n, ("V", 0))["px1"].with_chart(act.src)
+        assert act.pull_function(lifted) != lifted
         with pytest.raises(ValueError):
             sympl.transition_relations(n, ("U", 0), ("V", 0))
 
@@ -339,10 +350,8 @@ def test_a_broken_printed_transition_fails_the_projective_report(monkeypatch, cl
     monkeypatch.setattr(sympl, "proj_chart_functions", mutated)
     with pytest.raises(ValueError):
         sympl.transition_relations(1, ("U", 0), ("U", 1))
-    rep = sympl.proj_report(1)
-    assert not rep["passed"]
-    assert not rep["u0_u1_example"]
-    assert not rep["all_transitions_monomial"]
+    passed, _ = sympl.proj_report(1)
+    assert not passed
 
 
 def sympl_killing_claims(n):
@@ -379,7 +388,8 @@ def test_one_flipped_sign_in_a_catalog_field_fails_the_isometry_claim(monkeypatc
         assert sl.status == "fail"
         # the matrices still reproduce the printed table; the mutant's
         # failed brackets fail the embedding
-        assert sympl.sl_embedding_report(n)["passed"]
+        passed, _ = sympl.sl_embedding_report(n)
+        assert passed
         assert sl.witness["brackets_match"] is False
     assert mutant.cache_info().hits > 0
 
@@ -396,13 +406,56 @@ def test_one_scaled_sl_generator_entry_fails_the_embedding_claim(monkeypatch, cl
 
     monkeypatch.setattr(sympl, "sl_matrices", scaled)
     for n in (1, 2):
-        rep = sympl.sl_embedding_report(n)
-        assert rep["traceless"] and rep["independent"]
-        assert not rep["brackets_match"] and not rep["passed"]
+        mats = [mat for _, mat in sympl.sl_matrices(n)]
+        for mat in mats:
+            for part in (0, 1):
+                assert sum(v for (p, i, j), v in mat.items() if i == j and p == part) == 0
+        assert not Elimination(mats).dependent
+        passed, witness = sympl.sl_embedding_report(n)
+        assert not witness["brackets_match"] and not passed
         claim = sympl_killing_claims(n)[
             "rescaled generators reproduce the traceless-matrix bracket exactly"
         ]
         assert claim.status == "fail"
+
+
+def test_a_dependent_matrix_list_fails_the_embedding_claim(monkeypatch):
+    # D^0's matrix becomes a copy of Q^0_1's: still traceless, but the list
+    # is dependent, so it has no structure-constant table to compare
+    original = sympl.sl_matrices
+
+    def dependent(n):
+        mats = dict(original(n))
+        mats["D0"] = dict(mats["Q0_1"])
+        return list(mats.items())
+
+    monkeypatch.setattr(sympl, "sl_matrices", dependent)
+    for n in (1, 2):
+        assert Elimination(mat for _, mat in sympl.sl_matrices(n)).dependent
+        passed, witness = sympl.sl_embedding_report(n)
+        assert not passed and witness["brackets_match"] is False
+        claim = sympl_killing_claims(n)[
+            "rescaled generators reproduce the traceless-matrix bracket exactly"
+        ]
+        assert claim.status == "fail"
+        dim = (n + 2) ** 2 - 1
+        assert claim.witness == {"dimension": dim, "labels_match": True, "brackets_match": False}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_sl_check_factors_the_matrices_once(monkeypatch, n):
+    from tpsgeo import linalg
+
+    original = linalg.Elimination.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.Elimination, "__init__", counted)
+    passed, _ = sympl.sl_embedding_report(n)
+    assert passed and len(calls) == 1
 
 
 def test_a_catalog_without_its_last_field_fails_its_claims(monkeypatch, clear_caches):
@@ -421,8 +474,8 @@ def test_a_catalog_without_its_last_field_fails_its_claims(monkeypatch, clear_ca
     sl = claims["rescaled generators reproduce the traceless-matrix bracket exactly"]
     assert sl.status == "fail"
     assert sl.witness["labels_match"] is False
-    rep = sympl.sl_embedding_report(1)
-    assert not rep["labels_match"] and not rep["passed"]
+    passed, witness = sympl.sl_embedding_report(1)
+    assert not witness["labels_match"] and not passed
 
 
 def test_one_flipped_entry_in_the_bracket_table_fails_that_pair(monkeypatch):
@@ -436,13 +489,14 @@ def test_one_flipped_entry_in_the_bracket_table_fails_that_pair(monkeypatch):
 
     monkeypatch.setattr(sympl, "catalog_brackets", flipped)
     for n in (1, 2):
-        assert sympl.bracket_report(n)["failures"] == ["[Q0_1,X0]"]
+        assert sympl.bracket_report(n) == (False, {"failures": ["[Q0_1,X0]"]})
         claims = sympl_killing_claims(n)
         claim = claims["catalog brackets match the closed-form structure constants"]
         assert claim.status == "fail"
         assert claim.witness == {"failures": ["[Q0_1,X0]"]}
         # the matrices no longer reproduce the printed table either
-        assert not sympl.sl_embedding_report(n)["brackets_match"]
+        _, witness = sympl.sl_embedding_report(n)
+        assert not witness["brackets_match"]
         sl = claims["rescaled generators reproduce the traceless-matrix bracket exactly"]
         assert sl.status == "fail"
         assert sl.witness == {
@@ -463,7 +517,8 @@ def test_a_bracket_table_naming_an_unknown_label_fails_both_claims(monkeypatch):
         return table
 
     monkeypatch.setattr(sympl, "catalog_brackets", misnamed)
-    assert not sympl.sl_embedding_report(1)["brackets_match"]
+    _, witness = sympl.sl_embedding_report(1)
+    assert not witness["brackets_match"]
     claims = sympl_killing_claims(1)
     assert claims["catalog brackets match the closed-form structure constants"].status == "fail"
     sl = claims["rescaled generators reproduce the traceless-matrix bracket exactly"]
@@ -534,7 +589,7 @@ def test_the_cache_fixture_finds_every_package_cache():
 class TestCells:
     @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
     def test_block_structure(self, n, k):
-        assert sympl.cell_report(n, k)["passed"]
+        assert sympl.cell_report(n, k) is True
 
     def test_cell0_is_base_metric(self):
         theta0, g0 = sympl.cell_restrict(2, 0)
@@ -587,20 +642,34 @@ class TestQuadric:
             assert claim.witness == {"polarization_identity": False}
 
     def test_ideal_gas(self):
-        rep = sympl.ideal_gas_report(Fraction(2))
-        assert rep["passed"]
-        assert rep["cell"] == 1
-        assert rep["lam"] == Fraction(-1, 2)
+        passed, witness = sympl.ideal_gas_report(Fraction(2))
+        assert passed
+        assert witness == {"cell": 1, "lam": Fraction(-1, 2)}
 
 
 class TestAffineGroup:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_report(self, n):
-        rep = sympl.affine_report(n)
-        assert rep["passed"]
-        assert rep["theta_pullback_matches"]
-        assert not rep["theta_matches_other_printed_sign"]
-        assert rep["omega_pullback_sign"] == "-"
+        passed, witness = sympl.affine_report(n)
+        assert passed
+        assert witness == {"omega_pullback_sign": "-"}
+        # theta pulls back to -sum(dz_i - z_i h_i^-1 dh_i), not to the other
+        # printed sign -sum(dz_i + z_i h_i^-1 dh_i)
+        chi = sympl.affine_map(n)
+        src = chi.src
+        pulled = chi.pull_form(sympl.build(n).theta)
+
+        def theta_with(sign):
+            out = Form(src, 1, {})
+            for i in range(n + 1):
+                zi, hinv = LaurentPoly.variable(src, f"z{i}"), LaurentPoly.variable(src, f"h{i}", -1)
+                out = out + Form.one_form(
+                    src, {f"z{i}": LaurentPoly.constant(src, -1), f"h{i}": zi * hinv * sign}
+                )
+            return out
+
+        assert pulled == theta_with(1)
+        assert pulled != theta_with(-1)
 
     def test_single_factor_pullback(self):
         chi = sympl.affine_map(0)

@@ -9,7 +9,7 @@ import pytest
 
 from tpsgeo.curvature import lie_derivative_metric
 from tpsgeo.fields import Form, VectorField, apply_matrix_field
-from tpsgeo.linalg import matrix_inverse_exact
+from tpsgeo.linalg import PolyMatrix, matrix_inverse_exact
 from tpsgeo.poly import LaurentPoly
 from tpsgeo import cli, killing, suites, tps
 
@@ -31,8 +31,8 @@ class TestContactForm:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_reeb_pinning(self, n):
-        rep = tps.reeb_pinning(n)
-        assert rep["passed"] and rep["kernel_dimension"] == 1
+        passed, witness = tps.reeb_pinning(n)
+        assert passed and witness == {"kernel_dimension": 1}
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_contact_volume_constant(self, n):
@@ -51,7 +51,8 @@ class TestPhaseMetric:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_identity_with_tensor_expansion(self, n):
-        assert tps.metric_identity_check(n)
+        passed, witness = tps.metric_identity_check(n)
+        assert passed and witness is None
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_closed_form_inverse_matches_adjugate(self, n):
@@ -73,17 +74,19 @@ class TestPhaseMetric:
 class TestFramesAndSplit:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_commutators(self, n):
-        assert tps.frame_commutator_table(n)["passed"]
+        passed, witness = tps.frame_commutator_table(n)
+        assert passed and witness is None
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_symplectic_gram(self, n):
-        assert tps.symplectic_gram_on_horizontal(n)["passed"]
+        passed, witness = tps.symplectic_gram_on_horizontal(n)
+        assert passed and witness is None
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_signature_split(self, n):
-        rep = tps.split_report(n)
-        assert rep["passed"]
-        assert rep["normalized_diagonal"] == [1] * (n + 1) + [-1] * n
+        passed, witness = tps.split_report(n)
+        assert passed
+        assert witness == {"normalized_diagonal": [1] * (n + 1) + [-1] * n}
 
     def test_split_norm_values(self):
         plus, minus = tps.signature_split(2)
@@ -107,15 +110,22 @@ class TestFramesAndSplit:
 class TestAlmostContact:
     @pytest.mark.parametrize("n", [1, 2])
     def test_compatibility(self, n):
-        rep = tps.compatibility_check(n)
-        assert rep["passed"]
-        assert rep["rank_phi"] == 2 * n
-        assert rep["classical_law_fails"]
+        (phi_ok, phi_witness), (modified_ok, modified_witness), (classical_ok, _) = (
+            tps.compatibility_check(n)
+        )
+        assert phi_ok and phi_witness == {"rank_phi": 2 * n}
+        assert modified_ok and modified_witness is None
+        assert classical_ok
+        # phi(xi) = 0 and theta o phi = 0, which the phi^2 claim rests on
+        t = tps.build(n)
+        phi = tps.almost_contact_tensor(n)
+        assert apply_matrix_field(phi, t.reeb).is_zero()
+        for nm in t.chart.names:
+            assert t.theta(apply_matrix_field(phi, VectorField.coordinate(t.chart, nm))).is_zero()
 
     def test_witness_values(self):
-        rep = tps.compatibility_check(1)
-        lhs, rhs = rep["classical_witness"]
-        assert lhs == "-1" and rhs == "1"
+        _, _, (_, witness) = tps.compatibility_check(1)
+        assert witness == {"lhs_vs_rhs": ("-1", "1")}
 
     def test_phi_action_on_frame(self):
         n = 2
@@ -174,9 +184,13 @@ class TestConstitutiveHypersurface:
         assert len(self.h.generators()) == 2 + 1
 
     def test_generator_report(self):
-        rep = self.h.generator_report()
-        assert rep["passed"]
-        assert set(rep["generators"]) == {"X1", "X2", "P1_2"}
+        passed, witness = self.h.generator_report()
+        assert passed
+        assert witness == {"generators": ["P1_2", "X1", "X2"]}
+
+    def test_horizontal_generators_are_the_canonical_frame(self):
+        gens = dict(self.h.generators())
+        assert [gens["X1"], gens["X2"]] == tps.canonical_frame(2)["X"]
 
     def test_differential_identity(self):
         assert self.h.differential_identity()
@@ -216,12 +230,42 @@ def test_a_catalog_without_b1_fails_the_catalog_claim_with_its_count(monkeypatch
 
 
 def test_theta_of_phi_not_zero_fails_the_phi_squared_claim(monkeypatch):
-    original = tps.compatibility_check
-    monkeypatch.setattr(tps, "compatibility_check", lambda n: {**original(n), "theta_phi_zero": False})
+    # phi(d/dp_1) gains a d/dx0 term, so theta(phi(d/dp_1)) = 1
+    original = tps.almost_contact_tensor
+
+    def tampered(n):
+        phi = original(n)
+        rows = [row[:] for row in phi.entries]
+        p1 = phi.chart.index("p1")
+        rows[0][p1] = rows[0][p1] + 1
+        return PolyMatrix(phi.chart, rows)
+
+    monkeypatch.setattr(tps, "almost_contact_tensor", tampered)
     for n in (1, 2):
-        fails = [r for r in suites.suite_tps(n) if r.status == "fail"]
-        assert [r.claim for r in fails] == ["phi^2 = -I + theta (x) xi with rank(phi) = 2n"]
-        assert fails[0].witness == {"rank_phi": 2 * n}
+        chart = tps.tps_chart(n)
+        bent = apply_matrix_field(tps.almost_contact_tensor(n), VectorField.coordinate(chart, "p1"))
+        assert tps.contact_form(n)(bent) == 1
+        claims = {r.claim: r for r in suites.suite_tps(n)}
+        claim = claims["phi^2 = -I + theta (x) xi with rank(phi) = 2n"]
+        assert claim.status == "fail"
+        assert claim.witness == {"rank_phi": None}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_structure_claim_gets_a_bool_verdict(monkeypatch, n):
+    # a (passed, witness) pair or a numpy bool would pass as truthy: check
+    # must get the bool itself
+    kinds = []
+    original = suites.check
+
+    def recording(claim, ref, ok, *args, **kwargs):
+        kinds.append(type(ok))
+        return original(claim, ref, ok, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "check", recording)
+    results = suites.suite_tps(n) + suites.suite_sympl(n)
+    assert len(kinds) == len(results)
+    assert set(kinds) == {bool}
 
 
 def squared_contact_form(n):
