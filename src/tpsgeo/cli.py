@@ -213,7 +213,8 @@ def cmd_potential(args) -> ReportEnvelope:
             check(
                 f"surface data at {label}",
                 "surface-geometry",
-                rep["legendre_residual"] < 1e-12 and rep["block_agreement"] < 1e-10,
+                rep["legendre_residual"] < legendre.CONTACT_TOL
+                and rep["block_agreement"] < legendre.BLOCK_TOL,
                 witness=witness,
                 exact=False,
             )
@@ -224,7 +225,7 @@ def cmd_potential(args) -> ReportEnvelope:
             check(
                 "contact form vanishes on the surface at every analyzed point",
                 "surface-geometry",
-                worst_theta < 1e-12,
+                worst_theta < legendre.CONTACT_TOL,
                 witness={"worst_residual": worst_theta, "points": len(analyzed)},
                 exact=False,
             )
@@ -242,7 +243,7 @@ def cmd_potential(args) -> ReportEnvelope:
             check(
                 "quadratic potential is totally geodesic (vanishing curvature coefficients)",
                 "surface-geometry",
-                worst_ii < 1e-12,
+                worst_ii < legendre.GEODESIC_TOL,
                 witness={"worst_ii_norm": worst_ii},
                 exact=False,
             )

@@ -112,9 +112,6 @@ class VectorField:
             object.__setattr__(self, "_jacobian", tuple(jac))
         return self._jacobian
 
-    def evaluate(self, point) -> list[Fraction]:
-        return [c.evaluate(point) for c in self.comps]
-
     def with_chart(self, chart: Chart) -> "VectorField":
         """Reinterpret on a larger chart (new coordinates get zero component)."""
         comps = [LaurentPoly.zero(chart)] * chart.dim
@@ -519,10 +516,3 @@ class PolyMap:
         if self.inverse_map is not None and other.inverse_map is not None:
             inv = other.inverse_map.compose(self.inverse_map)
         return PolyMap(other.src, self.dst, comps, inverse=inv)
-
-    @staticmethod
-    def identity(chart: Chart) -> "PolyMap":
-        comps = {nm: LaurentPoly.variable(chart, nm) for nm in chart.names}
-        m = PolyMap(chart, chart, comps)
-        m.inverse_map = m
-        return m

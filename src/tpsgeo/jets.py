@@ -334,19 +334,14 @@ def jet_fd_compare(f_jet, f_plain, point, rel=None, floor: float = 1e-10) -> dic
     f_jet maps a list of seed jets to a Jet3; f_plain maps a float array to a
     float.  Each derivative order is compared against the oracle with a
     tolerance relative to the largest oracle entry of that order, with an
-    absolute floor.  rel may be a float or a per-order dict.
+    absolute floor.  rel maps each order to its relative tolerance.
     """
     pt = np.asarray(point, dtype=float)
     n = pt.size
     jet = f_jet(Jet3.seeds(pt))
     report = {"point": [float(x) for x in pt], "orders": {}, "passed": True}
+    rel = _COMPARE_REL if rel is None else rel
     for order in (0, 1, 2, 3):
-        if rel is None:
-            r = _COMPARE_REL[order]
-        elif isinstance(rel, dict):
-            r = rel[order]
-        else:
-            r = float(rel)
         indices = _sorted_indices(n, order)
         fd_vals = {}
         jet_vals = {}
@@ -355,7 +350,7 @@ def jet_fd_compare(f_jet, f_plain, point, rel=None, floor: float = 1e-10) -> dic
             fd_vals[ix] = est
             jet_vals[ix] = jet.derivative(ix)
         scale = max((abs(v) for v in fd_vals.values()), default=0.0)
-        tol = r * scale + floor
+        tol = rel[order] * scale + floor
         worst = max((abs(fd_vals[ix] - jet_vals[ix]) for ix in indices), default=0.0)
         ok = worst <= tol
         report["orders"][order] = {"max_abs_diff": worst, "tolerance": tol, "passed": ok}

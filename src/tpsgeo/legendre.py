@@ -19,6 +19,13 @@ from . import jets as jetmod
 from . import tps
 from .jets import DomainError, Jet3
 
+# The bound each surface claim sets on a residual that this module returns;
+# a claim passes when the residual is below it.
+CONTACT_TOL = 1e-12  # surface_point's legendre_residual
+BLOCK_TOL = 1e-10  # induced_metric's block_agreement
+GEODESIC_TOL = 1e-12  # second_fundamental_form's ii_norm on a quadratic potential
+DECOMPOSITION_TOL = 1e-9  # second_fundamental_form's decomposition_residual
+
 
 class DegenerateSurfaceError(ValueError):
     """The induced metric is singular at the requested base point."""
@@ -226,44 +233,34 @@ def ambient_metric(n: int, ambient: dict) -> np.ndarray:
 @_quiet
 def induced_metric(model: PotentialModel, base) -> dict:
     """Pullback of the ambient metric to the surface, computed as the Gram
-    matrix of the tangent frame and cross-checked against the block formula
-    (+2 hess on the I block, -2 hess on the J block, zero mixed) for the
-    canonical convention, or against 2 hess plus the contact-form square for
-    the graph convention."""
+    matrix of the tangent frame, and its largest deviation from the block
+    formula (+2 hess on the I block, -2 hess on the J block, zero mixed) for
+    the canonical convention, or from 2 hess plus the contact-form square
+    for the graph convention."""
     sp = surface_point(model, base)
     jet, t = sp["jet"], sp["tangent"]
-    g = ambient_metric(model.nvars, sp["ambient"])
-    pullback = t @ g @ t.swapaxes(-1, -2)
+    pullback = t @ ambient_metric(model.nvars, sp["ambient"]) @ t.swapaxes(-1, -2)
     hess = jet.hess.copy()
     if model.convention == "graph":
-        sympl = 2.0 * hess
         theta_on_t = 2.0 * jet.grad
-        expected = sympl + theta_on_t[..., :, None] * theta_on_t[..., None, :]
-        out = {"pullback": pullback, "hessian": hess, "symplectic_part": sympl}
+        expected = 2.0 * hess + theta_on_t[..., :, None] * theta_on_t[..., None, :]
     else:
         in_i = model._in_i()
         sign = np.where(in_i, 2.0, -2.0)
         expected = np.where(in_i[:, None] == in_i, sign[:, None] * hess, 0.0)
-        out = {"pullback": pullback, "hessian": hess, "block_formula": expected}
-    agreement = np.max(np.abs(pullback - expected), axis=(-2, -1))
-    out["block_agreement"] = agreement
-    out["ambient_metric"] = g
-    out["surface_point"] = sp
-    bound = 1e-12 if model.convention == "canonical" else np.inf
-    out["passed"] = (agreement < 1e-10) & (sp["legendre_residual"] < bound)
-    return out
+    return {
+        "pullback": pullback, "hessian": hess, "surface_point": sp,
+        "block_agreement": np.max(np.abs(pullback - expected), axis=(-2, -1)),
+    }
 
 
 # ----------------------------------------------------------------------
 # adapted frames
 
 
-def _frame_vectors(n: int, ambient: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reeb, momentum and horizontal frame vectors at a point, as rows."""
-    xi = np.zeros(2 * n + 1)
-    xi[0] = 1.0
-    pvec = np.eye(n, 2 * n + 1, 1)
-    return xi, pvec, _table(_float_tables(n)[2], ambient, n)
+def _frame_vectors(n: int, ambient: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum and horizontal frame vectors at a point, as rows."""
+    return np.eye(n, 2 * n + 1, 1), _table(_float_tables(n)[2], ambient, n)
 
 
 def _block_inverse(model: PotentialModel, hess: np.ndarray, degenerate) -> tuple:
@@ -284,8 +281,9 @@ def _block_inverse(model: PotentialModel, hess: np.ndarray, degenerate) -> tuple
 
 @_quiet
 def frames(model: PotentialModel, base) -> dict:
-    """Adapted frames along the surface: tangent Y_k and normal Z_k, with
-    the auxiliary V/W pair they are built from, and orthogonality checks.
+    """Adapted frames along the surface: tangent Y_k = V_k + hess_kl W_l and
+    normal Z_k = W_k - (1/2) hinv_kl Y_l, where V = P, W = X on the momentum
+    part I and V = X, W = -P on J, and hinv inverts the Hessian blockwise.
     A point whose surface metric is degenerate (or not finite) raises
     DegenerateSurfaceError; in a batch it is flagged in "degenerate"
     instead, and its frame entries are meaningless."""
@@ -293,7 +291,6 @@ def frames(model: PotentialModel, base) -> dict:
         raise ValueError("frames need the canonical convention")
     im = induced_metric(model, base)
     sp = im["surface_point"]
-    n = model.nvars
     hess = im["hessian"]
     pullback = im["pullback"]
     scale = np.max(np.abs(pullback), axis=(-2, -1))
@@ -301,36 +298,14 @@ def frames(model: PotentialModel, base) -> dict:
     hinv, degenerate = _block_inverse(model, hess, (scale == 0.0) | ~(np.abs(det) > 1e-10))
     if degenerate.ndim == 0 and degenerate:
         raise DegenerateSurfaceError("degenerate surface metric")
-    xi, pvec, xvec = _frame_vectors(n, sp["ambient"])
+    pvec, xvec = _frame_vectors(model.nvars, sp["ambient"])
     in_i = model._in_i()[:, None]
     v = np.where(in_i, pvec, xvec)
     w = np.where(in_i, xvec, -pvec)
     y = v + hess @ w
-    z = w - 0.5 * (hinv @ y)
-    g = im["ambient_metric"]
-    vw_gram = v @ g @ w.swapaxes(-1, -2)
-    vw_expected = np.diag(np.where(model._in_i(), 1.0, -1.0))
-    yz_gram = y @ g @ z.swapaxes(-1, -2)
-    zz_gram = z @ g @ z.swapaxes(-1, -2)
-    assembled = np.concatenate([y, z, np.broadcast_to(xi, y.shape[:-2] + (1, xi.size))], axis=-2)
-    norms = np.max(np.abs(assembled), axis=-1)
-    span_det = np.abs(np.linalg.det(assembled / norms[..., None]))
-    checks = {
-        "vw_table": np.max(np.abs(vw_gram - vw_expected), axis=(-2, -1)),
-        "yz_orthogonality": np.max(np.abs(yz_gram), axis=(-2, -1)),
-        "span_det": span_det,
-    }
-    gram_vs_y = y @ g @ y.swapaxes(-1, -2)
     return {
-        "surface_point": sp, "induced": im, "V": v, "W": w, "Y": y, "Z": z, "xi": xi,
-        "hessian_inverse_blocks": hinv, "zz_gram": zz_gram, "y_gram": gram_vs_y,
-        "checks": checks, "degenerate": degenerate,
-        "passed": (
-            (checks["vw_table"] < 1e-12)
-            & (checks["yz_orthogonality"] < 1e-10)
-            & (span_det > 1e-8)
-            & (np.max(np.abs(gram_vs_y - pullback), axis=(-2, -1)) < 1e-10)
-        ),
+        "surface_point": sp, "induced": im, "Y": y, "Z": w - 0.5 * (hinv @ y),
+        "hessian_inverse_blocks": hinv, "degenerate": degenerate,
     }
 
 
@@ -380,9 +355,10 @@ def _tangent_derivative(model: PotentialModel, jet: Jet3, p: np.ndarray, k: int,
 
 @_quiet
 def second_fundamental_form(model: PotentialModel, base) -> dict:
-    """Third-derivative coefficients of the surface in the normal frame,
-    with the full decomposition check of the ambient covariant derivative
-    of the tangent frame into tangential and normal parts."""
+    """Third-derivative coefficients of the surface in the normal frame, their
+    largest magnitude, and the residual of the decomposition of the ambient
+    covariant derivative of the tangent frame into tangential and normal
+    parts."""
     fr = frames(model, base)
     sp = fr["surface_point"]
     jet = sp["jet"]
@@ -404,15 +380,9 @@ def second_fundamental_form(model: PotentialModel, base) -> dict:
                 for r in range(n):
                     tangential += 0.5 * hinv[..., s, r, None] * c * y[..., r, :]
             worst = _max(worst, np.max(np.abs(cov - tangential - normal), axis=-1))
-    sym = 0.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            sym = _max(sym, np.max(np.abs(coeffs[..., l, k, :] - coeffs[..., k, l, :]), axis=-1))
-    ii_norm = np.max(np.abs(coeffs), axis=(-3, -2, -1))
     return {
         "frames": fr, "coefficients": coeffs, "decomposition_residual": worst,
-        "symmetry_residual": sym, "ii_norm": ii_norm, "totally_geodesic": ii_norm == 0.0,
-        "passed": fr["passed"] & (worst < 1e-9) & (sym == 0.0),
+        "ii_norm": np.max(np.abs(coeffs), axis=(-3, -2, -1)),
     }
 
 
@@ -629,10 +599,6 @@ _CATALOG = {
     "linear": linear,
     "homogeneous_demo": homogeneous_demo,
 }
-
-
-def catalog() -> dict:
-    return dict(_CATALOG)
 
 
 def model_from_spec(d: dict) -> PotentialModel:

@@ -37,11 +37,6 @@ class PolyMatrix:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def zero(chart: Chart, rows: int, cols: int) -> "PolyMatrix":
-        z = LaurentPoly.zero(chart)
-        return PolyMatrix(chart, [[z] * cols for _ in range(rows)])
-
-    @staticmethod
     def identity(chart: Chart, nn: int) -> "PolyMatrix":
         z = LaurentPoly.zero(chart)
         one = LaurentPoly.one(chart)
@@ -138,9 +133,6 @@ class PolyMatrix:
             for b, e in zip(pos, row):
                 out[a][b] = e.with_chart(chart)
         return PolyMatrix(chart, out)
-
-    def evaluate(self, point) -> list[list[Fraction]]:
-        return [[e.evaluate(point) for e in row] for row in self.entries]
 
     def __repr__(self) -> str:
         body = "\n".join("  [" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

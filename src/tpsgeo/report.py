@@ -7,8 +7,6 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 
 STATUSES = ("exact-pass", "numeric-pass", "fail", "not-applicable")
@@ -49,19 +47,13 @@ def check(claim: str, ref: str, ok: bool, witness=None, exact: bool = True) -> R
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonable(value.item())
     if isinstance(value, float) and not math.isfinite(value):
         # strict JSON has no NaN or Infinity tokens
         return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(value, "NaN")
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return repr(value)

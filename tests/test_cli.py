@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,66 @@ class TestEnvelope:
         assert code == 0 and out == ""
         doc = json.loads(dest.read_text())
         assert doc["command"] == "curvature"
+
+
+MODELS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "models")
+MODEL_FILES = sorted(f for f in os.listdir(MODELS_DIR) if f.endswith(".json"))
+README_GRID = "0.5:2:10,1.5:3:10"
+
+# the exact types a report's inputs and witnesses are built from; the
+# report writer converts nothing else (JSON and markdown alike)
+PLAIN_TYPES = (dict, list, tuple, str, int, float, bool, type(None), Fraction)
+
+
+def foreign_values(value, path="$"):
+    """(path, type name) of each value inside value whose exact type is not
+    one of PLAIN_TYPES."""
+    if type(value) not in PLAIN_TYPES:
+        return [(path, type(value).__name__)]
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return []
+    return [bad for key, v in items for bad in foreign_values(v, f"{path}[{key!r}]")]
+
+
+def envelope(argv):
+    """The report envelope of a command, before it is written."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-all"],
+        ["verify-all", "--tamper"],
+        ["verify-all", "--n-max", "1"],
+        ["curvature", "--space", "tps", "--n", "4"],
+        ["killing", "--space", "sympl", "--n", "3"],
+        *[["potential", "--model-file", os.path.join(MODELS_DIR, f), "--grid", README_GRID]
+          for f in MODEL_FILES],
+        ["potential", "--model-file", "GRAPH", "--grid", README_GRID],
+        ["potential", "--model-file", "SINGULAR", "--points-file", "EXTREME"],
+        ["potential", "--model-file", os.path.join(MODELS_DIR, "homogeneous.json"),
+         "--points-file", "EXTREME"],
+    ],
+)
+def test_reports_hold_only_plain_values(tmp_path, argv):
+    # degenerate, overflowing, non-finite and out-of-domain points too
+    extreme = [[1.0, 2.0], [1e308, 2.0], [float("nan"), 1.0], [1e-320, 3.0], [0.5, 0.5]]
+    files = {
+        "GRAPH": write_model(tmp_path, {**VDW_LITERAL, "convention": "graph"}),
+        "SINGULAR": write_model(
+            tmp_path, {"model": "quadratic", "parameters": {"q": [[1.0, 0.0], [0.0, 0.0]]}}, "q.json"
+        ),
+        "EXTREME": write_model(tmp_path, extreme, "points.json"),
+    }
+    env = envelope([files.get(a, a) for a in argv])
+    assert foreign_values(env.inputs) == []
+    assert [(r.claim, bad) for r in env.results for bad in foreign_values(r.witness)] == []
 
 
 class TestExitCodes:
@@ -455,6 +516,18 @@ class TestPotential:
         row = next(r for r in doc["results"] if "scaling law" in r["claim"])
         assert row["witness"]["gibbs_duhem_residual"] < 1e-12
         assert row["witness"]["constitutive_residual"] < 1e-12
+
+    @pytest.mark.parametrize("filename", MODEL_FILES)
+    def test_each_committed_model_file_runs(self, capsys, filename):
+        path = os.path.join(MODELS_DIR, filename)
+        with open(path, encoding="utf-8") as fh:
+            spec = json.load(fh)
+        code, out, _ = run_cli(capsys, ["potential", "--model-file", path, "--grid", README_GRID])
+        assert code == 0
+        inputs = strict_json(out)["inputs"]
+        assert inputs["model"] == spec["model"]
+        assert spec["parameters"].items() <= inputs["parameters"].items()
+        assert inputs["point_count"] == 100
 
     def test_chunks_do_not_change_the_records(self, tmp_path, capsys, monkeypatch):
         path = write_model(tmp_path, {"model": "homogeneous_demo"})

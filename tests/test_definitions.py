@@ -1,10 +1,12 @@
 """Every module-level function and class of the package, and every method
 that is not a dunder, is used by the package.  No linter ships with the
 project, so this scan keeps the rule that no definition lives on for the
-tests alone: it reads each module's syntax tree and looks for the
-definition's name, read as a name or as an attribute, anywhere in the
-package outside the definition itself.  A method is matched by its name
-alone, so one that shares its name with a used attribute passes."""
+tests alone: it reads each module's syntax tree and looks for reads of the
+definition outside the definition itself.  A module-level definition is
+used if its own module reads its bare name, or another module imports it
+or reads it as an attribute, so a local variable of the same name in
+another module is not a use.  A method is matched by its name alone, so
+one that shares its name with a used attribute passes."""
 
 import ast
 import os
@@ -44,41 +46,64 @@ def definitions(tree: ast.Module) -> dict[str, ast.stmt]:
     return out
 
 
-def referenced_names(node: ast.AST) -> set[str]:
-    """Names the node's code reads, as bare names or as attributes."""
-    out = set()
+def referenced_names(node: ast.AST) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names the node's code reads."""
+    names, attrs = set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-    return out
+            attrs.add(sub.attr)
+    return names, attrs
 
 
-def uses(node: ast.stmt) -> set[str]:
-    """The names the statement reads outside its own definition: a
-    recursive call is not a use, and a class is read statement by
-    statement, so a method that calls itself does not count either."""
+def uses(node: ast.stmt) -> tuple[set[str], set[str]]:
+    """The bare and attribute names the statement reads outside its own
+    definition: a recursive call is not a use, and a class is read
+    statement by statement, so a method that calls itself does not count
+    either."""
     if isinstance(node, ast.ClassDef):
         header = node.bases + node.keywords + node.decorator_list
-        names = set().union(*map(referenced_names, header), *map(uses, node.body))
+        parts = [*map(referenced_names, header), *map(uses, node.body)]
+        names, attrs = set().union(*(n for n, _ in parts)), set().union(*(a for _, a in parts))
     else:
-        names = referenced_names(node)
+        names, attrs = referenced_names(node)
     if isinstance(node, DEFINITIONS):
         names.discard(node.name)
-    return names
+        attrs.discard(node.name)
+    return names, attrs
+
+
+def imported_names(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of each `from module import name` anywhere in the
+    module, with the module's last dotted part."""
+    return {
+        ((node.module or "").rpartition(".")[2], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
 
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
     """module.name, or module.Class.method, of each definition that no code
     outside it reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    used = set().union(*(uses(node) for tree in trees.values() for node in tree.body))
+    reads = {module: [uses(node) for node in tree.body] for module, tree in trees.items()}
+    bare = {module: set().union(*(n for n, _ in r)) for module, r in reads.items()}
+    attrs = {module: set().union(*(a for _, a in r)) for module, r in reads.items()}
+    imported = set().union(*map(imported_names, trees.values()))
+    anywhere = set().union(*bare.values(), *attrs.values())
+
+    def used(module: str, name: str) -> bool:
+        if "." in name:
+            return name.rpartition(".")[2] in anywhere
+        others = set().union(*(attrs[m] for m in trees if m != module))
+        return name in bare[module] or name in others or (module, name) in imported
+
     return sorted(
-        f"{module}.{name}"
-        for module, tree in trees.items()
-        for name in definitions(tree)
-        if name.rpartition(".")[2] not in used
+        f"{module}.{name}" for module, tree in trees.items() for name in definitions(tree)
+        if not used(module, name)
     )
 
 
@@ -126,3 +151,11 @@ def test_the_scan_finds_an_unused_method():
         "def main():\n    return Used().size\n\nmain()\n",
     }
     assert unreferenced(sources) == ["a.Used.again"]
+
+
+def test_a_local_variable_of_the_same_name_is_not_a_use():
+    sources = {
+        "a": "def catalog():\n    return {}\n\ndef models():\n    return {}\n",
+        "b": "from .a import models\n\ndef run():\n    catalog = models()\n    return catalog\n",
+    }
+    assert unreferenced(sources) == ["a.catalog", "b.run"]
