@@ -25,6 +25,8 @@ CONTACT_TOL = 1e-12  # surface_point's legendre_residual
 BLOCK_TOL = 1e-10  # induced_metric's block_agreement
 GEODESIC_TOL = 1e-12  # second_fundamental_form's ii_norm on a quadratic potential
 DECOMPOSITION_TOL = 1e-9  # second_fundamental_form's decomposition_residual
+SCALING_TOL = 1e-10  # homogeneity_check's scaling_residual
+CONSTITUTIVE_TOL = 1e-12  # homogeneity_check's constitutive and Gibbs-Duhem residuals
 
 
 class DegenerateSurfaceError(ValueError):
@@ -410,7 +412,7 @@ def homogeneity_check(model: PotentialModel, samples, lambdas=(0.5, 2.0, 3.0)) -
         "status": "checked",
         "degree": d,
         "scaling_residual": scaling,
-        "passed": bool(scaling < 1e-10),
+        "passed": bool(scaling < SCALING_TOL),
     }
     if d == 1.0:
         constitutive = gibbs_duhem = 0.0
@@ -428,7 +430,7 @@ def homogeneity_check(model: PotentialModel, samples, lambdas=(0.5, 2.0, 3.0)) -
         report["constitutive_residual"] = constitutive
         report["gibbs_duhem_residual"] = gibbs_duhem
         report["passed"] = bool(
-            report["passed"] and constitutive < 1e-12 and gibbs_duhem < 1e-12
+            report["passed"] and constitutive < CONSTITUTIVE_TOL and gibbs_duhem < CONSTITUTIVE_TOL
         )
     return report
 

@@ -4,10 +4,11 @@ nilpotent group model, potential-surface geometry) and reports claim by
 claim.  Expected tables are rebuilt here from their index formulas so the
 suites do not trust the code under test.
 
-The structure checks of tps, sympl and heisenberg return a (passed, witness)
-pair per claim, the witness None where the claim prints none; this module
-keeps each claim's text, family and order, and _claims turns the rows
-(text, family, pair) into results."""
+Every suite is a table of rows (claim text, family, (passed, witness)), in
+the order the claims print, and _claims turns the rows into results.  The
+pair comes from a math module's check or from a small pair builder here;
+the witness is None where the claim prints none, and a passed of None marks
+a claim that does not apply."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import heisenberg, killing, legendre, sympl, tps
 from .curvature import (
-    CurvatureTensors,
     DegeneratePlaneError,
     MetricSpec,
     SectionalForm,
@@ -40,6 +40,18 @@ QUARTER = Fraction(1, 4)
 
 def _rand_point(chart, rng) -> dict[str, Fraction]:
     return {nm: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for nm in chart.names}
+
+
+def _claims(*rows, exact: bool = True) -> list[Result]:
+    """One result per (claim text, family, (passed, witness)) row; a passed
+    of None marks the claim not applicable, and exact=False marks the
+    passing claims numeric."""
+    return [
+        Result(text, ref, "not-applicable", witness)
+        if passed is None
+        else check(text, ref, passed, witness, exact)
+        for text, ref, (passed, witness) in rows
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +202,7 @@ def _transform_table(n: int) -> list[tuple[str, str, str, dict[str, Fraction]]]:
     return out
 
 
-def _transform_table_result(n: int, metric: MetricSpec) -> Result:
+def _transform_check(n: int, metric: MetricSpec) -> tuple[bool, dict]:
     """R(A,B)C on every frame pair of the table against its coefficients.
     Each plane's operator is built once and applied to every C."""
     labels = ["xi", *(f"P{i}" for i in range(1, n + 1)), *(f"X{i}" for i in range(1, n + 1))]
@@ -202,21 +214,15 @@ def _transform_table_result(n: int, metric: MetricSpec) -> Result:
             ops[a, b] = riemann_operator(metric, frame[a], frame[b])
         if not killing.combination_equals(apply_rows(ops[a, b], frame[c]), coeffs, frame):
             mismatches.append(f"R({a},{b}){c}")
-    return check(
-        "curvature transform R(A,B)C matches the frame table on all pairs",
-        "curvature-table",
-        not mismatches,
-        witness={"mismatches": mismatches[:5]} if mismatches else {"pairs_exact": True},
-    )
+    return not mismatches, {"mismatches": mismatches[:5]} if mismatches else {"pairs_exact": True}
 
 
-def _sectional_results(n: int, metric: MetricSpec) -> list[Result]:
+def _sectional_rows(n: int, metric: MetricSpec) -> tuple:
     t = tps.build(n)
     chart = metric.chart
     P, X, xi = t.frame["P"], t.frame["X"], t.frame["xi"]
     dx = [VectorField.coordinate(chart, f"x{i}") for i in range(1, n + 1)]
     rng = random.Random(20260825)
-    out = []
 
     # conjugate pairs (P_i, d/dx^i): numerator == (3/4) denominator as
     # polynomials, then spot-evaluated at 100 random rational points
@@ -230,14 +236,6 @@ def _sectional_results(n: int, metric: MetricSpec) -> list[Result]:
         if val != Fraction(3, 4):
             point_fail = {"i": i + 1, "point": {k: str(v) for k, v in pt.items()}, "value": str(val)}
             break
-    out.append(
-        check(
-            "sectional curvature of (P_i, d/dx^i) equals 3/4 identically and at 100 random points",
-            "curvature-table",
-            poly_ok and point_fail is None,
-            witness=point_fail or {"points_checked": 100, "identity": True},
-        )
-    )
 
     # vanishing families: both numerator and denominator are identically zero
     families = [("(xi,P_1)", xi, P[0]), ("(xi,dx^1)", xi, dx[0]), ("(xi,X_1)", xi, X[0])]
@@ -248,134 +246,118 @@ def _sectional_results(n: int, metric: MetricSpec) -> list[Result]:
         form = SectionalForm(metric, a, b)
         if not (form.num.is_zero() and form.den.is_zero()):
             bad.append(label)
-    out.append(
-        check(
-            "sectional numerator and plane norm vanish identically on the degenerate families",
-            "curvature-table",
-            not bad,
-            witness={"failing": bad} if bad else {"families": [f[0] for f in families]},
-        )
-    )
 
-    status, witness = "not-applicable", "needs n >= 2"
+    mixed = None, "needs n >= 2"
     if n >= 2:
-        witness = {"raises": "DegeneratePlaneError"}
         try:
             sectional(metric, P[0], dx[1], _rand_point(chart, rng))
-            status = "fail"
+            rejected = False
         except DegeneratePlaneError:
-            status = "exact-pass"
-    out.append(
-        Result(
-            "mixed pair (P_1, d/dx^2) is rejected as a degenerate plane",
+            rejected = True
+        mixed = rejected, {"raises": "DegeneratePlaneError"}
+    return (
+        (
+            "sectional curvature of (P_i, d/dx^i) equals 3/4 identically and at 100 random points",
             "curvature-table",
-            status,
-            witness=witness,
-        )
-    )
-    return out
-
-
-def _det_holds(metric: MetricSpec, want: int) -> bool:
-    return metric.det == LaurentPoly.constant(metric.chart, Fraction(want))
-
-
-def _det_claim(text: str, metric: MetricSpec, want: int) -> Result:
-    return check(
-        text,
-        "curvature-table",
-        _det_holds(metric, want),
-        witness={"det": str(metric.det), "expected": str(want)},
+            (
+                poly_ok and point_fail is None,
+                point_fail or {"points_checked": 100, "identity": True},
+            ),
+        ),
+        (
+            "sectional numerator and plane norm vanish identically on the degenerate families",
+            "curvature-table",
+            (not bad, {"failing": bad} if bad else {"families": [f[0] for f in families]}),
+        ),
+        ("mixed pair (P_1, d/dx^2) is rejected as a degenerate plane", "curvature-table", mixed),
     )
 
 
-def _christoffel_claim(text: str, metric: MetricSpec, expect: dict) -> Result:
+def _det(metric: MetricSpec, want: int) -> tuple[bool, dict]:
+    ok = metric.det == LaurentPoly.constant(metric.chart, Fraction(want))
+    return ok, {"det": str(metric.det), "expected": str(want)}
+
+
+def _christoffel(metric: MetricSpec, expect: dict) -> tuple[bool, dict]:
     got = metric.christoffel().nonzero()
-    ok = got == expect
-    return check(
-        text,
-        "curvature-table",
-        ok,
-        witness={"nonzero_count": len(got)} if ok else _table_diff_witness(got, expect),
-    )
+    if got == expect:
+        return True, {"nonzero_count": len(got)}
+    return False, _table_diff_witness(got, expect)
 
 
-def _trace_form_claim(text: str, metric: MetricSpec) -> Result:
-    tf = trace_form(metric)
-    return check(
-        text,
-        "curvature-table",
-        all(c.is_zero() for c in tf),
-        witness={"nonzero_slots": [i for i, c in enumerate(tf) if not c.is_zero()]},
-    )
+def _trace_form(metric: MetricSpec) -> tuple[bool, dict]:
+    nonzero = [i for i, c in enumerate(trace_form(metric)) if not c.is_zero()]
+    return not nonzero, {"nonzero_slots": nonzero}
 
 
-def _tps_christoffel(n: int, metric: MetricSpec) -> Result:
-    return _christoffel_claim(
-        "Christoffel symbols match the seven closed-form families and nothing else",
-        metric,
-        expected_christoffel_tps(n),
-    )
-
-
-def _tps_ricci(n: int, cur: CurvatureTensors) -> Result:
-    expect = expected_ricci_tps(n)
-    ok = cur.ricci == expect
-    return check(
-        "Ricci tensor matches its closed form",
-        "curvature-table",
-        ok,
-        witness={"matrix_exact": True}
-        if ok
-        else _table_diff_witness(_named_entries(cur.ricci), _named_entries(expect)),
-    )
-
-
-def _tps_scalar(n: int, cur: CurvatureTensors) -> Result:
-    want = Fraction(n, 2)
-    return check(
-        "scalar curvature equals n/2",
-        "curvature-table",
-        cur.scalar == want,
-        witness={"scalar": str(cur.scalar), "expected": str(want)},
+def _tps_tensor_rows(n: int, metric: MetricSpec) -> tuple:
+    """The Christoffel, Ricci and scalar rows of the tps curvature suite,
+    for the phase metric or, in tamper_suite, a corrupted one."""
+    cur = metric.curvature()
+    ricci = expected_ricci_tps(n)
+    scalar = Fraction(n, 2)
+    return (
+        (
+            "Christoffel symbols match the seven closed-form families and nothing else",
+            "curvature-table",
+            _christoffel(metric, expected_christoffel_tps(n)),
+        ),
+        (
+            "Ricci tensor matches its closed form",
+            "curvature-table",
+            (True, {"matrix_exact": True})
+            if cur.ricci == ricci
+            else (False, _table_diff_witness(_named_entries(cur.ricci), _named_entries(ricci))),
+        ),
+        (
+            "scalar curvature equals n/2",
+            "curvature-table",
+            (cur.scalar == scalar, {"scalar": str(cur.scalar), "expected": str(scalar)}),
+        ),
     )
 
 
 def _curvature_tps(n: int) -> list[Result]:
     m = tps.phase_metric(n)
-    cur = m.curvature()
-    return [
-        _det_claim("det(G) = (-1)^n", m, (-1) ** n),
-        _tps_christoffel(n, m),
-        _trace_form_claim("connection trace form vanishes (det G is constant)", m),
-        _tps_ricci(n, cur),
-        _tps_scalar(n, cur),
-        _transform_table_result(n, m),
-        *_sectional_results(n, m),
-    ]
+    christoffel, ricci, scalar = _tps_tensor_rows(n, m)
+    return _claims(
+        ("det(G) = (-1)^n", "curvature-table", _det(m, (-1) ** n)),
+        christoffel,
+        ("connection trace form vanishes (det G is constant)", "curvature-table", _trace_form(m)),
+        ricci,
+        scalar,
+        (
+            "curvature transform R(A,B)C matches the frame table on all pairs",
+            "curvature-table",
+            _transform_check(n, m),
+        ),
+        *_sectional_rows(n, m),
+    )
 
 
 def _curvature_sympl(n: int) -> list[Result]:
     m = sympl.sympl_metric(n)
     einstein, scalar = sympl.einstein_report(n)
-    return [
-        _det_claim("det(G-tilde) = (-1)^(n+1)", m, (-1) ** (n + 1)),
-        _christoffel_claim(
+    return _claims(
+        ("det(G-tilde) = (-1)^(n+1)", "curvature-table", _det(m, (-1) ** (n + 1))),
+        (
             "Christoffel symbols match the three closed-form families and nothing else",
-            m,
-            expected_christoffel_sympl(n),
+            "curvature-table",
+            _christoffel(m, expected_christoffel_sympl(n)),
         ),
-        _trace_form_claim("connection trace form vanishes (det G-tilde is constant)", m),
-        *_claims(
-            ("lifted metric is Einstein: Ric = ((n+2)/2) G-tilde", "curvature-table", einstein),
-            ("scalar curvature equals (n+1)(n+2)", "curvature-table", scalar),
-            (
-                "symplectic top power matches the paired volume with unit Pfaffian sign",
-                "contact-structure",
-                sympl.volume_report(n),
-            ),
+        (
+            "connection trace form vanishes (det G-tilde is constant)",
+            "curvature-table",
+            _trace_form(m),
         ),
-    ]
+        ("lifted metric is Einstein: Ric = ((n+2)/2) G-tilde", "curvature-table", einstein),
+        ("scalar curvature equals (n+1)(n+2)", "curvature-table", scalar),
+        (
+            "symplectic top power matches the paired volume with unit Pfaffian sign",
+            "contact-structure",
+            sympl.volume_report(n),
+        ),
+    )
 
 
 # Largest number of conjugate pairs n each exact command accepts, by space;
@@ -397,46 +379,41 @@ def suite_curvature(space: str, n: int) -> list[Result]:
 # isometry suites
 
 
-def _dimension_claim(text: str, fields: list[VectorField], expected: int) -> Result:
-    return check(
-        text,
-        "isometry-algebra",
-        len(fields) == expected,
-        witness={"dimension": len(fields), "expected": expected},
+def _solve_rows(text: str, fields: list[VectorField], catalog, expected: int) -> tuple:
+    """The solve's rows: its dimension, and its span against the catalog's."""
+    dimension = len(fields)
+    return (
+        (
+            text,
+            "isometry-algebra",
+            (dimension == expected, {"dimension": dimension, "expected": expected}),
+        ),
+        (
+            "solved span equals the catalog span",
+            "isometry-algebra",
+            (killing.spans_equal(fields, [f for _, f in catalog]), {"catalog_size": len(catalog)}),
+        ),
     )
 
 
-def _span_claim(fields: list[VectorField], catalog) -> Result:
-    cat = [f for _, f in catalog]
-    return check(
-        "solved span equals the catalog span",
-        "isometry-algebra",
-        killing.spans_equal(fields, cat),
-        witness={"catalog_size": len(cat)},
-    )
-
-
-def _catalog_claim(metric: MetricSpec, catalog, expected: int, shown: str) -> Result:
-    """Every catalog field is Killing and the catalog has the expected size;
-    a pass shows the report's entry `shown`, a failure all of them."""
+def _catalog_rows(metric: MetricSpec, catalog, expected: int, shown: str, brackets) -> tuple:
+    """The catalog's rows: every field is Killing and the catalog has the
+    expected size (a pass shows the report's entry `shown`, a failure all of
+    them), and the brackets' (passed, witness) pair, which each space checks
+    against its own closed-form table."""
     rep = killing.catalog_report(metric, catalog, expected)
-    return check(
-        "every catalog field is a metric isometry generator",
-        "isometry-algebra",
-        rep["passed"],
-        witness={shown: rep[shown]}
-        if rep["passed"]
-        else {k: rep[k] for k in ("non_killing", "count", "expected_count")},
-    )
-
-
-def _bracket_claim(passed: bool, witness: dict) -> Result:
-    # each space checks its own closed-form table and gives its own witness
-    return check(
-        "catalog brackets match the closed-form structure constants",
-        "isometry-algebra",
-        passed,
-        witness=witness,
+    return (
+        (
+            "every catalog field is a metric isometry generator",
+            "isometry-algebra",
+            (
+                rep["passed"],
+                {shown: rep[shown]}
+                if rep["passed"]
+                else {k: rep[k] for k in ("non_killing", "count", "expected_count")},
+            ),
+        ),
+        ("catalog brackets match the closed-form structure constants", "isometry-algebra", brackets),
     )
 
 
@@ -447,12 +424,18 @@ def _killing_tps(n: int, degree: int) -> list[Result]:
     catalog = tps.killing_catalog(n)
     bad = killing.bracket_failures(catalog, tps.catalog_brackets(n))
     pairs = len(catalog) * (len(catalog) - 1) // 2
-    return [
-        _dimension_claim(f"degree-{degree} isometry solve has dimension (n+1)^2", fields, expect_dim),
-        _span_claim(fields, catalog),
-        _catalog_claim(m, catalog, expect_dim, "non_killing"),
-        _bracket_claim(not bad, {"failing_brackets": bad[:5]} if bad else {"pairs": pairs}),
-    ]
+    return _claims(
+        *_solve_rows(
+            f"degree-{degree} isometry solve has dimension (n+1)^2", fields, catalog, expect_dim
+        ),
+        *_catalog_rows(
+            m,
+            catalog,
+            expect_dim,
+            "non_killing",
+            (not bad, {"failing_brackets": bad[:5]} if bad else {"pairs": pairs}),
+        ),
+    )
 
 
 def _killing_sympl(n: int, degree: int) -> list[Result]:
@@ -461,38 +444,32 @@ def _killing_sympl(n: int, degree: int) -> list[Result]:
     expect_dim = (n + 2) ** 2 - 1
     catalog = sympl.killing_catalog(n)
     if degree >= 2:
-        out = [
-            _dimension_claim(
-                f"degree-{degree} isometry solve has dimension (n+2)^2 - 1", fields, expect_dim
-            ),
-            _span_claim(fields, catalog),
-        ]
+        solve = _solve_rows(
+            f"degree-{degree} isometry solve has dimension (n+2)^2 - 1", fields, catalog, expect_dim
+        )
     else:
-        out = [
-            Result(
+        solve = (
+            (
                 "dimension check for the lifted metric",
                 "isometry-algebra",
-                "not-applicable",
-                witness=f"quadratic generators need degree >= 2; degree-1 solve found {len(fields)}",
-            )
-        ]
-    out.append(_catalog_claim(m, catalog, expect_dim, "count"))
+                (None, f"quadratic generators need degree >= 2; degree-1 solve found {len(fields)}"),
+            ),
+        )
     br_ok, br = sympl.bracket_report(n)
-    out.append(_bracket_claim(br_ok, br))
     # the matrices reproduce the printed table and the bracket claim proves
     # that the fields do: the embedding needs both (sl_embedding_report)
     sl_ok, sl = sympl.sl_embedding_report(n)
     sl_ok &= br_ok
     sl["brackets_match"] &= br_ok
-    out.append(
-        check(
+    return _claims(
+        *solve,
+        *_catalog_rows(m, catalog, expect_dim, "count", (br_ok, br)),
+        (
             "rescaled generators reproduce the traceless-matrix bracket exactly",
             "isometry-algebra",
-            sl_ok,
-            witness={"dimension": expect_dim} if sl_ok else sl,
-        )
+            (sl_ok, {"dimension": expect_dim} if sl_ok else sl),
+        ),
     )
-    return out
 
 
 def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
@@ -503,11 +480,6 @@ def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
 
 # ----------------------------------------------------------------------
 # structure suites for verify-all
-
-
-def _claims(*rows) -> list[Result]:
-    """One result per (claim text, family, (passed, witness)) row."""
-    return [check(text, ref, passed, witness) for text, ref, (passed, witness) in rows]
 
 
 def _contact_volume(n: int) -> tuple[bool, dict]:
@@ -651,7 +623,6 @@ def suite_sympl(n: int) -> list[Result]:
 
 
 def suite_heisenberg(n: int) -> list[Result]:
-    out = []
     rng = random.Random(42)
 
     def rand_el():
@@ -661,105 +632,99 @@ def suite_heisenberg(n: int) -> list[Result]:
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
         )
 
-    ident = heisenberg.identity(n)
-    axiom_bad = None
-    for _ in range(200):
-        g, h, k = rand_el(), rand_el(), rand_el()
-        assoc = heisenberg.multiply(heisenberg.multiply(g, h), k) == heisenberg.multiply(
-            g, heisenberg.multiply(h, k)
-        )
-        unit = heisenberg.multiply(g, ident) == g and heisenberg.multiply(ident, g) == g
-        inv = heisenberg.multiply(g, heisenberg.inverse(g)) == ident
-        if not (assoc and unit and inv):
-            axiom_bad = g.to_json()
-            break
-    out.append(
-        check(
-            "group axioms hold exactly over 200 random rational triples",
-            "group-model",
-            axiom_bad is None,
-            witness=axiom_bad or {"samples": 200},
-        )
-    )
+    def axioms():
+        ident = heisenberg.identity(n)
+        for _ in range(200):
+            g, h, k = rand_el(), rand_el(), rand_el()
+            assoc = heisenberg.multiply(heisenberg.multiply(g, h), k) == heisenberg.multiply(
+                g, heisenberg.multiply(h, k)
+            )
+            unit = heisenberg.multiply(g, ident) == g and heisenberg.multiply(ident, g) == g
+            inv = heisenberg.multiply(g, heisenberg.inverse(g)) == ident
+            if not (assoc and unit and inv):
+                return False, g.to_json()
+        return True, {"samples": 200}
 
-    series_bad = None
-    for _ in range(50):
-        g, h = rand_el(), rand_el()
-        x = heisenberg.log(g)
-        if not heisenberg.exp_matches_series(x):
-            series_bad = {"element": g.to_json(), "kind": "exp-series"}
-            break
-        if not heisenberg.multiply_matches_matrices(g, h):
-            series_bad = {"kind": "matrix-product"}
-            break
-        if heisenberg.exp(heisenberg.log(g)) != g:
-            series_bad = {"element": g.to_json(), "kind": "exp-log"}
-            break
-    out.append(
-        check(
-            "exponential agrees with the nilpotent matrix series; log inverts it",
-            "group-model",
-            series_bad is None,
-            witness=series_bad or {"samples": 50},
-        )
-    )
+    def series():
+        for _ in range(50):
+            g, h = rand_el(), rand_el()
+            if not heisenberg.exp_matches_series(heisenberg.log(g)):
+                return False, {"element": g.to_json(), "kind": "exp-series"}
+            if not heisenberg.multiply_matches_matrices(g, h):
+                return False, {"kind": "matrix-product"}
+            if heisenberg.exp(heisenberg.log(g)) != g:
+                return False, {"element": g.to_json(), "kind": "exp-log"}
+        return True, {"samples": 50}
 
-    rt_bad = None
-    for _ in range(25):
-        g = rand_el()
-        p = heisenberg.chi(rand_el())
-        if heisenberg.right_action(g, p) != heisenberg.chi(
-            heisenberg.multiply(heisenberg.chi_inv(p, n), g)
-        ):
-            rt_bad = g.to_json()
-            break
-    out.append(
-        check(
-            "chart map intertwines right translation with its closed-form action",
-            "group-model",
-            rt_bad is None,
-            witness=rt_bad or {"samples": 25},
-        )
-    )
+    def right_action():
+        for _ in range(25):
+            g = rand_el()
+            p = heisenberg.chi(rand_el())
+            if heisenberg.right_action(g, p) != heisenberg.chi(
+                heisenberg.multiply(heisenberg.chi_inv(p, n), g)
+            ):
+                return False, g.to_json()
+        return True, {"samples": 25}
 
     inv_rep = heisenberg.invariant_report(n)
-    # each claim holds when all its report keys do; the witness names the
-    # first key, or the first failing one
-    for claim, *keys in [
-        (
-            "chart map identifies the invariant one-form with theta",
-            "theta_h_matches",
-            "right_translation_invariance",
-        ),
-        ("invariant frame pushes to (-xi, X_i, P_j)", "xi_pushforwards"),
-        ("left-invariant frame pushes to exact isometry generators", "eta_pushforwards_exact"),
-        ("central commutator matches through the chart map", "commutator_consistency"),
-        ("frame Gram matrix of the pulled metric is constant", "gram_constant", "gram_matches"),
-        ("nilpotent frame spans inside the isometry algebra", "nilradical_in_isometry_span"),
-    ]:
+
+    def invariant(*keys):
+        # holds when all its report keys do; the witness names the first
+        # key, or the first failing one
         failing = [key for key in keys if not inv_rep[key]]
-        out.append(check(claim, "group-model", not failing, witness={"key": (failing or keys)[0]}))
+        return not failing, {"key": (failing or keys)[0]}
+
+    def round_trip():
+        g = rand_el()
+        return heisenberg.HeisElement.from_json(g.to_json()) == g, g.to_json()
 
     right, left = heisenberg.translation_invariance_report(n)
-    out += _claims(
+    # the rows run in order, so the sampled claims draw from rng in order
+    return _claims(
+        ("group axioms hold exactly over 200 random rational triples", "group-model", axioms()),
+        (
+            "exponential agrees with the nilpotent matrix series; log inverts it",
+            "group-model",
+            series(),
+        ),
+        (
+            "chart map intertwines right translation with its closed-form action",
+            "group-model",
+            right_action(),
+        ),
+        (
+            "chart map identifies the invariant one-form with theta",
+            "group-model",
+            invariant("theta_h_matches", "right_translation_invariance"),
+        ),
+        ("invariant frame pushes to (-xi, X_i, P_j)", "group-model", invariant("xi_pushforwards")),
+        (
+            "left-invariant frame pushes to exact isometry generators",
+            "group-model",
+            invariant("eta_pushforwards_exact"),
+        ),
+        (
+            "central commutator matches through the chart map",
+            "group-model",
+            invariant("commutator_consistency"),
+        ),
+        (
+            "frame Gram matrix of the pulled metric is constant",
+            "group-model",
+            invariant("gram_constant", "gram_matches"),
+        ),
+        (
+            "nilpotent frame spans inside the isometry algebra",
+            "group-model",
+            invariant("nilradical_in_isometry_span"),
+        ),
         ("right translations preserve theta and G with symbolic parameters", "group-model", right),
         ("left translation defect on theta equals sum(gb_i dx^i - ga_i dp_i)", "group-model", left),
+        ("JSON round trip preserves elements exactly", "plumbing", round_trip()),
     )
-
-    g = rand_el()
-    out.append(
-        check(
-            "JSON round trip preserves elements exactly",
-            "plumbing",
-            heisenberg.HeisElement.from_json(g.to_json()) == g,
-            witness=g.to_json(),
-        )
-    )
-    return out
 
 
 def suite_legendre() -> list[Result]:
-    out = []
     rng = np.random.default_rng(20260825)
     models = {
         "van_der_waals": (
@@ -787,6 +752,8 @@ def suite_legendre() -> list[Result]:
             lambda: np.array([rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0)]),
         ),
     }
+    # every pair is computed in the order the claims print, so the samples
+    # draw from rng in that order
 
     worst_theta = {}
     worst_block = {}
@@ -794,39 +761,19 @@ def suite_legendre() -> list[Result]:
         im = legendre.induced_metric(model, np.array([sample() for _ in range(100)]))
         worst_theta[name] = max(0.0, *im["surface_point"]["legendre_residual"].tolist())
         worst_block[name] = max(0.0, *im["block_agreement"].tolist())
-    out.append(
-        check(
-            "contact form pulls back to zero on every surface (100 points per model)",
-            "surface-geometry",
-            max(worst_theta.values()) < legendre.CONTACT_TOL,
-            witness={k: float(v) for k, v in worst_theta.items()},
-            exact=False,
-        )
-    )
-    out.append(
-        check(
-            "induced metric agrees with its Hessian block formula",
-            "surface-geometry",
-            max(worst_block.values()) < legendre.BLOCK_TOL,
-            witness={k: float(v) for k, v in worst_block.items()},
-            exact=False,
-        )
-    )
+    theta = max(worst_theta.values()) < legendre.CONTACT_TOL, {
+        k: float(v) for k, v in worst_theta.items()
+    }
+    block = max(worst_block.values()) < legendre.BLOCK_TOL, {
+        k: float(v) for k, v in worst_block.items()
+    }
 
     quad = models["quadratic"][0]
     rep = legendre.second_fundamental_form(
         quad, np.array([rng.uniform(-2.0, 2.0, size=2) for _ in range(20)])
     )
     ii_worst = max(0.0, *rep["ii_norm"].tolist())
-    out.append(
-        check(
-            "quadratic potentials give totally geodesic surfaces",
-            "surface-geometry",
-            ii_worst < legendre.GEODESIC_TOL,
-            witness={"worst_ii_norm": float(ii_worst)},
-            exact=False,
-        )
-    )
+    geodesic = ii_worst < legendre.GEODESIC_TOL, {"worst_ii_norm": float(ii_worst)}
 
     vdw = models["van_der_waals"][0]
     from .jets import jet_fd_compare
@@ -834,90 +781,77 @@ def suite_legendre() -> list[Result]:
     rep = jet_fd_compare(
         vdw.evaluator, vdw.plain, np.array([1.0, 2.0]), rel={0: 1e-8, 1: 1e-8, 2: 1e-8, 3: 1e-7}
     )
-    o2, o3 = rep["orders"][2], rep["orders"][3]
-    out.append(
-        check(
-            "van der Waals second derivatives match the difference oracle at (S,V)=(1,2) within 1e-8 relative",
-            "surface-geometry",
-            o2["passed"],
-            witness={"max_abs_diff": float(o2["max_abs_diff"]), "tolerance": float(o2["tolerance"])},
-            exact=False,
+    o2, o3 = (
+        (
+            bool(o["passed"]),
+            {"max_abs_diff": float(o["max_abs_diff"]), "tolerance": float(o["tolerance"])},
         )
-    )
-    out.append(
-        check(
-            "van der Waals third derivatives match the refined oracle within 1e-7 relative",
-            "surface-geometry",
-            o3["passed"],
-            witness={"max_abs_diff": float(o3["max_abs_diff"]), "tolerance": float(o3["tolerance"])},
-            exact=False,
-        )
+        for o in (rep["orders"][2], rep["orders"][3])
     )
 
     bases = np.array([[rng.uniform(-1.0, 1.0), rng.uniform(1.5, 3.0)] for _ in range(10)])
     rep = legendre.second_fundamental_form(vdw, bases)
     dec_worst = max(0.0, *rep["decomposition_residual"].tolist())
-    out.append(
-        check(
-            "tangential derivative decomposes through the curvature coefficients",
-            "surface-geometry",
-            dec_worst < legendre.DECOMPOSITION_TOL,
-            witness={"worst_residual": float(dec_worst)},
-            exact=False,
-        )
-    )
+    decomposition = dec_worst < legendre.DECOMPOSITION_TOL, {"worst_residual": float(dec_worst)}
 
     demo = models["homogeneous_demo"][0]
     hom = legendre.homogeneity_check(demo, [models["homogeneous_demo"][1]() for _ in range(10)])
-    out.append(
-        check(
-            "degree-1 potential lies on the constitutive hypersurface with zero pairing",
-            "surface-geometry",
-            hom["passed"],
-            witness={
-                "constitutive": float(hom["constitutive_residual"]),
-                "gibbs_duhem": float(hom["gibbs_duhem_residual"]),
-            },
-            exact=False,
-        )
-    )
+    degree_one = hom["passed"], {
+        "constitutive": float(hom["constitutive_residual"]),
+        "gibbs_duhem": float(hom["gibbs_duhem_residual"]),
+    }
 
-    nonhom = legendre.homogeneity_check(vdw, [np.array([0.5, 2.5])])
-    out.append(
-        Result(
-            "scaling checks for a non-homogeneous potential",
-            "surface-geometry",
-            "not-applicable" if nonhom["status"] == "not-applicable" else "fail",
-            witness={"status": nonhom["status"]},
-        )
-    )
+    status = legendre.homogeneity_check(vdw, [np.array([0.5, 2.5])])["status"]
+    nonhom = None if status == "not-applicable" else False, {"status": status}
 
     lit = models["van_der_waals_literal"][0]
     grid = [[s, v] for s in np.linspace(0.5, 2.0, 10) for v in np.linspace(1.5, 3.0, 10)]
     lit_indef = "indefinite" in legendre.stability_classify(lit, grid)["definiteness"]
-    out.append(
-        check(
-            "literal-exponent van der Waals grid contains an indefinite (spinodal) point",
-            "surface-geometry",
-            lit_indef,
-            witness={"grid": "[0.5,2]x[1.5,3], 10x10"},
-            exact=False,
-        )
-    )
     grid = [[s, v] for s in np.linspace(-3.0, 1.0, 12).tolist()
             for v in np.linspace(1.5, 3.0, 10).tolist()]
     definiteness = legendre.stability_classify(vdw, grid)["definiteness"]
     phys_indef = next((pt for pt, d in zip(grid, definiteness) if d == "indefinite"), None)
-    out.append(
-        check(
+    return _claims(
+        (
+            "contact form pulls back to zero on every surface (100 points per model)",
+            "surface-geometry",
+            theta,
+        ),
+        ("induced metric agrees with its Hessian block formula", "surface-geometry", block),
+        ("quadratic potentials give totally geodesic surfaces", "surface-geometry", geodesic),
+        (
+            "van der Waals second derivatives match the difference oracle at (S,V)=(1,2) within 1e-8 relative",
+            "surface-geometry",
+            o2,
+        ),
+        (
+            "van der Waals third derivatives match the refined oracle within 1e-7 relative",
+            "surface-geometry",
+            o3,
+        ),
+        (
+            "tangential derivative decomposes through the curvature coefficients",
+            "surface-geometry",
+            decomposition,
+        ),
+        (
+            "degree-1 potential lies on the constitutive hypersurface with zero pairing",
+            "surface-geometry",
+            degree_one,
+        ),
+        ("scaling checks for a non-homogeneous potential", "surface-geometry", nonhom),
+        (
+            "literal-exponent van der Waals grid contains an indefinite (spinodal) point",
+            "surface-geometry",
+            (lit_indef, {"grid": "[0.5,2]x[1.5,3], 10x10"}),
+        ),
+        (
             "physical-exponent van der Waals spinodal found for S in [-3, 1]",
             "surface-geometry",
-            phys_indef is not None,
-            witness={"point": phys_indef},
-            exact=False,
-        )
+            (phys_indef is not None, {"point": phys_indef}),
+        ),
+        exact=False,
     )
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -946,9 +880,7 @@ def tamper_suite(n: int = 2) -> list[Result]:
     """Runs the curvature suite's Christoffel, Ricci and scalar claims on a
     deliberately corrupted metric; the suite is wired correctly only if this
     produces failures with witnesses."""
-    m = tampered_metric(n)
-    cur = m.curvature()
-    return [_tps_christoffel(n, m), _tps_ricci(n, cur), _tps_scalar(n, cur)]
+    return _claims(*_tps_tensor_rows(n, tampered_metric(n)))
 
 
 def negative_control_result(n: int = 2) -> Result:
@@ -970,23 +902,13 @@ def negative_control_result(n: int = 2) -> Result:
 
 
 def _tps_det_at(n: int) -> list[Result]:
-    return [
-        check(
-            f"det(G) = (-1)^n at n = {n}",
-            "curvature-table",
-            _det_holds(tps.phase_metric(n), (-1) ** n),
-        )
-    ]
+    ok, _ = _det(tps.phase_metric(n), (-1) ** n)
+    return _claims((f"det(G) = (-1)^n at n = {n}", "curvature-table", (ok, None)))
 
 
 def _sympl_det_at(n: int) -> list[Result]:
-    return [
-        check(
-            f"det(G-tilde) = (-1)^(n+1) at n = {n}",
-            "curvature-table",
-            _det_holds(sympl.sympl_metric(n), (-1) ** (n + 1)),
-        )
-    ]
+    ok, _ = _det(sympl.sympl_metric(n), (-1) ** (n + 1))
+    return _claims((f"det(G-tilde) = (-1)^(n+1) at n = {n}", "curvature-table", (ok, None)))
 
 
 # Per suite, its (builder, n, args) entries in the order they run: each gives

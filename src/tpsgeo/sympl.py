@@ -47,24 +47,14 @@ def sympl_metric(n: int) -> MetricSpec:
     g = [[z] * d for _ in range(d)]
     inv = [[z] * d for _ in range(d)]
     for i in range(n + 1):
-        xi = chart.index(f"x{i}")
-        g[chart.index(f"p{i}")][xi] = LaurentPoly.one(chart)
-        g[xi][chart.index(f"p{i}")] = LaurentPoly.one(chart)
+        pi, xi = chart.index(f"p{i}"), chart.index(f"x{i}")
+        g[pi][xi] = g[xi][pi] = LaurentPoly.one(chart)
+        inv[pi][xi] = inv[xi][pi] = LaurentPoly.one(chart)
         for j in range(n + 1):
-            g[xi][chart.index(f"x{j}")] = LaurentPoly.variable(
-                chart, f"p{i}"
-            ) * LaurentPoly.variable(chart, f"p{j}")
-        inv[sympl_index(chart, "p", i)][sympl_index(chart, "x", i)] = LaurentPoly.one(chart)
-        inv[sympl_index(chart, "x", i)][sympl_index(chart, "p", i)] = LaurentPoly.one(chart)
-        for j in range(n + 1):
-            inv[sympl_index(chart, "p", i)][sympl_index(chart, "p", j)] = -(
-                LaurentPoly.variable(chart, f"p{i}") * LaurentPoly.variable(chart, f"p{j}")
-            )
+            pp = LaurentPoly.variable(chart, f"p{i}") * LaurentPoly.variable(chart, f"p{j}")
+            g[xi][chart.index(f"x{j}")] = pp
+            inv[pi][chart.index(f"p{j}")] = -pp
     return MetricSpec(f"sympl-{n}", chart, PolyMatrix(chart, g), PolyMatrix(chart, inv))
-
-
-def sympl_index(chart: Chart, kind: str, i: int) -> int:
-    return chart.index(f"{kind}{i}")
 
 
 class Sympl:
@@ -258,9 +248,7 @@ def killing_catalog(n: int) -> tuple[tuple[str, VectorField], ...]:
             )
     for s in range(n + 1):
         out.append((f"X{s}", VectorField.from_dict(chart, {f"x{s}": 1})))
-    pairing = LaurentPoly.zero(chart)
-    for s in range(n + 1):
-        pairing = pairing + x(s) * p(s)
+    pairing = incidence_quadric(n)
     for i in range(n + 1):
         comps = {f"p{i}": LaurentPoly.one(chart) - pairing * HALF}
         d = VectorField.from_dict(chart, comps)
@@ -313,9 +301,7 @@ def hamiltonian_report(n: int) -> tuple[bool, dict]:
     def p(i):
         return LaurentPoly.variable(chart, f"p{i}")
 
-    pairing = LaurentPoly.zero(chart)
-    for k in range(n + 1):
-        pairing = pairing + x(k) * p(k)
+    pairing = incidence_quadric(n)
     expected: dict[str, LaurentPoly] = {}
     for i in range(n + 1):
         for j in range(n + 1):

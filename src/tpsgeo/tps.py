@@ -34,10 +34,6 @@ def contact_form(n: int) -> Form:
     return Form.one_form(chart, coeffs)
 
 
-def reeb_field(n: int) -> VectorField:
-    return VectorField.coordinate(tps_chart(n), "x0")
-
-
 def canonical_frame(n: int) -> dict:
     """xi, P_l = d/dp_l, X_i = d/dx^i - p_i d/dx0 (theta-horizontal lifts)."""
     chart = tps_chart(n)
@@ -62,8 +58,8 @@ class TPS:
         self.n = n
         self.chart = tps_chart(n)
         self.theta = contact_form(n)
-        self.reeb = reeb_field(n)
         self.frame = canonical_frame(n)
+        self.reeb = self.frame["xi"]
 
     def frame_list(self) -> list[VectorField]:
         return [self.frame["xi"], *self.frame["P"], *self.frame["X"]]

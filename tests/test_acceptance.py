@@ -77,8 +77,9 @@ class TestRicciAndTransform:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_transform_table_all_frame_pairs(self, n):
-        res = suites._transform_table_result(n, tps.phase_metric(n))
-        assert res.status == "exact-pass", res.witness
+        passed, witness = suites._transform_check(n, tps.phase_metric(n))
+        assert passed is True, witness
+        assert witness == {"pairs_exact": True}
 
 
 class TestSectionalCurvature:

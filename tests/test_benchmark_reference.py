@@ -9,6 +9,7 @@ references are only read."""
 import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -19,13 +20,17 @@ BENCHMARKS = os.path.join(
 )
 
 
-def load_oracle():
+def load_module(name):
     spec = importlib.util.spec_from_file_location(
-        "benchmark_oracle", os.path.join(BENCHMARKS, "oracle.py")
+        f"benchmark_{name}", os.path.join(BENCHMARKS, f"{name}.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_oracle():
+    return load_module("oracle")
 
 
 # the tpsgeo calls of each workload, in the order of its reference lists
@@ -49,3 +54,21 @@ def test_reports_match_the_benchmark_reference(workload, tmp_path):
         got = json.loads(out.read_text())["results"]
         attempted, failed = oracle.compare_records(got, want)
         assert (attempted, failed) == (len(want), 0), argv
+
+
+def test_surface_grid_matches_the_benchmark_reference(monkeypatch, tmp_path):
+    # run.py puts benchmarks/ on sys.path to import its oracle and tracer;
+    # the workload's model, points and classes are read from it
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = load_module("run")
+    oracle = load_oracle()
+    points = run.surface_points(run.DEFAULT_SEED)
+    model_file, points_file = tmp_path / "model.json", tmp_path / "points.json"
+    model_file.write_text(json.dumps(run.VAN_DER_WAALS))
+    points_file.write_text(json.dumps(points))
+    out = tmp_path / "report.json"
+    argv = ["potential", "--model-file", str(model_file), "--points-file", str(points_file)]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    want = oracle.load_reference("surface_grid")[0]
+    assert oracle.check_surface(results, points, run.surface_classes(points), want) == (900, 0)

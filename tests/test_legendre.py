@@ -12,7 +12,9 @@ import pytest
 
 from tpsgeo import jets, legendre as lg, suites, tps
 from tpsgeo.jets import DomainError, Jet3, fd_oracle
+from tpsgeo.fields import PolyMap
 from tpsgeo.legendre import DegenerateSurfaceError
+from tpsgeo.linalg import PolyMatrix
 from tpsgeo.poly import Chart, LaurentPoly
 
 
@@ -628,3 +630,71 @@ def test_flipped_momenta_on_j_fail_the_chain_rule_row(monkeypatch):
         p = np.where(model._in_i(), base, jet.grad)
         tangent = lg._tangent_frame(model, jet, p)
         assert x0_row_mismatch(model, base, jet, tangent) > 1e-3, name
+
+
+def canonical_map(q, part_i):
+    """The canonical parametrisation of phi = (1/2) b^T Q b as a map from
+    the base chart (b1..bn) to the phase space: x0 = phi - sum_I b_i phi_i;
+    p_i = b_i and x_i = phi_i on I; p_j = -phi_j and x_j = b_j on J."""
+    n = len(q)
+    src = Chart([f"b{k}" for k in range(1, n + 1)])
+    b = [LaurentPoly.variable(src, f"b{k}") for k in range(1, n + 1)]
+    grad = [sum((b[l] * q[k][l] for l in range(n)), LaurentPoly.zero(src)) for k in range(n)]
+    phi = sum((b[k] * grad[k] for k in range(n)), LaurentPoly.zero(src)) * Fraction(1, 2)
+    comps = {"x0": phi}
+    for k in range(1, n + 1):
+        if k in part_i:
+            comps["x0"] = comps["x0"] - b[k - 1] * grad[k - 1]
+            comps[f"p{k}"], comps[f"x{k}"] = b[k - 1], grad[k - 1]
+        else:
+            comps[f"p{k}"], comps[f"x{k}"] = -grad[k - 1], b[k - 1]
+    return PolyMap(src, tps.tps_chart(n), comps)
+
+
+def block_formula(q, part_i):
+    """+2Q on I x I, -2Q on J x J, zero across."""
+    n = len(q)
+    in_i = [k in part_i for k in range(1, n + 1)]
+    return [
+        [(2 if in_i[a] else -2) * q[a][c] if in_i[a] == in_i[c] else Fraction(0) for c in range(n)]
+        for a in range(n)
+    ]
+
+
+HALF = Fraction(1, 2)
+QUADRATIC_CASES = [
+    ([[Fraction(3)]], ()),
+    ([[Fraction(-5, 3)]], (1,)),
+    # the matrix the legendre suite samples, as quadratic and quadratic_mixed
+    ([[Fraction(2), HALF], [HALF, Fraction(1)]], ()),
+    ([[Fraction(2), HALF], [HALF, Fraction(1)]], (1,)),
+    ([[Fraction(1), Fraction(-3, 4)], [Fraction(-3, 4), Fraction(0)]], (2,)),
+    ([[Fraction(1), Fraction(1, 3), Fraction(-2)],
+      [Fraction(1, 3), Fraction(-1), Fraction(1, 4)],
+      [Fraction(-2), Fraction(1, 4), Fraction(5, 2)]], ()),
+    ([[Fraction(1), Fraction(1, 3), Fraction(-2)],
+      [Fraction(1, 3), Fraction(-1), Fraction(1, 4)],
+      [Fraction(-2), Fraction(1, 4), Fraction(5, 2)]], (1, 3)),
+    ([[Fraction(0), Fraction(2), Fraction(0)],
+      [Fraction(2), Fraction(7, 5), Fraction(-1)],
+      [Fraction(0), Fraction(-1), Fraction(0)]], (2,)),
+]
+
+
+@pytest.mark.parametrize("q, part_i", QUADRATIC_CASES)
+def test_quadratic_surface_is_legendre_with_the_block_metric_exactly(q, part_i):
+    # the parametrisation is polynomial, so theta|_L = 0 and the induced
+    # metric are LaurentPoly identities
+    fmap = canonical_map(q, part_i)
+    assert fmap.pull_form(tps.contact_form(len(q))).is_zero()
+    want = [[LaurentPoly.constant(fmap.src, v) for v in row] for row in block_formula(q, part_i)]
+    assert fmap.pull_metric(tps.phase_metric(len(q)).g) == PolyMatrix(fmap.src, want)
+
+
+@pytest.mark.parametrize("q, part_i", QUADRATIC_CASES)
+def test_float_induced_metric_of_a_quadratic_matches_the_exact_one(q, part_i):
+    model = lg.quadratic([[float(v) for v in row] for row in q], part_i=part_i)
+    pts = np.random.default_rng(len(q) + len(part_i)).uniform(-2.0, 2.0, size=(6, len(q)))
+    want = np.array(block_formula(q, part_i), dtype=float)
+    pullback = lg.induced_metric(model, pts)["pullback"]
+    assert np.max(np.abs(pullback - want)) < lg.BLOCK_TOL

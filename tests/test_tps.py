@@ -251,21 +251,34 @@ def test_theta_of_phi_not_zero_fails_the_phi_squared_claim(monkeypatch):
         assert claim.witness == {"rank_phi": None}
 
 
-@pytest.mark.parametrize("n", [1, 2])
+# the rows whose claim does not apply: the sympl degree-1 dimension check,
+# the mixed sectional pair at n = 1 and the scaling claim of a
+# non-homogeneous potential
+NOT_APPLICABLE = [
+    "dimension check for the lifted metric",
+    "mixed pair (P_1, d/dx^2) is rejected as a degenerate plane",
+    "scaling checks for a non-homogeneous potential",
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, None])
 def test_every_structure_claim_gets_a_bool_verdict(monkeypatch, n):
-    # a (passed, witness) pair or a numpy bool would pass as truthy: check
-    # must get the bool itself
-    kinds = []
-    original = suites.check
+    # a (passed, witness) pair or a numpy bool would pass as truthy: every
+    # result comes from a _claims row whose verdict is the bool itself, or
+    # None where the claim does not apply; n caps every verify-all suite
+    rows = []
+    original = suites._claims
 
-    def recording(claim, ref, ok, *args, **kwargs):
-        kinds.append(type(ok))
-        return original(claim, ref, ok, *args, **kwargs)
+    def recording(*claim_rows, **kwargs):
+        rows.extend((text, passed) for text, _, (passed, _) in claim_rows)
+        return original(*claim_rows, **kwargs)
 
-    monkeypatch.setattr(suites, "check", recording)
-    results = suites.suite_tps(n) + suites.suite_sympl(n)
-    assert len(kinds) == len(results)
-    assert set(kinds) == {bool}
+    monkeypatch.setattr(suites, "_claims", recording)
+    results = [r for suite in suites.SUITES.values() for r in suite(n)]
+    results += suites.tamper_suite() + suites.suite_killing("sympl", 1, 1)
+    assert [r.claim for r in results] == [text for text, _ in rows]
+    assert {type(passed) for _, passed in rows} == {bool, type(None)}
+    assert sorted(text for text, passed in rows if passed is None) == sorted(NOT_APPLICABLE)
 
 
 def squared_contact_form(n):
