@@ -1,6 +1,10 @@
 """Heisenberg group H_n over the rationals: group law, exponential map with
 its nilpotent matrix-series oracle, the diffeomorphism chi onto the contact
-phase space, translation actions, and the invariant-structure checks."""
+phase space, translation actions, and the invariant-structure checks.
+
+Group and algebra elements, and the matrices of the oracle, are integer
+numerators over one positive denominator, so that the group law, exp, log
+and the oracle run in int arithmetic."""
 
 from __future__ import annotations
 
@@ -8,58 +12,32 @@ import functools
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .fields import Form, PolyMap, VectorField, bracket, pairing
 from .killing import combination_equals, spans_contain
-from .poly import Chart, LaurentPoly
+from .poly import Chart, LaurentPoly, _as_fraction
 from . import tps
 
-HALF = Fraction(1, 2)
 
+class _Triple:
+    """(a, b, last) with a and b of one length n.
 
-def _exact(x) -> int | Fraction:
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
-def _vec(v) -> tuple[Fraction, ...]:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _element(num: list[int], den: int) -> "HeisElement":
-    """The element with these numerators over den > 0, in lowest terms."""
-    if den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            den //= g
-            num = [x // g for x in num]
-    el = object.__new__(HeisElement)
-    el.num = tuple(num)
-    el.den = den
-    return el
-
-
-class HeisElement:
-    """Group element (a, b, c); the group law appends <a, b1> to the center.
-
-    num: the integer numerators (a_1..a_n, b_1..b_n, c); den: their positive
-    common denominator, with gcd(den, *num) == 1, so that equal elements have
-    equal fields.  ``a``, ``b`` and ``c`` are the Fraction views.  Instances
-    are treated as immutable.
+    num: the integer numerators (a_1..a_n, b_1..b_n, last); den: their
+    positive common denominator, with gcd(den, *num) == 1, so that equal
+    triples have equal fields.  ``a`` and ``b`` are the Fraction views.
+    Every scalar must be an int or a Fraction (TypeError otherwise).
+    Instances are treated as immutable.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, a, b, c):
-        a = [_exact(x) for x in a]
-        b = [_exact(x) for x in b]
+    def __init__(self, a, b, last):
+        a = [_as_fraction(x) for x in a]
+        b = [_as_fraction(x) for x in b]
         if len(a) != len(b):
             raise ValueError("a and b must have the same length")
-        vals = a + b + [_exact(c)]
+        vals = a + b + [_as_fraction(last)]
         # over the least common denominator the numerators share no factor
         # with it
         den = lcm(*(x.denominator for x in vals))
@@ -80,17 +58,36 @@ class HeisElement:
         den = self.den
         return tuple(Fraction(x, den) for x in self.num[self.n : -1])
 
-    @property
-    def c(self) -> Fraction:
-        return Fraction(self.num[-1], self.den)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, HeisElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         return hash((self.num, self.den))
+
+
+def _lowest(cls, num: list[int], den: int):
+    """The cls triple with these numerators over den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [x // g for x in num]
+    el = object.__new__(cls)
+    el.num = tuple(num)
+    el.den = den
+    return el
+
+
+class HeisElement(_Triple):
+    """Group element (a, b, c); the group law appends <a, b1> to the center."""
+
+    __slots__ = ()
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.num[-1], self.den)
 
     def __repr__(self) -> str:
         return f"HeisElement(a={list(self.a)}, b={list(self.b)}, c={self.c})"
@@ -112,29 +109,23 @@ class HeisElement:
         )
 
 
-class HeisAlgElement:
+class HeisAlgElement(_Triple):
     """Lie algebra element (a, b, z)."""
 
-    __slots__ = ("a", "b", "z")
-
-    def __init__(self, a, b, z):
-        self.a = _vec(a)
-        self.b = _vec(b)
-        self.z = Fraction(z)
-        if len(self.a) != len(self.b):
-            raise ValueError("a and b must have the same length")
+    __slots__ = ()
 
     @property
-    def n(self) -> int:
-        return len(self.a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HeisAlgElement):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.z == other.z
+    def z(self) -> Fraction:
+        return Fraction(self.num[-1], self.den)
 
     def __repr__(self) -> str:
         return f"HeisAlgElement(a={list(self.a)}, b={list(self.b)}, z={self.z})"
+
+
+def element(num: list[int], den: int) -> HeisElement:
+    """The group element with the integer numerators (a_1..a_n, b_1..b_n, c)
+    over den > 0, in lowest terms."""
+    return _lowest(HeisElement, num, den)
 
 
 def identity(n: int) -> HeisElement:
@@ -151,7 +142,7 @@ def multiply(g: HeisElement, g1: HeisElement) -> HeisElement:
     q, e = g1.num, g1.den
     num = [x * e + y * d for x, y in zip(p, q)]
     num[-1] += sum(x * y for x, y in zip(p[:n], q[n:-1]))
-    return _element(num, d * e)
+    return element(num, d * e)
 
 
 def inverse(g: HeisElement) -> HeisElement:
@@ -159,48 +150,58 @@ def inverse(g: HeisElement) -> HeisElement:
     n, p, d = g.n, g.num, g.den
     num = [-x * d for x in p]
     num[-1] += sum(x * y for x, y in zip(p[:n], p[n:-1]))
-    return _element(num, d * d)
+    return element(num, d * d)
+
+
+def _half_pairing(x: _Triple, sign: int, cls):
+    """(a, b, last + sign <a, b> / 2) as a cls triple, over 2 den^2."""
+    n, p, d = x.n, x.num, x.den
+    num = [2 * d * v for v in p]
+    num[-1] += sign * sum(u * v for u, v in zip(p[:n], p[n:-1]))
+    return _lowest(cls, num, 2 * d * d)
 
 
 def exp(x: HeisAlgElement) -> HeisElement:
-    return HeisElement(x.a, x.b, x.z + HALF * _dot(x.a, x.b))
+    return _half_pairing(x, 1, HeisElement)
 
 
 def log(g: HeisElement) -> HeisAlgElement:
-    a, b = g.a, g.b
-    return HeisAlgElement(a, b, g.c - HALF * _dot(a, b))
+    return _half_pairing(g, -1, HeisAlgElement)
 
 
 # ----------------------------------------------------------------------
-# matrix picture, used as an independent oracle
+# matrix picture, used as an independent oracle: built from the (a, b, c)
+# entries and never from multiply.  A matrix is (numerators, denominator):
+# a square list of int rows over one positive int.
 
 
-def element_matrix(g: HeisElement) -> list[list[Fraction]]:
-    """Upper unitriangular (n+2) x (n+2) rendering: first row (1, a, c),
-    middle block (I, b), corner 1."""
-    n, a, b = g.n, g.a, g.b
-    m = [[Fraction(1 if i == j else 0) for j in range(n + 2)] for i in range(n + 2)]
+def _pattern(x: _Triple, diagonal: int) -> list[list[int]]:
+    """The (n+2) x (n+2) numerators with first row (diagonal, a, last),
+    middle block (diagonal * I, b) and corner diagonal."""
+    n, p = x.n, x.num
+    m = [[diagonal if i == j else 0 for j in range(n + 2)] for i in range(n + 2)]
     for i in range(n):
-        m[0][1 + i] = a[i]
-        m[1 + i][n + 1] = b[i]
-    m[0][n + 1] = g.c
+        m[0][1 + i] = p[i]
+        m[1 + i][n + 1] = p[n + i]
+    m[0][n + 1] = p[-1]
     return m
 
 
-def algebra_matrix(x: HeisAlgElement) -> list[list[Fraction]]:
-    n = x.n
-    m = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
-    for i in range(n):
-        m[0][1 + i] = x.a[i]
-        m[1 + i][n + 1] = x.b[i]
-    m[0][n + 1] = x.z
-    return m
+def element_matrix(g: HeisElement) -> tuple[list[list[int]], int]:
+    """Upper unitriangular rendering: first row (1, a, c), middle block
+    (I, b), corner 1."""
+    return _pattern(g, g.den), g.den
 
 
-def _mat_mul(a, b):
-    """Dense product of square Fraction matrices; zero products are skipped."""
+def algebra_matrix(x: HeisAlgElement) -> tuple[list[list[int]], int]:
+    """Strictly upper triangular: first row (0, a, z), middle block (0, b)."""
+    return _pattern(x, 0), x.den
+
+
+def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Dense product of square int matrices; zero products are skipped."""
     n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         row = out[i]
         for k, aik in enumerate(a[i]):
@@ -212,24 +213,29 @@ def _mat_mul(a, b):
     return out
 
 
-def exp_series_matrix(x: HeisAlgElement) -> list[list[Fraction]]:
-    """I + M + M^2/2; the series terminates because M^3 = 0."""
-    m = algebra_matrix(x)
-    n = len(m)
+def _same(m: tuple[list[list[int]], int], m1: tuple[list[list[int]], int]) -> bool:
+    """Equal matrices, compared by cross-multiplication."""
+    (rows, d), (rows1, d1) = m, m1
+    return all(x * d1 == y * d for r, r1 in zip(rows, rows1) for x, y in zip(r, r1))
+
+
+def exp_series_matrix(x: HeisAlgElement) -> tuple[list[list[int]], int]:
+    """I + M + M^2/2, over 2 den^2; the series terminates because M^3 = 0."""
+    m, d = algebra_matrix(x)
     m2 = _mat_mul(m, m)
-    out = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] += m[i][j] + HALF * m2[i][j]
-    return out
+    out = [[2 * d * v + v2 for v, v2 in zip(row, row2)] for row, row2 in zip(m, m2)]
+    for i, row in enumerate(out):
+        row[i] += 2 * d * d
+    return out, 2 * d * d
 
 
 def exp_matches_series(x: HeisAlgElement) -> bool:
-    return element_matrix(exp(x)) == exp_series_matrix(x)
+    return _same(element_matrix(exp(x)), exp_series_matrix(x))
 
 
 def multiply_matches_matrices(g: HeisElement, g1: HeisElement) -> bool:
-    return element_matrix(multiply(g, g1)) == _mat_mul(element_matrix(g), element_matrix(g1))
+    (m, d), (m1, d1) = element_matrix(g), element_matrix(g1)
+    return _same(element_matrix(multiply(g, g1)), (_mat_mul(m, m1), d * d1))
 
 
 # ----------------------------------------------------------------------

@@ -352,7 +352,7 @@ def jet_fd_compare(f_jet, f_plain, point, rel=None, floor: float = 1e-10) -> dic
         scale = max((abs(v) for v in fd_vals.values()), default=0.0)
         tol = rel[order] * scale + floor
         worst = max((abs(fd_vals[ix] - jet_vals[ix]) for ix in indices), default=0.0)
-        ok = worst <= tol
+        ok = bool(worst <= tol)
         report["orders"][order] = {"max_abs_diff": worst, "tolerance": tol, "passed": ok}
         report["passed"] = report["passed"] and ok
     return report

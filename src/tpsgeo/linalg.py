@@ -260,11 +260,15 @@ class Elimination:
     The vectors are sparse rows ``{column: Fraction}``; columns are any keys
     that sort together (ints, or tuples such as ``(component, exponents)``).
     Each vector in turn is reduced by the echelon rows found so far, smallest
-    column first.  What is left starts a new echelon row, scaled to a leading
-    1, or is empty: then the vector lies in the span of the earlier ones and
-    its index goes to ``dependent``.  The multipliers of every step are kept
-    (an LU factorisation), so ``reduce`` writes any right-hand side in terms
-    of the original vectors without eliminating again.
+    column first.  What is left starts a new echelon row with a leading 1,
+    or is empty: then the vector lies in the span of the earlier ones and
+    its index goes to ``dependent``.  An integer row whose lead divides
+    every entry, as a lead of 1 or -1 does, is divided in ``int``s, so
+    integer systems with unit leads never leave ``int``; any other row is
+    scaled by the inverse of its lead as ``Fraction``s.  The multipliers of
+    every step are kept (an LU factorisation), so ``reduce`` writes any
+    right-hand side in terms of the original vectors without eliminating
+    again.
     """
 
     def __init__(self, vectors: Iterable[Mapping]):
@@ -282,8 +286,13 @@ class Elimination:
                 piv = self.echelon.get(c)
                 if piv is None:
                     lead = row[c]
-                    inv = 1 / Fraction(lead)
-                    self.echelon[c] = {cc: vv * inv for cc, vv in row.items()}
+                    if lead != 1:
+                        if all(type(vv) is int and not vv % lead for vv in row.values()):
+                            row = {cc: vv // lead for cc, vv in row.items()}
+                        else:
+                            inv = 1 / Fraction(lead)
+                            row = {cc: vv * inv for cc, vv in row.items()}
+                    self.echelon[c] = row
                     self._steps.append((index, c, lead, used))
                     break
                 factor = row[c]

@@ -206,9 +206,14 @@ class LaurentPoly:
 
     @staticmethod
     def variable(chart: Chart, name: str, power: int = 1) -> "LaurentPoly":
-        exps = [0] * chart.dim
-        exps[chart.index(name)] = power
-        return LaurentPoly(chart, {tuple(exps): 1})
+        """name**power, its key packed directly; the constructor's
+        ValueError and OverflowError apply."""
+        shift = chart.shifts[chart.index(name)]
+        if power < 0 and name not in chart.invertible:
+            raise ValueError(f"negative exponent on non-invertible {name}")
+        if not -EXPONENT_LIMIT <= power <= EXPONENT_LIMIT:
+            raise OverflowError(f"exponent {power} outside +-{EXPONENT_LIMIT}")
+        return _make(chart, {chart.bias + (power << shift): 1}, 1, abs(power))
 
     @staticmethod
     def zero(chart: Chart) -> "LaurentPoly":

@@ -45,6 +45,8 @@ def check(claim: str, ref: str, ok: bool, witness=None, exact: bool = True) -> R
 
 
 def _jsonable(value):
+    """The value as plain JSON data: a Fraction becomes its string and a
+    non-finite float its name; TypeError on any other leaf type."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float) and not math.isfinite(value):
@@ -56,7 +58,7 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    return repr(value)
+    raise TypeError(f"not a plain report value: {value!r}")
 
 
 class ReportEnvelope:

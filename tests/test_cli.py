@@ -10,13 +10,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpsgeo
 from tpsgeo import cli, killing, sympl, tps
-from tpsgeo.report import STATUSES
+from tpsgeo.report import STATUSES, _jsonable
 
 
 def run_cli(capsys, argv):
@@ -229,6 +230,15 @@ def test_reports_hold_only_plain_values(tmp_path, argv):
     env = envelope([files.get(a, a) for a in argv])
     assert foreign_values(env.inputs) == []
     assert [(r.claim, bad) for r in env.results for bad in foreign_values(r.witness)] == []
+
+
+def test_report_writer_rejects_a_value_it_does_not_know():
+    # an unconverted numpy verdict or an object would otherwise print as
+    # its repr
+    assert _jsonable({"ok": [True, Fraction(1, 2), 3, float("inf")]}) == {"ok": [True, "1/2", 3, "Infinity"]}
+    for leaf in (np.True_, np.int64(3), object()):
+        with pytest.raises(TypeError, match="not a plain report value"):
+            _jsonable({"witness": [leaf]})
 
 
 class TestExitCodes:

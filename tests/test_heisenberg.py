@@ -92,10 +92,10 @@ class TestGroupLaw:
             )
             for j in range(3)
         )
-        # multiply and inverse build their results through _element, which
+        # multiply and inverse build their results through element, which
         # reduces integer numerators to lowest terms; symbolic ones stay as
         # they are, which leaves their values unchanged
-        monkeypatch.setattr(hg, "_element", Symbolic)
+        monkeypatch.setattr(hg, "element", Symbolic)
 
         def values(el):
             den = el.den if isinstance(el.den, LaurentPoly) else LaurentPoly.constant(chart, el.den)
@@ -213,7 +213,7 @@ def test_right_action_is_the_group_law_as_a_polynomial_identity(monkeypatch, n):
     ext = right.src
     point = Symbolic([c.with_chart(ext) for c in cm.inverse_map.comps.values()], 1)
     g = Symbolic([LaurentPoly.variable(ext, nm) for nm in ext.names[2 * n + 1 :]], 1)
-    monkeypatch.setattr(hg, "_element", Symbolic)
+    monkeypatch.setattr(hg, "element", Symbolic)
 
     def chi_of(product):
         assert product.den == 1
@@ -394,30 +394,79 @@ def test_equal_elements_from_different_inputs_are_equal_and_hash_alike():
     assert len({halves, reduced, ints, fracs}) == 2
 
 
-def test_flipped_central_sign_fails_the_group_axiom_claim(monkeypatch):
-    # the group law's cocycle <a, b1> enters with the wrong sign; inverses
-    # then fail, the closed-form right action no longer matches the law, and
-    # each claim names an offending element instead of raising
-    def flipped(g, g1):
-        return hg.HeisElement(
-            [x + y for x, y in zip(g.a, g1.a)],
-            [x + y for x, y in zip(g.b, g1.b)],
-            g.c + g1.c - sum((x * y for x, y in zip(g.a, g1.b)), Fraction(0)),
-        )
+AXIOMS = "group axioms hold exactly over 200 random rational triples"
+SERIES = "exponential agrees with the nilpotent matrix series; log inverts it"
+ACTION = "chart map intertwines right translation with its closed-form action"
 
-    monkeypatch.setattr(hg, "multiply", flipped)
+
+def flipped_multiply(g, g1):
+    # the group law's cocycle <a, b1> enters with the wrong sign
+    return hg.HeisElement(
+        [x + y for x, y in zip(g.a, g1.a)],
+        [x + y for x, y in zip(g.b, g1.b)],
+        g.c + g1.c - sum((x * y for x, y in zip(g.a, g1.b)), Fraction(0)),
+    )
+
+
+def exp_without_half_pairing(x):
+    return hg.HeisElement(x.a, x.b, x.z)
+
+
+@pytest.mark.parametrize(
+    "name, broken, series_kind",
+    [("multiply", flipped_multiply, "matrix-product"), ("exp", exp_without_half_pairing, "exp-series")],
+    ids=["multiply", "exp"],
+)
+def test_a_broken_group_law_fails_the_claims_that_cover_it(monkeypatch, name, broken, series_kind):
+    # a flipped central sign fails the inverses, the matrix product and the
+    # closed-form right action; an exp that drops <a, b> / 2 fails the
+    # matrix series.  Each claim names its witness instead of raising, and
+    # no other claim fails.
+    monkeypatch.setattr(hg, name, broken)
     for n in (1, 2):
-        claims = {r.claim: r for r in suites.suite_heisenberg(n)}
-        axioms = claims["group axioms hold exactly over 200 random rational triples"]
-        assert axioms.status == "fail"
-        witness = json.loads(axioms.witness)
+        fails = {r.claim: r.witness for r in suites.suite_heisenberg(n) if r.status == "fail"}
+        assert fails.keys() == ({AXIOMS, SERIES, ACTION} if name == "multiply" else {SERIES})
+        assert fails[SERIES]["kind"] == series_kind
+        if name == "exp":
+            x = hg.log(hg.HeisElement.from_json(fails[SERIES]["element"]))
+            assert not hg.exp_matches_series(x)
+            continue
+        witness = json.loads(fails[AXIOMS])
         assert set(witness) == {"a", "b", "c"} and len(witness["a"]) == n
-        g = hg.HeisElement.from_json(axioms.witness)
-        assert flipped(g, hg.inverse(g)) != hg.identity(n)
-        action = claims["chart map intertwines right translation with its closed-form action"]
-        assert action.status == "fail"
-        assert len(hg.HeisElement.from_json(action.witness).a) == n
+        g = hg.HeisElement.from_json(fails[AXIOMS])
+        assert flipped_multiply(g, hg.inverse(g)) != hg.identity(n)
+        assert len(hg.HeisElement.from_json(fails[ACTION]).a) == n
 
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_suite_draws_the_fraction_elements_of_its_seed(monkeypatch, n):
+    # every element the suite draws, in order, equals the one built from
+    # Fraction(randint(-9, 9), randint(1, 9)) per entry on the same stream,
+    # so the sampled claims and the printed witnesses keep their values
+    draw, drawn = suites._rand_element, []
+
+    def recorded(rng, n):
+        drawn.append(draw(rng, n))
+        return drawn[-1]
+
+    monkeypatch.setattr(suites, "_rand_element", recorded)
+    suites.suite_heisenberg(n)
+    assert len(drawn) == 751
+    rng = random.Random(42)
+    assert drawn == [rand_element(rng, n) for _ in drawn]
+
+
+@pytest.mark.parametrize("make", [hg.HeisElement, hg.HeisAlgElement])
+@pytest.mark.parametrize(
+    "a, b, last",
+    [([0.1], [0], 0), (["1/3"], [0], 0), ([0], [0], 0.5), ([1, 2], [3, 4.0], 5), ([0], [0], "1")],
+)
+def test_constructors_take_exact_scalars_only(make, a, b, last):
+    # as LaurentPoly does: no float or string is converted silently
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        make(a, b, last)
+    exact = make([Fraction(1, 3), 2], [0, Fraction(-4, 6)], Fraction(1, 2))
+    assert (exact.num, exact.den) == ((2, 12, 0, -4, 3), 6)
 
 
 def test_a_tps_catalog_without_b1_fails_the_pushforward_claims(monkeypatch, clear_caches):

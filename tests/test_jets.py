@@ -192,6 +192,16 @@ class TestAgreement:
                 assert rep["passed"], rep
 
 
+def test_compare_verdicts_are_python_bools():
+    # numpy comparisons give numpy.bool; a report must not carry one
+    rep = jet_fd_compare(vdw_jet, vdw_plain, np.array([1.0, 2.0]))
+    assert type(rep["passed"]) is bool and rep["passed"]
+    assert [type(o["passed"]) for o in rep["orders"].values()] == [bool] * 4
+    failing = jet_fd_compare(vdw_jet, lambda xv: vdw_plain(xv) + 1e-3, np.array([1.0, 2.0]))
+    assert type(failing["passed"]) is bool and not failing["passed"]
+    assert type(failing["orders"][0]["passed"]) is bool and not failing["orders"][0]["passed"]
+
+
 BATCH_OPS = {
     "add": lambda x, y, z: x + y + 2.0 + z,
     "sub": lambda x, y, z: x - y - 1.5 - z,

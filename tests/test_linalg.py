@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpsgeo import killing, tps
 from tpsgeo.fields import VectorField, bracket
 from tpsgeo.killing import _entries, structure_constants
 from tpsgeo.linalg import (
@@ -347,3 +348,68 @@ def test_structure_constants_catch_a_bracket_inside_the_keyset_but_outside_the_s
     ]
     # [a, b] = -c; the pairs that bracket to zero are not listed
     assert structure_constants(closed, _entries, bracket) == {("a", "b"): {"c": -1}}
+
+
+def in_ints(row):
+    return all(type(v) is int for v in row.values())
+
+
+def whole(row):
+    return all(v.denominator == 1 for v in row.values())
+
+
+int_matrices = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=ncols, max_size=ncols),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices, st.data())
+def test_integer_and_fraction_rows_eliminate_alike(rows, data):
+    # the same matrix as ints and as Fractions: equal echelon rows, in the
+    # same order, dependents, reductions and kernels; sympy's rref and
+    # nullspace are the oracle for both
+    sympy = pytest.importorskip("sympy")
+    ncols = len(rows[0])
+    ints = Elimination(sparse(r) for r in rows)
+    fracs = Elimination(sparse([Fraction(v) for v in r]) for r in rows)
+    assert list(ints.echelon.items()) == list(fracs.echelon.items())
+    assert ints.dependent == fracs.dependent
+    target = sparse(data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)))
+    assert ints.reduce(target) == fracs.reduce({c: Fraction(v) for c, v in target.items()})
+    kernel = ints.kernel(range(ncols))
+    assert kernel == fracs.kernel(range(ncols))
+    m = sympy.Matrix(rows)
+    want, pivots = m.rref()
+    reduced = ints.reduced_rows()
+    assert sorted(reduced) == list(pivots)
+    assert [[reduced[c].get(j, 0) for j in range(ncols)] for c in sorted(reduced)] == [
+        from_sympy(want.row(i)) for i in range(len(pivots))
+    ]
+    assert [[v.get(j, 0) for j in range(ncols)] for v in kernel] == [from_sympy(v) for v in m.nullspace()]
+    # a row reduced by int rows only stays in ints when its lead divides
+    # it: the first row that needs Fractions is not whole
+    first = next((row for row in ints.echelon.values() if not in_ints(row)), None)
+    assert first is None or not whole(first)
+
+
+def test_the_tps_killing_system_eliminates_in_integers(monkeypatch):
+    # the Killing system of tps n = 3 has int coefficients; no echelon row
+    # of whole numbers is held as Fractions, and nearly all rows are ints
+    built = []
+
+    class Captured(Elimination):
+        def __init__(self, vectors):
+            super().__init__(vectors)
+            built.append(self)
+
+    monkeypatch.setattr(killing, "Elimination", Captured)
+    assert len(killing.killing_solve(tps.phase_metric(3), 2)) == 16
+    (factored,) = built
+    rows = list(factored.echelon.values())
+    assert [row for row in rows if whole(row) and not in_ints(row)] == []
+    assert len(rows) == 236 and sum(map(in_ints, rows)) >= 0.9 * len(rows)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpsgeo.poly import EXPONENT_LIMIT, Chart, LaurentPoly, divexact
@@ -378,3 +378,29 @@ def test_exponent_bound(e1, e2, k):
             a**k
     elif abs(e1) <= 64 and k <= 64:
         assert a**k == LaurentPoly.variable(WIDE, "a", e1 * k)
+
+
+def fields(p):
+    return p.coeffs, p.den, p.bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WIDE.names), st.integers(-EXPONENT_LIMIT - 2, EXPONENT_LIMIT + 2))
+@example("b", -1)
+@example("b", -EXPONENT_LIMIT - 1)
+@example("a", -EXPONENT_LIMIT - 1)
+@example("c", EXPONENT_LIMIT + 1)
+@example("d", EXPONENT_LIMIT)
+@example("a", 0)
+def test_variable_is_the_constructor_on_one_term(name, power):
+    # variable packs its key directly; the constructor on the one term
+    # {exponents: 1} is the reference, errors included
+    exps = [0] * WIDE.dim
+    exps[WIDE.index(name)] = power
+    try:
+        want = fields(LaurentPoly(WIDE, {tuple(exps): 1}))
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            LaurentPoly.variable(WIDE, name, power)
+    else:
+        assert fields(LaurentPoly.variable(WIDE, name, power)) == want
