@@ -268,8 +268,11 @@ def cmd_verify_all(args) -> ReportEnvelope:
     if args.n_max is not None and args.n_max < 1:
         raise UsageError("--n-max must be >= 1")
     names = list(suites.SUITES)
-    if args.only:
+    if args.only is not None:
         wanted = [s for chunk in args.only for s in chunk.split(",") if s]
+        if not wanted:
+            # no suite would run, and the negative control alone would pass
+            raise UsageError(f"--only names no suite; choices: {', '.join(names)}")
         unknown = sorted(set(wanted) - set(names))
         if unknown:
             raise UsageError(f"unknown suite(s): {', '.join(unknown)}; choices: {', '.join(names)}")

@@ -152,7 +152,7 @@ def trace_form(metric: MetricSpec) -> list[LaurentPoly]:
 def covariant_derivative(metric: MetricSpec, x: VectorField, y: VectorField) -> VectorField:
     """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_{ij} X^i Y^j."""
     chart = metric.chart
-    if x.chart != chart or y.chart != chart:
+    if x.chart is not chart or y.chart is not chart:
         raise ValueError("fields not over the metric chart")
     d = chart.dim
     gamma = metric.christoffel().gamma
@@ -287,7 +287,7 @@ def riemann_transform(
     metric: MetricSpec, x: VectorField, y: VectorField, z: VectorField
 ) -> VectorField:
     """R(X,Y)Z, the sparse rows of R(X,Y) applied to Z."""
-    if any(f.chart != metric.chart for f in (x, y, z)):
+    if any(f.chart is not metric.chart for f in (x, y, z)):
         raise ValueError("fields not over the metric chart")
     return apply_rows(riemann_operator(metric, x, y), z)
 
@@ -310,10 +310,15 @@ class SectionalForm:
 
     def parts(self, point: Mapping) -> tuple[Fraction, Fraction]:
         """(numerator, denominator) at the point."""
-        return self.num.evaluate(point), self.den.evaluate(point)
+        vals = self.num.chart.point_values(point)
+        return self.num.evaluate_values(vals), self.den.evaluate_values(vals)
 
     def at(self, point: Mapping) -> Fraction:
-        num, den = self.parts(point)
+        return self.at_values(self.num.chart.point_values(point))
+
+    def at_values(self, vals: Sequence[tuple[int, int]]) -> Fraction:
+        """at, for a point given as the chart's point_values."""
+        num, den = self.num.evaluate_values(vals), self.den.evaluate_values(vals)
         if den == 0:
             raise DegeneratePlaneError("degenerate plane: |A ^ B|^2 = 0 at the point")
         return num / den
@@ -329,7 +334,7 @@ def lie_derivative_metric(metric: MetricSpec, x: VectorField) -> PolyMatrix:
     comes from the metric's table, d_j X^k from the field's Jacobian, and
     the upper triangle is summed and mirrored."""
     chart = metric.chart
-    if x.chart != chart:
+    if x.chart is not chart:
         raise ValueError("field not over metric chart")
     d = chart.dim
     entries = metric.g.entries

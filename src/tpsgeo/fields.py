@@ -26,7 +26,7 @@ class VectorField:
         if len(comps) != chart.dim:
             raise ValueError("component count != chart dimension")
         for c in comps:
-            if c.chart != chart:
+            if c.chart is not chart:
                 raise ValueError("component chart mismatch")
         _set = object.__setattr__
         _set(self, "chart", chart)
@@ -61,7 +61,7 @@ class VectorField:
         return VectorField(chart, out)
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        if self.chart != other.chart:
+        if self.chart is not other.chart:
             raise ValueError("chart mismatch")
         return VectorField(self.chart, [a + b for a, b in zip(self.comps, other.comps)])
 
@@ -77,7 +77,7 @@ class VectorField:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorField):
             return NotImplemented
-        return self.chart == other.chart and self.comps == other.comps
+        return self.chart is other.chart and self.comps == other.comps
 
     def __hash__(self):
         return hash((self.chart, self.comps))
@@ -131,7 +131,7 @@ class VectorField:
 def bracket(x: VectorField, y: VectorField) -> VectorField:
     """Lie bracket [X, Y]^k = X^i d_i Y^k - Y^i d_i X^k, summed over the
     nonzero partials of both fields' Jacobians."""
-    if x.chart != y.chart:
+    if x.chart is not y.chart:
         raise ValueError("chart mismatch")
     xc, yc = x.comps, y.comps
     zero = LaurentPoly.zero(x.chart)
@@ -194,7 +194,7 @@ class Form:
         return Form(chart, 1, terms)
 
     def __add__(self, other: "Form") -> "Form":
-        if self.chart != other.chart or self.degree != other.degree:
+        if self.chart is not other.chart or self.degree != other.degree:
             raise ValueError("form mismatch")
         terms = dict(self.terms)
         for idx, c in other.terms.items():
@@ -219,7 +219,7 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         return (
-            self.chart == other.chart
+            self.chart is other.chart
             and self.degree == other.degree
             and self.terms == other.terms
         )
@@ -233,7 +233,7 @@ class Form:
     # ------------------------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
-        if self.chart != other.chart:
+        if self.chart is not other.chart:
             raise ValueError("chart mismatch")
         deg = self.degree + other.degree
         out: dict[tuple, LaurentPoly] = {}
@@ -280,7 +280,7 @@ class Form:
         """Interior product i_X."""
         if self.degree == 0:
             raise ValueError("cannot contract a 0-form")
-        if x.chart != self.chart:
+        if x.chart is not self.chart:
             raise ValueError("chart mismatch")
         out: dict[tuple, LaurentPoly] = {}
         for idx, coef in self.terms.items():
@@ -388,7 +388,7 @@ def apply_matrix_field(m: PolyMatrix, x: VectorField) -> VectorField:
 
 def sym2(a: Form, b: Form) -> PolyMatrix:
     """Matrix of the symmetric product a . b = (a x b + b x a)/2 of 1-forms."""
-    if a.degree != 1 or b.degree != 1 or a.chart != b.chart:
+    if a.degree != 1 or b.degree != 1 or a.chart is not b.chart:
         raise ValueError("sym2 needs two 1-forms on one chart")
     chart = a.chart
     dim = chart.dim
@@ -404,7 +404,7 @@ def sym2(a: Form, b: Form) -> PolyMatrix:
 
 def tensor2(a: Form, b: Form) -> PolyMatrix:
     """Matrix of the plain tensor product a x b of 1-forms."""
-    if a.degree != 1 or b.degree != 1 or a.chart != b.chart:
+    if a.degree != 1 or b.degree != 1 or a.chart is not b.chart:
         raise ValueError("tensor2 needs two 1-forms on one chart")
     chart = a.chart
     dim = chart.dim
@@ -438,7 +438,7 @@ class PolyMap:
             if nm not in comps:
                 raise ValueError(f"missing component for {nm}")
             c = comps[nm]
-            if c.chart != src:
+            if c.chart is not src:
                 raise ValueError(f"component {nm} not over source chart")
             self.comps[nm] = c
         self.inverse_map = inverse
@@ -452,7 +452,7 @@ class PolyMap:
         return {nm: c.evaluate_values(vals) for nm, c in self.comps.items()}
 
     def pull_function(self, f: LaurentPoly) -> LaurentPoly:
-        if f.chart != self.dst:
+        if f.chart is not self.dst:
             raise ValueError("function not over target chart")
         return f.substitute(self.comps, self.src)
 
@@ -460,7 +460,7 @@ class PolyMap:
         """F^* omega.  The source symbols named in params are frozen: their
         differentials are dropped, which gives the slice-wise pullback for
         each fixed parameter value, computed jointly."""
-        if omega.chart != self.dst:
+        if omega.chart is not self.dst:
             raise ValueError("form not over target chart")
         # differentials of the components: the rows of the Jacobian
         d_comp = [
@@ -478,7 +478,7 @@ class PolyMap:
     def pull_metric(self, g: PolyMatrix, params=frozenset()) -> PolyMatrix:
         """J^T (g o F) J with J the Jacobian of the map; rows and columns of
         the frozen parameter symbols in params are zero."""
-        if g.chart != self.dst:
+        if g.chart is not self.dst:
             raise ValueError("metric not over target chart")
         jac = self.jacobian(params)
         pulled = g.substitute(self.comps, self.src)
@@ -500,7 +500,7 @@ class PolyMap:
         """(F_* X)^a = (J^a_b X^b) o F^{-1}; needs the explicit inverse."""
         if self.inverse_map is None:
             raise ValueError("pushforward needs an explicit inverse map")
-        if x.chart != self.src:
+        if x.chart is not self.src:
             raise ValueError("field not over source chart")
         comps = apply_matrix_field(self.jacobian(), x).comps
         return VectorField(

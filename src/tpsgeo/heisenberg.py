@@ -12,6 +12,7 @@ import functools
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Mapping
 
 from .fields import Form, PolyMap, VectorField, bracket, pairing
@@ -133,31 +134,33 @@ def identity(n: int) -> HeisElement:
 
 
 def multiply(g: HeisElement, g1: HeisElement) -> HeisElement:
-    n = g.n
-    if n != g1.n:
-        raise ValueError("dimension mismatch")
     # over den * den1: numerators cross-multiplied, and <a, b1> has exactly
     # that denominator already
     p, d = g.num, g.den
     q, e = g1.num, g1.den
+    if len(p) != len(q):
+        raise ValueError("dimension mismatch")
+    n = len(p) // 2
     num = [x * e + y * d for x, y in zip(p, q)]
-    num[-1] += sum(x * y for x, y in zip(p[:n], q[n:-1]))
+    num[-1] += sum(map(mul, p[:n], q[n:-1]))
     return element(num, d * e)
 
 
 def inverse(g: HeisElement) -> HeisElement:
     # (-a, -b, -c + <a, b>) over den^2
-    n, p, d = g.n, g.num, g.den
+    p, d = g.num, g.den
+    n = len(p) // 2
     num = [-x * d for x in p]
-    num[-1] += sum(x * y for x, y in zip(p[:n], p[n:-1]))
+    num[-1] += sum(map(mul, p[:n], p[n:-1]))
     return element(num, d * d)
 
 
 def _half_pairing(x: _Triple, sign: int, cls):
     """(a, b, last + sign <a, b> / 2) as a cls triple, over 2 den^2."""
-    n, p, d = x.n, x.num, x.den
+    p, d = x.num, x.den
+    n = len(p) // 2
     num = [2 * d * v for v in p]
-    num[-1] += sign * sum(u * v for u, v in zip(p[:n], p[n:-1]))
+    num[-1] += sign * sum(map(mul, p[:n], p[n:-1]))
     return _lowest(cls, num, 2 * d * d)
 
 

@@ -31,7 +31,7 @@ class PolyMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
             for e in row:
-                if not isinstance(e, LaurentPoly) or e.chart != chart:
+                if not isinstance(e, LaurentPoly) or e.chart is not chart:
                     raise ValueError("entry chart mismatch")
 
     # ------------------------------------------------------------------
@@ -95,7 +95,7 @@ class PolyMatrix:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         return (
-            self.chart == other.chart
+            self.chart is other.chart
             and self.rows == other.rows
             and self.cols == other.cols
             and all(

@@ -28,33 +28,54 @@ _MASK = (1 << FIELD_BITS) - 1
 EXPONENT_LIMIT = _HALF - 1
 
 
+# every chart ever built, by (names, invertible): there is one Chart per
+# key, so chart equality is identity
+_CHARTS: dict[tuple[tuple[str, ...], frozenset], "Chart"] = {}
+
+
 class Chart:
     """An ordered tuple of coordinate names, some flagged invertible.
+
+    Charts are interned: Chart(names, invertible) returns the one chart with
+    those names and that invertible set, validated when it is first built,
+    so two charts are equal exactly when they are the same object.  A chart
+    is never mutated.
 
     It also holds the packing of exponent tuples into integer keys:
     ``shifts[i]`` is the bit offset of variable i, ``bias`` the key of the
     constant monomial (its fields are exactly the sign bits: a field is at
     least the bias when its exponent is nonnegative)."""
 
-    __slots__ = ("names", "invertible", "dim", "shifts", "bias", "_fixed", "_index", "_hash")
+    __slots__ = ("names", "invertible", "dim", "shifts", "bias", "_fixed", "_index")
 
-    def __init__(self, names: Sequence[str], invertible: Iterable[str] = ()):
-        self.names = tuple(names)
-        if len(set(self.names)) != len(self.names):
+    def __new__(cls, names: Sequence[str], invertible: Iterable[str] = ()):
+        key = (tuple(names), frozenset(invertible))
+        chart = _CHARTS.get(key)
+        if chart is not None:
+            return chart
+        names, invertible = key
+        if len(set(names)) != len(names):
             raise ValueError("duplicate coordinate names")
-        self.invertible = frozenset(invertible)
-        unknown = self.invertible - set(self.names)
+        unknown = invertible - set(names)
         if unknown:
             raise ValueError(f"invertible names not in chart: {sorted(unknown)}")
-        self._index = {nm: i for i, nm in enumerate(self.names)}
-        self.dim = len(self.names)
-        self.shifts = tuple(FIELD_BITS * (self.dim - 1 - i) for i in range(self.dim))
-        self.bias = sum(_HALF << s for s in self.shifts)
+        chart = object.__new__(cls)
+        chart.names = names
+        chart.invertible = invertible
+        chart._index = {nm: i for i, nm in enumerate(names)}
+        chart.dim = len(names)
+        chart.shifts = tuple(FIELD_BITS * (chart.dim - 1 - i) for i in range(chart.dim))
+        chart.bias = sum(_HALF << s for s in chart.shifts)
         # sign bits of the fields whose exponent must stay nonnegative
-        self._fixed = sum(
-            _HALF << s for s, nm in zip(self.shifts, self.names) if nm not in self.invertible
+        chart._fixed = sum(
+            _HALF << s for s, nm in zip(chart.shifts, names) if nm not in invertible
         )
-        self._hash = hash((self.names, self.invertible))
+        # another thread may have registered the same key meanwhile
+        return _CHARTS.setdefault(key, chart)
+
+    def __reduce__(self):
+        # copies and unpickled charts are the interned chart
+        return Chart, (self.names, self.invertible)
 
     def index(self, name: str) -> int:
         return self._index[name]
@@ -62,26 +83,13 @@ class Chart:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Chart)
-            and self._hash == other._hash
-            and self.names == other.names
-            and self.invertible == other.invertible
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         inv = f", invertible={sorted(self.invertible)}" if self.invertible else ""
         return f"Chart({list(self.names)}{inv})"
 
     def extend(self, names: Sequence[str], invertible: Iterable[str] = ()) -> "Chart":
-        """New chart with extra coordinates appended (used for fresh symbols)."""
-        return Chart(self.names + tuple(names), set(self.invertible) | set(invertible))
+        """The chart with extra coordinates appended (used for fresh symbols)."""
+        return Chart(self.names + tuple(names), self.invertible.union(invertible))
 
     def pack(self, exps: Sequence[int]) -> int:
         """The key of an exponent tuple; OverflowError past EXPONENT_LIMIT."""
@@ -258,30 +266,39 @@ class LaurentPoly:
     # chart alignment
 
     def _check_chart(self, other: "LaurentPoly") -> None:
-        if self.chart is not other.chart and self.chart != other.chart:
+        if self.chart is not other.chart:
             raise ValueError(f"chart mismatch: {self.chart} vs {other.chart}")
 
     def with_chart(self, chart: Chart) -> "LaurentPoly":
-        """Re-express over a chart containing all variables actually used."""
-        if chart == self.chart:
+        """Re-express over a chart containing all variables actually used:
+        each exponent field moves to its variable's place in the target
+        key.  ValueError when a used variable is missing from the target,
+        or would carry a negative exponent there without being invertible."""
+        src = self.chart
+        if chart is src:
             return self
-        pos = []
-        for i, nm in enumerate(self.chart.names):
-            if nm in chart:
-                pos.append(chart.index(nm))
-            else:
-                pos.append(-1)
-        terms: dict[tuple, Fraction] = {}
-        for exps, coef in self.terms.items():
-            new = [0] * chart.dim
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if pos[i] < 0:
-                    raise ValueError(f"variable {self.chart.names[i]} not in target chart")
-                new[pos[i]] = e
-            terms[tuple(new)] = coef
-        return LaurentPoly(chart, terms)
+        shifts, index = chart.shifts, chart._index
+        moves = [
+            (s, nm, shifts[index[nm]] if nm in index else None)
+            for s, nm in zip(src.shifts, src.names)
+        ]
+        bias = chart.bias
+        coeffs = {}
+        for key, v in self.coeffs.items():
+            new = bias
+            for s, nm, t in moves:
+                e = ((key >> s) & _MASK) - _HALF
+                if e:
+                    if t is None:
+                        raise ValueError(f"variable {nm} not in target chart")
+                    new += e << t
+            coeffs[new] = v
+        for key in coeffs:
+            if not chart.legal(key):
+                for e, nm in zip(chart.unpack(key), chart.names):
+                    if e < 0 and nm not in chart.invertible:
+                        raise ValueError(f"negative exponent on non-invertible {nm}")
+        return _make(chart, coeffs, self.den, self.bound)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -439,7 +456,7 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return (
-                (self.chart is other.chart or self.chart == other.chart)
+                self.chart is other.chart
                 and self.den == other.den
                 and self.coeffs == other.coeffs
             )
@@ -513,7 +530,7 @@ class LaurentPoly:
         for nm in self.chart.names:
             if nm in mapping:
                 img = mapping[nm]
-                if img.chart != chart:
+                if img.chart is not chart:
                     img = img.with_chart(chart)
             else:
                 img = LaurentPoly.variable(chart, nm)
@@ -583,7 +600,7 @@ def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         raise ZeroDivisionError("division by zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.chart)
-    if num.chart != den.chart:
+    if num.chart is not den.chart:
         raise ValueError("chart mismatch in divexact")
     chart = num.chart
     if len(den.coeffs) == 1:

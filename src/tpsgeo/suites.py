@@ -38,8 +38,14 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
-def _rand_point(chart, rng) -> dict[str, Fraction]:
-    return {nm: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for nm in chart.names}
+def _rand_point(chart, rng) -> list[tuple[int, int]]:
+    """A random rational point as the chart's point_values: for each name a
+    numerator in [-9, 9], then a denominator in [1, 9]."""
+    return [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in chart.names]
+
+
+def _point(chart, vals: list[tuple[int, int]]) -> dict[str, Fraction]:
+    return {nm: Fraction(a, b) for nm, (a, b) in zip(chart.names, vals)}
 
 
 def _claims(*rows, exact: bool = True) -> list[Result]:
@@ -231,10 +237,11 @@ def _sectional_rows(n: int, metric: MetricSpec) -> tuple:
     point_fail = None
     for _ in range(100):
         i = rng.randrange(n)
-        pt = _rand_point(chart, rng)
-        val = forms[i].at(pt)
+        vals = _rand_point(chart, rng)
+        val = forms[i].at_values(vals)
         if val != Fraction(3, 4):
-            point_fail = {"i": i + 1, "point": {k: str(v) for k, v in pt.items()}, "value": str(val)}
+            pt = {k: str(v) for k, v in _point(chart, vals).items()}
+            point_fail = {"i": i + 1, "point": pt, "value": str(val)}
             break
 
     # vanishing families: both numerator and denominator are identically zero
@@ -250,7 +257,7 @@ def _sectional_rows(n: int, metric: MetricSpec) -> tuple:
     mixed = None, "needs n >= 2"
     if n >= 2:
         try:
-            sectional(metric, P[0], dx[1], _rand_point(chart, rng))
+            sectional(metric, P[0], dx[1], _point(chart, _rand_point(chart, rng)))
             rejected = False
         except DegeneratePlaneError:
             rejected = True
@@ -490,7 +497,7 @@ def _contact_volume(n: int) -> tuple[bool, dict]:
 
 def _light_cone(n: int) -> tuple[bool, dict]:
     t = tps.build(n)
-    pt = _rand_point(t.chart, random.Random(7))
+    pt = _point(t.chart, _rand_point(t.chart, random.Random(7)))
     cone = {
         "xi": tps.light_cone_class(n, t.frame["xi"], pt),
         "P_1": tps.light_cone_class(n, t.frame["P"][0], pt),
@@ -727,39 +734,32 @@ def suite_heisenberg(n: int) -> list[Result]:
 
 def suite_legendre() -> list[Result]:
     rng = np.random.default_rng(20260825)
+    # each model with the box its base points are drawn from: k points are
+    # one rng.uniform(low, high, size=(k, 2)) draw, which takes the same
+    # numbers from rng, in the same order, as k scalar draws per coordinate
     models = {
-        "van_der_waals": (
-            legendre.van_der_waals(),
-            lambda: np.array([rng.uniform(-1.5, 1.5), rng.uniform(1.3, 4.0)]),
-        ),
+        "van_der_waals": (legendre.van_der_waals(), (-1.5, 1.3), (1.5, 4.0)),
         "van_der_waals_literal": (
             legendre.van_der_waals(positive_exponent=True),
-            lambda: np.array([rng.uniform(-1.5, 1.5), rng.uniform(1.3, 4.0)]),
+            (-1.5, 1.3),
+            (1.5, 4.0),
         ),
-        "ideal_gas_energy": (
-            legendre.ideal_gas_energy(),
-            lambda: np.array([rng.uniform(-1.5, 1.5), rng.uniform(0.4, 4.0)]),
-        ),
-        "quadratic": (
-            legendre.quadratic([[2.0, 0.5], [0.5, 1.0]]),
-            lambda: rng.uniform(-2.0, 2.0, size=2),
-        ),
+        "ideal_gas_energy": (legendre.ideal_gas_energy(), (-1.5, 0.4), (1.5, 4.0)),
+        "quadratic": (legendre.quadratic([[2.0, 0.5], [0.5, 1.0]]), -2.0, 2.0),
         "quadratic_mixed": (
             legendre.quadratic([[2.0, 0.5], [0.5, 1.0]], part_i=(1,)),
-            lambda: rng.uniform(-2.0, 2.0, size=2),
+            -2.0,
+            2.0,
         ),
-        "homogeneous_demo": (
-            legendre.homogeneous_demo(),
-            lambda: np.array([rng.uniform(0.5, 3.0), rng.uniform(-2.0, 2.0)]),
-        ),
+        "homogeneous_demo": (legendre.homogeneous_demo(), (0.5, -2.0), (3.0, 2.0)),
     }
     # every pair is computed in the order the claims print, so the samples
     # draw from rng in that order
 
     worst_theta = {}
     worst_block = {}
-    for name, (model, sample) in models.items():
-        im = legendre.induced_metric(model, np.array([sample() for _ in range(100)]))
+    for name, (model, low, high) in models.items():
+        im = legendre.induced_metric(model, rng.uniform(low, high, size=(100, 2)))
         worst_theta[name] = max(0.0, *im["surface_point"]["legendre_residual"].tolist())
         worst_block[name] = max(0.0, *im["block_agreement"].tolist())
     theta = max(worst_theta.values()) < legendre.CONTACT_TOL, {
@@ -770,9 +770,7 @@ def suite_legendre() -> list[Result]:
     }
 
     quad = models["quadratic"][0]
-    rep = legendre.second_fundamental_form(
-        quad, np.array([rng.uniform(-2.0, 2.0, size=2) for _ in range(20)])
-    )
+    rep = legendre.second_fundamental_form(quad, rng.uniform(-2.0, 2.0, size=(20, 2)))
     ii_worst = max(0.0, *rep["ii_norm"].tolist())
     geodesic = ii_worst < legendre.GEODESIC_TOL, {"worst_ii_norm": float(ii_worst)}
 
@@ -790,13 +788,12 @@ def suite_legendre() -> list[Result]:
         for o in (rep["orders"][2], rep["orders"][3])
     )
 
-    bases = np.array([[rng.uniform(-1.0, 1.0), rng.uniform(1.5, 3.0)] for _ in range(10)])
-    rep = legendre.second_fundamental_form(vdw, bases)
+    rep = legendre.second_fundamental_form(vdw, rng.uniform((-1.0, 1.5), (1.0, 3.0), size=(10, 2)))
     dec_worst = max(0.0, *rep["decomposition_residual"].tolist())
     decomposition = dec_worst < legendre.DECOMPOSITION_TOL, {"worst_residual": float(dec_worst)}
 
-    demo = models["homogeneous_demo"][0]
-    hom = legendre.homogeneity_check(demo, [models["homogeneous_demo"][1]() for _ in range(10)])
+    demo, low, high = models["homogeneous_demo"]
+    hom = legendre.homogeneity_check(demo, rng.uniform(low, high, size=(10, 2)))
     degree_one = hom["passed"], {
         "constitutive": float(hom["constitutive_residual"]),
         "gibbs_duhem": float(hom["gibbs_duhem_residual"]),

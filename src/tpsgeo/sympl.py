@@ -28,6 +28,9 @@ def sympl_chart(n: int) -> Chart:
     return Chart(names, invertible=[f"p{i}" for i in range(n + 1)])
 
 
+# built once per n, like the metric below: the form, the frame and the
+# bundle are shared by every caller and never mutated
+@functools.cache
 def tautological_form(n: int) -> Form:
     chart = sympl_chart(n)
     terms = {}
@@ -70,6 +73,7 @@ class Sympl:
         self.metric = sympl_metric(n)
 
 
+@functools.cache
 def build(n: int) -> Sympl:
     return Sympl(n)
 
@@ -143,6 +147,7 @@ def einstein_report(n: int) -> tuple[tuple[bool, dict], tuple[bool, dict]]:
 # canonical frame
 
 
+@functools.cache
 def canonical_frame(n: int) -> dict:
     """P-tilde_i = p_i d/dp_i, L_k = p_k^{-1} d/dx^k, X-tilde_j = L_j - Phat,
     Phat = sum P-tilde_s / 2."""

@@ -26,6 +26,9 @@ def tps_chart(n: int) -> Chart:
     return Chart(["x0"] + [f"p{i}" for i in range(1, n + 1)] + [f"x{i}" for i in range(1, n + 1)])
 
 
+# built once per n, like the metric below: the form, the frame and the
+# bundle are shared by every caller and never mutated
+@functools.cache
 def contact_form(n: int) -> Form:
     chart = tps_chart(n)
     coeffs = {"x0": LaurentPoly.one(chart)}
@@ -34,6 +37,7 @@ def contact_form(n: int) -> Form:
     return Form.one_form(chart, coeffs)
 
 
+@functools.cache
 def canonical_frame(n: int) -> dict:
     """xi, P_l = d/dp_l, X_i = d/dx^i - p_i d/dx0 (theta-horizontal lifts)."""
     chart = tps_chart(n)
@@ -65,6 +69,7 @@ class TPS:
         return [self.frame["xi"], *self.frame["P"], *self.frame["X"]]
 
 
+@functools.cache
 def build(n: int) -> TPS:
     return TPS(n)
 

@@ -1,6 +1,7 @@
 """Command line surface: envelope schema, witnesses, exit codes, filters,
 tamper mode, and output determinism."""
 
+import collections
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpsgeo
-from tpsgeo import cli, killing, sympl, tps
+from tpsgeo import cli, killing, poly, sympl, tps
 from tpsgeo.report import STATUSES, _jsonable
 
 
@@ -466,6 +467,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["verify-all", "--only", "nosuch"])
         assert code == 2 and "nosuch" in err
 
+    @pytest.mark.parametrize("only", [[""], [","], [",", ""]])
+    def test_an_only_that_names_no_suite_is_usage(self, capsys, only):
+        # with no suite, the negative control alone would pass vacuously
+        argv = ["verify-all"] + [arg for value in only for arg in ("--only", value)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "names no suite" in err and "choices: curvature, killing" in err
+
 
 class TestKilling:
     """Solver dimensions reported through the envelope."""
@@ -602,6 +611,33 @@ class TestVerifyAll:
         a["timing"] = b["timing"] = None
         assert a == b
 
+    def test_each_chart_and_space_is_built_once(self, capsys, monkeypatch, clear_caches):
+        # a count, not a timing: from cold caches, verify-all gets one Chart
+        # object per (names, invertible) key, and builds tps.build(n) and
+        # sympl.build(n) at most once per n, so a loop that rebuilds them
+        # fails here and not only in the benchmark
+        charts = collections.defaultdict(set)
+        new = poly.Chart.__new__
+
+        def interned(cls, names, invertible=()):
+            chart = new(cls, names, invertible)
+            charts[chart.names, chart.invertible].add(chart)
+            return chart
+
+        monkeypatch.setattr(poly.Chart, "__new__", interned)
+        builds = collections.Counter()
+        for space in (tps.TPS, sympl.Sympl):
+            def counted(self, n, init=space.__init__, space=space.__name__):
+                builds[space, n] += 1
+                init(self, n)
+
+            monkeypatch.setattr(space, "__init__", counted)
+        code, _, _ = run_cli(capsys, ["verify-all"])
+        assert code == 0
+        assert len(charts) >= 10 and all(len(made) == 1 for made in charts.values())
+        assert {space for space, _ in builds} == {"TPS", "Sympl"}
+        assert max(builds.values()) == 1
+
 
 # ----------------------------------------------------------------------
 # fuzzing the potential command
@@ -674,7 +710,7 @@ EXACT_FLAGS = {
     "--n": (["1", "2"], ["-1", "0", "5", "99", "1000000000000", "x", "", None]),
     "--degree": ([None, "1", "2"], ["-1", "0", "1000", "x"]),
     "--n-max": (["1", "2"], ["-1", "0", "x"]),
-    "--only": ([None, "tps", "heisenberg", "sympl,tps", ","], ["bogus", "tps,bogus"]),
+    "--only": ([None, "tps", "heisenberg", "sympl,tps"], ["bogus", "tps,bogus", ",", ""]),
 }
 COMMAND_FLAGS = {
     "curvature": ["--space", "--n"],

@@ -248,6 +248,24 @@ class TestSectional:
             with pytest.raises(DegeneratePlaneError):
                 sectional(self.m, self.t.frame["P"][0], dx2, pt)
 
+    def test_the_suite_points_are_the_former_fraction_draws(self):
+        # suites._rand_point gives a point as the chart's point_values, by
+        # the same randint calls in the same order as the former
+        # {name: Fraction(randint(-9, 9), randint(1, 9))} points, and a
+        # sectional form takes the same value on both
+        chart = self.t.chart
+        form = SectionalForm(self.m, self.t.frame["P"][0], VectorField.coordinate(chart, "x1"))
+        p1, p2, x0, x2 = (LaurentPoly.variable(chart, nm) for nm in ("p1", "p2", "x0", "x2"))
+        poly = p1 * p2 + x0 * p1 - x2  # a value that moves with the point
+        rng, former = random.Random(20260825), random.Random(20260825)
+        for _ in range(50):
+            vals = suites._rand_point(chart, rng)
+            point = {nm: Fraction(former.randint(-9, 9), former.randint(1, 9)) for nm in chart.names}
+            assert suites._point(chart, vals) == point
+            assert poly.evaluate_values(vals) == poly.evaluate(point)
+            assert form.at_values(vals) == form.at(point) == Fraction(3, 4)
+        assert rng.getstate() == former.getstate()
+
 
 class TestConnectionAxioms:
     """First Bianchi, metric compatibility, torsion-freeness on frames."""

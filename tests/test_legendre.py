@@ -698,3 +698,50 @@ def test_float_induced_metric_of_a_quadratic_matches_the_exact_one(q, part_i):
     want = np.array(block_formula(q, part_i), dtype=float)
     pullback = lg.induced_metric(model, pts)["pullback"]
     assert np.max(np.abs(pullback - want)) < lg.BLOCK_TOL
+
+
+# the points suite_legendre drew one scalar at a time before its draws were
+# batched: per draw, the number of points and each coordinate's (low, high)
+VDW_BOX = [(-1.5, 1.5), (1.3, 4.0)]
+SQUARE = [(-2.0, 2.0), (-2.0, 2.0)]
+DEMO_BOX = [(0.5, 3.0), (-2.0, 2.0)]
+FORMER_DRAWS = [
+    (100, VDW_BOX),
+    (100, VDW_BOX),
+    (100, [(-1.5, 1.5), (0.4, 4.0)]),
+    (100, SQUARE),
+    (100, SQUARE),
+    (100, DEMO_BOX),
+    (20, SQUARE),
+    (10, [(-1.0, 1.0), (1.5, 3.0)]),
+    (10, DEMO_BOX),
+]
+
+
+def test_the_suite_draws_its_points_as_the_former_scalar_draws(monkeypatch):
+    # every draw of the suite, k points as one rng.uniform(low, high,
+    # size=(k, 2)), equals bit for bit the k points that the former scalar
+    # draws, one per coordinate in order, take from a generator of the same
+    # seed, and leaves the generator in the same state; so the claims and
+    # witnesses keep their values
+    default_rng, recorders = np.random.default_rng, []
+
+    class Recording:
+        def __init__(self, seed):
+            self.seed, self.rng, self.draws = seed, default_rng(seed), []
+            recorders.append(self)
+
+        def uniform(self, low, high, size):
+            self.draws.append(self.rng.uniform(low, high, size))
+            return self.draws[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    suites.suite_legendre()
+    (rec,) = recorders
+    assert len(rec.draws) == len(FORMER_DRAWS)
+    scalar = default_rng(rec.seed)
+    for out, (k, box) in zip(rec.draws, FORMER_DRAWS):
+        old = np.array([[scalar.uniform(lo, hi) for lo, hi in box] for _ in range(k)])
+        assert out.shape == old.shape and out.dtype == old.dtype
+        assert out.tobytes() == old.tobytes()
+    assert rec.rng.bit_generator.state == scalar.bit_generator.state

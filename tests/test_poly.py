@@ -1,12 +1,16 @@
 """Exact polynomial layer: frozen values and ring axioms."""
 
+import copy
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tpsgeo import poly
 from tpsgeo.poly import EXPONENT_LIMIT, Chart, LaurentPoly, divexact
 
 CH = Chart(["x0", "p1", "x1"], invertible=["p1"])
@@ -404,3 +408,118 @@ def test_variable_is_the_constructor_on_one_term(name, power):
             LaurentPoly.variable(WIDE, name, power)
     else:
         assert fields(LaurentPoly.variable(WIDE, name, power)) == want
+
+
+class TestInternedCharts:
+    """One Chart per (names, invertible set): chart equality is identity."""
+
+    def test_equal_arguments_give_the_same_chart(self):
+        chart = Chart(("u", "v", "w"), invertible={"w"})
+        assert Chart(["u", "v", "w"], invertible=["w"]) is chart
+        assert Chart(iter("uvw"), invertible=("w", "w")) is chart
+        assert Chart(["x0", "p1", "x1"], invertible=["p1"]) is CH
+
+    def test_a_different_invertible_set_or_order_is_another_chart(self):
+        chart = Chart(["u", "v"], invertible=["v"])
+        for other in (Chart(["u", "v"]), Chart(["u", "v"], ["u", "v"]), Chart(["v", "u"], ["v"])):
+            assert other is not chart and other != chart
+
+    def test_extend_returns_the_interned_chart(self):
+        wide = CH.extend(["t"], invertible=["t"])
+        assert wide is Chart(["x0", "p1", "x1", "t"], invertible=["p1", "t"])
+        assert wide.extend([]) is wide and CH.extend([]) is CH
+
+    @pytest.mark.parametrize(
+        "names, invertible, message",
+        [
+            (["s", "r", "s"], [], "duplicate coordinate names"),
+            (["s", "r"], ["q"], r"invertible names not in chart: \['q'\]"),
+        ],
+    )
+    def test_an_invalid_chart_raises_and_registers_nothing(self, names, invertible, message):
+        before = dict(poly._CHARTS)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Chart(names, invertible)
+        assert poly._CHARTS == before
+
+    def test_a_chart_mismatch_still_raises(self):
+        other = Chart(["x0", "p1", "x1"])
+        a, b = var("x1"), LaurentPoly.variable(other, "x1")
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+            with pytest.raises(ValueError, match=r"chart mismatch: Chart\(\['x0', 'p1', 'x1'\]"):
+                op()
+        assert a != b
+
+    def test_eq_and_hash_follow_pythons_rules(self):
+        chart = Chart(["u", "v"], invertible=["u"])
+        same = Chart(["u", "v"], invertible=["u"])
+        assert chart == same and hash(chart) == hash(same)
+        assert {chart: 1}[same] == 1 and len({chart, same}) == 1
+        assert chart != Chart(["u", "v"]) and chart != ("u", "v") and chart != "u"
+        # copies and pickles are the interned chart, so polynomials keep it
+        p = LaurentPoly.variable(chart, "u", -1)
+        for copied in (copy.copy(chart), copy.deepcopy(chart), pickle.loads(pickle.dumps(chart))):
+            assert copied is chart
+        q = pickle.loads(pickle.dumps(p))
+        assert q.chart is chart and q == p and hash(q) == hash(p)
+
+
+def with_chart_by_terms(p, chart):
+    """The former with_chart: through .terms, Fractions and the constructor."""
+    pos = [chart.index(nm) if nm in chart else -1 for nm in p.chart.names]
+    terms = {}
+    for exps, coef in p.terms.items():
+        new = [0] * chart.dim
+        for i, e in enumerate(exps):
+            if e == 0:
+                continue
+            if pos[i] < 0:
+                raise ValueError(f"variable {p.chart.names[i]} not in target chart")
+            new[pos[i]] = e
+        terms[tuple(new)] = coef
+    return LaurentPoly(chart, terms)
+
+
+NAMES = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def rechart_cases(draw):
+    """A polynomial over a chart of some of NAMES, and a target chart that
+    holds its names and maybe others in any order; sometimes the target
+    lacks one name, or makes one invertible name non-invertible."""
+    src_names = draw(st.permutations(NAMES).map(lambda t: t[: draw(st.integers(1, 5))]))
+    src_inv = draw(st.sets(st.sampled_from(src_names)))
+    exps = st.tuples(*(st.integers(-3 if nm in src_inv else 0, 3) for nm in src_names))
+    nonzero = st.fractions(-5, 5, max_denominator=6).filter(bool)
+    terms = draw(st.dictionaries(exps, nonzero, min_size=1, max_size=5))
+    extra = draw(st.lists(st.sampled_from(("f", "g")), unique=True))
+    tgt_names = draw(st.permutations(list(src_names) + extra))
+    tgt_inv = set(src_inv) | draw(st.sets(st.sampled_from(tgt_names)))
+    if draw(st.integers(0, 3)) == 0:
+        tgt_names.remove(draw(st.sampled_from(src_names)))
+    if src_inv and draw(st.integers(0, 3)) == 0:
+        tgt_inv.discard(draw(st.sampled_from(sorted(src_inv))))
+    tgt_inv &= set(tgt_names)
+    return LaurentPoly(Chart(src_names, src_inv), terms), Chart(tgt_names, tgt_inv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rechart_cases())
+@example((var("p1", -2) * var("x1"), Chart(["x1", "p1"])))
+@example((var("p1") + var("x0"), Chart(["p1", "x1"], ["p1"])))
+@example((var("p1", -1) + var("x0"), Chart(["x0", "x1"])))
+@example((var("p1", -1) + var("x0"), Chart(["p1", "x1"])))
+def test_with_chart_re_keys_like_the_terms_route(case):
+    # the packed re-keying equals the constructor on re-indexed terms,
+    # errors and their messages included
+    p, chart = case
+    try:
+        want = with_chart_by_terms(p, chart)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            p.with_chart(chart)
+    else:
+        got = p.with_chart(chart)
+        assert got.chart is chart and fields(got) == fields(want) and str(got) == str(want)
