@@ -269,7 +269,7 @@ def cmd_verify_all(args) -> ReportEnvelope:
         raise UsageError("--n-max must be >= 1")
     names = list(suites.SUITES)
     if args.only is not None:
-        wanted = [s for chunk in args.only for s in chunk.split(",") if s]
+        wanted = [s for chunk in args.only for s in map(str.strip, chunk.split(",")) if s]
         if not wanted:
             # no suite would run, and the negative control alone would pass
             raise UsageError(f"--only names no suite; choices: {', '.join(names)}")

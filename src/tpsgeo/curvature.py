@@ -308,11 +308,6 @@ class SectionalForm:
         gab = metric.inner(a, b)
         self.den = metric.inner(a, a) * metric.inner(b, b) - gab * gab
 
-    def parts(self, point: Mapping) -> tuple[Fraction, Fraction]:
-        """(numerator, denominator) at the point."""
-        vals = self.num.chart.point_values(point)
-        return self.num.evaluate_values(vals), self.den.evaluate_values(vals)
-
     def at(self, point: Mapping) -> Fraction:
         return self.at_values(self.num.chart.point_values(point))
 

@@ -332,7 +332,8 @@ def invariant_report(n: int) -> dict:
     isometry span."""
     cm = chi_map(n)
     chart = group_chart(n)
-    t = tps.build(n)
+    frame = dict(tps.canonical_frame(n))
+    reeb = frame["xi"]
 
     th = theta_h(n)
     expect_terms = {"c": LaurentPoly.constant(chart, -1)}
@@ -341,10 +342,10 @@ def invariant_report(n: int) -> dict:
     theta_ok = th == Form.one_form(chart, expect_terms)
 
     xi_fields = dict(right_invariant_fields(n))
-    push_xi_ok = cm.push_field(xi_fields["Z"]) == t.reeb.scale(-1)
+    push_xi_ok = cm.push_field(xi_fields["Z"]) == reeb.scale(-1)
     for i in range(1, n + 1):
-        push_xi_ok &= cm.push_field(xi_fields[f"A{i}"]) == t.frame["X"][i - 1]
-        push_xi_ok &= cm.push_field(xi_fields[f"B{i}"]) == t.frame["P"][i - 1]
+        push_xi_ok &= cm.push_field(xi_fields[f"A{i}"]) == frame[f"X{i}"]
+        push_xi_ok &= cm.push_field(xi_fields[f"B{i}"]) == frame[f"P{i}"]
 
     eta_fields = dict(left_invariant_fields(n))
     lie_ok = all(th.lie_derivative(f).is_zero() for f in eta_fields.values())
@@ -372,7 +373,7 @@ def invariant_report(n: int) -> dict:
     killing_span = [f for _, f in tps.killing_catalog(n)]
     push_eta = {label: cm.push_field(f) for label, f in eta_fields.items()}
     span_ok = spans_contain(killing_span, push_eta.values())
-    eta_c_ok = push_eta["C"] == t.reeb.scale(-1)
+    eta_c_ok = push_eta["C"] == reeb.scale(-1)
     cat = dict(tps.killing_catalog(n))
     eta_exact_ok = all(
         combination_equals(push_eta[f"A{i}"], {f"B{i}": -1}, cat)
@@ -385,7 +386,7 @@ def invariant_report(n: int) -> dict:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             push = cm.push_field(bracket(xi_fields[f"A{i}"], xi_fields[f"B{j}"]))
-            comm_ok &= push == t.reeb if i == j else push.is_zero()
+            comm_ok &= push == reeb if i == j else push.is_zero()
 
     return {
         "theta_h_matches": theta_ok,

@@ -181,7 +181,8 @@ def _float_tables(n: int) -> tuple:
     metric = tps.phase_metric(n)
     chart = metric.chart
     g = tuple(tuple(_terms(e) for e in row) for row in metric.g.entries)
-    xrows = tuple(tuple(_terms(c) for c in x.comps) for x in tps.canonical_frame(n)["X"])
+    frame = dict(tps.canonical_frame(n))
+    xrows = tuple(tuple(_terms(c) for c in frame[f"X{i}"].comps) for i in range(1, n + 1))
     gamma = tuple(
         (chart.index(up), chart.index(lo1), chart.index(lo2), _terms(poly))
         for (up, lo1, lo2), poly in metric.christoffel().nonzero().items()

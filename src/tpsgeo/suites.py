@@ -211,8 +211,7 @@ def _transform_table(n: int) -> list[tuple[str, str, str, dict[str, Fraction]]]:
 def _transform_check(n: int, metric: MetricSpec) -> tuple[bool, dict]:
     """R(A,B)C on every frame pair of the table against its coefficients.
     Each plane's operator is built once and applied to every C."""
-    labels = ["xi", *(f"P{i}" for i in range(1, n + 1)), *(f"X{i}" for i in range(1, n + 1))]
-    frame = dict(zip(labels, tps.build(n).frame_list()))
+    frame = dict(tps.canonical_frame(n))
     ops: dict[tuple[str, str], dict[int, dict[int, LaurentPoly]]] = {}
     mismatches = []
     for a, b, c, coeffs in _transform_table(n):
@@ -224,9 +223,10 @@ def _transform_check(n: int, metric: MetricSpec) -> tuple[bool, dict]:
 
 
 def _sectional_rows(n: int, metric: MetricSpec) -> tuple:
-    t = tps.build(n)
+    frame = dict(tps.canonical_frame(n))
     chart = metric.chart
-    P, X, xi = t.frame["P"], t.frame["X"], t.frame["xi"]
+    P = [frame[f"P{i}"] for i in range(1, n + 1)]
+    xi, X1 = frame["xi"], frame["X1"]
     dx = [VectorField.coordinate(chart, f"x{i}") for i in range(1, n + 1)]
     rng = random.Random(20260825)
 
@@ -245,7 +245,7 @@ def _sectional_rows(n: int, metric: MetricSpec) -> tuple:
             break
 
     # vanishing families: both numerator and denominator are identically zero
-    families = [("(xi,P_1)", xi, P[0]), ("(xi,dx^1)", xi, dx[0]), ("(xi,X_1)", xi, X[0])]
+    families = [("(xi,P_1)", xi, P[0]), ("(xi,dx^1)", xi, dx[0]), ("(xi,X_1)", xi, X1)]
     if n >= 2:
         families += [("(P_1,P_2)", P[0], P[1]), ("(dx^1,dx^2)", dx[0], dx[1])]
     bad = []
@@ -489,19 +489,14 @@ def suite_killing(space: str, n: int, degree: int = 2) -> list[Result]:
 # structure suites for verify-all
 
 
-def _contact_volume(n: int) -> tuple[bool, dict]:
-    _, coef = tps.contact_volume(n)
-    want = Fraction(math.factorial(n) * (-1) ** (n * (n - 1) // 2))
-    return coef == want, {"coefficient": coef, "expected": want}
-
-
 def _light_cone(n: int) -> tuple[bool, dict]:
-    t = tps.build(n)
-    pt = _point(t.chart, _rand_point(t.chart, random.Random(7)))
+    chart = tps.tps_chart(n)
+    pt = _point(chart, _rand_point(chart, random.Random(7)))
+    frame = dict(tps.canonical_frame(n))
     cone = {
-        "xi": tps.light_cone_class(n, t.frame["xi"], pt),
-        "P_1": tps.light_cone_class(n, t.frame["P"][0], pt),
-        "X_1": tps.light_cone_class(n, t.frame["X"][0], pt),
+        "xi": tps.light_cone_class(n, frame["xi"], pt),
+        "P_1": tps.light_cone_class(n, frame["P1"], pt),
+        "X_1": tps.light_cone_class(n, frame["X1"], pt),
     }
     return cone == {"xi": "positive", "P_1": "null", "X_1": "null"}, cone
 
@@ -517,7 +512,7 @@ def suite_tps(n: int) -> list[Result]:
         (
             "theta ^ (d theta)^n is the chart volume up to the exact constant",
             "contact-structure",
-            _contact_volume(n),
+            tps.contact_volume(n),
         ),
         (
             "Reeb field is pinned by theta(xi)=1 and xi in ker(d theta)",
@@ -546,7 +541,7 @@ def suite_tps(n: int) -> list[Result]:
         (
             "constitutive hypersurface generators are tangent, horizontal, and pairing-free",
             "contact-structure",
-            tps.constitutive_hypersurface(n).generator_report(),
+            tps.ConstitutiveHypersurface(n).generator_report(),
         ),
     )
 

@@ -28,8 +28,8 @@ def sympl_chart(n: int) -> Chart:
     return Chart(names, invertible=[f"p{i}" for i in range(n + 1)])
 
 
-# built once per n, like the metric below: the form, the frame and the
-# bundle are shared by every caller and never mutated
+# built once per n, like the metric below: the form and the frame are shared
+# by every caller and never mutated
 @functools.cache
 def tautological_form(n: int) -> Form:
     chart = sympl_chart(n)
@@ -60,44 +60,27 @@ def sympl_metric(n: int) -> MetricSpec:
     return MetricSpec(f"sympl-{n}", chart, PolyMatrix(chart, g), PolyMatrix(chart, inv))
 
 
-class Sympl:
-    """Bundle of the symplectization objects for one n."""
-
-    __slots__ = ("n", "chart", "theta", "omega", "metric")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.chart = sympl_chart(n)
-        self.theta = tautological_form(n)
-        self.omega = self.theta.d()
-        self.metric = sympl_metric(n)
-
-
-@functools.cache
-def build(n: int) -> Sympl:
-    return Sympl(n)
-
-
 def volume_report(n: int) -> tuple[bool, dict]:
     """omega^{n+1}/(n+1)! equals the product of the dp_i ^ dx^i planes; its
     coefficient in the chart-ordered volume is the exact Pfaffian sign."""
-    s = build(n)
-    top = s.omega
+    chart = sympl_chart(n)
+    omega = tautological_form(n).d()
+    top = omega
     for _ in range(n):
-        top = top.wedge(s.omega)
+        top = top.wedge(omega)
     fact = 1
     for k in range(2, n + 2):
         fact *= k
     top = top.scale(Fraction(1, fact))
     pairwise = wedge_all(
         [
-            Form.d_coord(s.chart, f"p{i}").wedge(Form.d_coord(s.chart, f"x{i}"))
+            Form.d_coord(chart, f"p{i}").wedge(Form.d_coord(chart, f"x{i}"))
             for i in range(n + 1)
         ]
     )
-    chart_vol = wedge_all([Form.d_coord(s.chart, nm) for nm in s.chart.names])
+    chart_vol = wedge_all([Form.d_coord(chart, nm) for nm in chart.names])
     (vol_idx,) = chart_vol.terms
-    coef = top.terms.get(vol_idx, LaurentPoly.zero(s.chart))
+    coef = top.terms.get(vol_idx, LaurentPoly.zero(chart))
     pfaffian_sign = coef.constant_value() if coef.is_constant() else None
     ok = top == pairwise and pfaffian_sign is not None and abs(pfaffian_sign) == 1
     return ok, {"pfaffian_sign": pfaffian_sign}
@@ -119,11 +102,11 @@ def embedding(n: int) -> PolyMap:
 
 def embedding_report(n: int) -> tuple[bool, dict]:
     j = embedding(n)
-    s = build(n)
+    theta = tautological_form(n)
     pulled = {
-        "theta_pullback": j.pull_form(s.theta) == tps.contact_form(n),
-        "metric_pullback": j.pull_metric(s.metric.g) == tps.phase_metric(n).g,
-        "omega_pullback": j.pull_form(s.omega) == tps.contact_form(n).d(),
+        "theta_pullback": j.pull_form(theta) == tps.contact_form(n),
+        "metric_pullback": j.pull_metric(sympl_metric(n).g) == tps.phase_metric(n).g,
+        "omega_pullback": j.pull_form(theta.d()) == tps.contact_form(n).d(),
     }
     return all(pulled.values()), pulled
 
@@ -148,9 +131,10 @@ def einstein_report(n: int) -> tuple[tuple[bool, dict], tuple[bool, dict]]:
 
 
 @functools.cache
-def canonical_frame(n: int) -> dict:
+def canonical_frame(n: int) -> tuple[tuple[str, VectorField], ...]:
     """P-tilde_i = p_i d/dp_i, L_k = p_k^{-1} d/dx^k, X-tilde_j = L_j - Phat,
-    Phat = sum P-tilde_s / 2."""
+    Phat = sum P-tilde_s / 2, as (label, field) pairs in the order
+    P0..Pn, L0..Ln, X0..Xn, Phat."""
     chart = sympl_chart(n)
     ptil = [
         VectorField.from_dict(chart, {f"p{i}": LaurentPoly.variable(chart, f"p{i}")})
@@ -165,7 +149,9 @@ def canonical_frame(n: int) -> dict:
         phat = phat + f
     phat = phat.scale(HALF)
     xtil = [ell[j] - phat for j in range(n + 1)]
-    return {"P": ptil, "L": ell, "X": xtil, "Phat": phat}
+    families = (("P", ptil), ("L", ell), ("X", xtil))
+    out = [(f"{kind}{i}", f) for kind, fields in families for i, f in enumerate(fields)]
+    return (*out, ("Phat", phat))
 
 
 def frame_brackets(n: int) -> BracketTable:
@@ -186,21 +172,21 @@ def frame_brackets(n: int) -> BracketTable:
 
 def frame_report(n: int) -> tuple[bool, dict | None]:
     """The frame's bracket table (frame_brackets) and its pairings with G."""
-    fr = canonical_frame(n)
+    frame = canonical_frame(n)
     g = sympl_metric(n)
-    P, L, X, phat = fr["P"], fr["L"], fr["X"], fr["Phat"]
-    labelled = [(f"{kind}{i}", f) for kind in "PLX" for i, f in enumerate(fr[kind])]
-    failures = bracket_failures(labelled + [("Phat", phat)], frame_brackets(n))
+    failures = bracket_failures(frame, frame_brackets(n))
+    fr = dict(frame)
     ok = True
     for i in range(n + 1):
+        P, L, X = fr[f"P{i}"], fr[f"L{i}"], fr[f"X{i}"]
         for j in range(n + 1):
             delta = Fraction(1 if i == j else 0)
-            ok &= g.inner(P[i], P[j]).is_zero()
-            ok &= g.inner(P[i], L[j]) == LaurentPoly.constant(g.chart, delta)
-            ok &= g.inner(L[i], L[j]) == LaurentPoly.one(g.chart)
-            ok &= g.inner(X[i], X[j]).is_zero()
-            ok &= g.inner(X[i], P[j]) == LaurentPoly.constant(g.chart, delta)
-        ok &= g.inner(X[i], phat) == LaurentPoly.constant(g.chart, HALF)
+            ok &= g.inner(P, fr[f"P{j}"]).is_zero()
+            ok &= g.inner(P, fr[f"L{j}"]) == LaurentPoly.constant(g.chart, delta)
+            ok &= g.inner(L, fr[f"L{j}"]) == LaurentPoly.one(g.chart)
+            ok &= g.inner(X, fr[f"X{j}"]).is_zero()
+            ok &= g.inner(X, fr[f"P{j}"]) == LaurentPoly.constant(g.chart, delta)
+        ok &= g.inner(X, fr["Phat"]) == LaurentPoly.constant(g.chart, HALF)
     passed = bool(ok) and not failures
     return passed, None if passed else {"failures": failures, "pairings": bool(ok)}
 
@@ -211,12 +197,12 @@ def null_cone_identity(n: int) -> tuple[bool, None]:
     base = sympl_chart(n)
     names = [f"f{i}" for i in range(n + 1)] + [f"g{i}" for i in range(n + 1)]
     chart = base.extend(names)
-    fr = canonical_frame(n)
+    fr = dict(canonical_frame(n))
     v = VectorField.zero(chart)
     for i in range(n + 1):
         fi = LaurentPoly.variable(chart, f"f{i}")
         gi = LaurentPoly.variable(chart, f"g{i}")
-        v = v + fr["P"][i].with_chart(chart).scale(fi) + fr["X"][i].with_chart(chart).scale(gi)
+        v = v + fr[f"P{i}"].with_chart(chart).scale(fi) + fr[f"X{i}"].with_chart(chart).scale(gi)
     q = pairing(sympl_metric(n).g.with_chart(chart), v, v)
     expect = LaurentPoly.zero(chart)
     for i in range(n + 1):
@@ -297,8 +283,8 @@ def bracket_report(n: int) -> tuple[bool, dict]:
 def hamiltonian_report(n: int) -> tuple[bool, dict]:
     """i_X omega = dH with H_{Q^i_j} = -x^i p_j, H_{X_k} = -p_k,
     H_{D^s} = x^s (1 - <x,p>/2)."""
-    s = build(n)
-    chart = s.chart
+    chart = sympl_chart(n)
+    omega = tautological_form(n).d()
 
     def x(i):
         return LaurentPoly.variable(chart, f"x{i}")
@@ -316,7 +302,7 @@ def hamiltonian_report(n: int) -> tuple[bool, dict]:
     bad = []
     for label, field in killing_catalog(n):
         h = Form.function(chart, expected[label])
-        if s.omega.insert(field) != h.d():
+        if omega.insert(field) != h.d():
             bad.append(label)
     return not bad, {"failures": bad}
 
@@ -452,7 +438,7 @@ def cone_complex_structure(n: int) -> PolyMatrix:
 def nijenhuis_report(n: int) -> tuple[tuple[bool, dict], tuple[bool, dict], tuple[bool, dict]]:
     """Three (passed, witness) pairs: J^2 = -I and the torsion N_J(A, B) =
     J^2[A,B] + [JA,JB] - J[JA,B] - J[A,JB] vanishes on every pair from
-    (xi, X_i, P_j, d/dt); the non-parallelism witnesses
+    (xi, P_i, X_j, d/dt); the non-parallelism witnesses
     -2 dtheta(phi X_1, X_1) theta(xi) = -2 and 2 G((nabla_{X_1} phi) xi, X_1)
     = 1; and Ric(xi, xi) = -n/2."""
     chart = cone_chart(n)
@@ -460,10 +446,8 @@ def nijenhuis_report(n: int) -> tuple[tuple[bool, dict], tuple[bool, dict], tupl
     d = chart.dim
     j_squared_ok = (jm @ jm + PolyMatrix.identity(chart, d)).is_zero()
 
-    t_base = tps.build(n)
-    fields = [t_base.frame["xi"].with_chart(chart)]
-    fields += [f.with_chart(chart) for f in t_base.frame["X"]]
-    fields += [f.with_chart(chart) for f in t_base.frame["P"]]
+    frame = dict(tps.canonical_frame(n))
+    fields = [f.with_chart(chart) for f in frame.values()]
     fields.append(VectorField.coordinate(chart, "t"))
 
     def j(v):
@@ -487,15 +471,13 @@ def nijenhuis_report(n: int) -> tuple[tuple[bool, dict], tuple[bool, dict], tupl
     # witnesses on the base
     g = tps.phase_metric(n)
     phi = tps.almost_contact_tensor(n)
-    theta = t_base.theta
-    x1 = t_base.frame["X"][0]
+    theta = tps.contact_form(n)
+    x1, reeb = frame["X1"], frame["xi"]
     omega = theta.d()
-    witness_remark = (
-        -2 * omega(apply_matrix_field(phi, x1), x1) * theta(t_base.reeb)
-    )
+    witness_remark = -2 * omega(apply_matrix_field(phi, x1), x1) * theta(reeb)
     # (nabla_{X_1} phi) xi  =  nabla_{X_1}(phi xi) - phi(nabla_{X_1} xi)
-    nab = covariant_derivative(g, x1, apply_matrix_field(phi, t_base.reeb)) - apply_matrix_field(
-        phi, covariant_derivative(g, x1, t_base.reeb)
+    nab = covariant_derivative(g, x1, apply_matrix_field(phi, reeb)) - apply_matrix_field(
+        phi, covariant_derivative(g, x1, reeb)
     )
     witness_direct = 2 * g.inner(nab, x1)
     ric_xi = g.curvature().ricci.entries[g.chart.index("x0")][g.chart.index("x0")]
@@ -729,9 +711,8 @@ def cell_restrict(n: int, k: int) -> tuple[Form, PolyMatrix]:
     both computed as exact pullbacks along the inclusion of the cell."""
     if not (0 <= k <= n):
         raise ValueError("cell index out of range")
-    s = build(n)
     inc = cell_inclusion(n, k)
-    return inc.pull_form(s.theta), inc.pull_metric(s.metric.g)
+    return inc.pull_form(tautological_form(n)), inc.pull_metric(sympl_metric(n).g)
 
 
 def cell_report(n: int, k: int) -> bool:
@@ -888,9 +869,10 @@ def affine_report(n: int) -> tuple[bool, dict]:
     bracket relations."""
     chi = affine_map(n)
     src = chi.src
-    s = build(n)
+    dst = chi.dst
+    theta = tautological_form(n)
 
-    pulled_theta = chi.pull_form(s.theta)
+    pulled_theta = chi.pull_form(theta)
     expect_theta = Form(src, 1, {})
     for i in range(n + 1):
         zi = LaurentPoly.variable(src, f"z{i}")
@@ -909,7 +891,7 @@ def affine_report(n: int) -> tuple[bool, dict]:
         )
     matches_variant = pulled_theta == variant
 
-    pulled_omega = chi.pull_form(s.omega)
+    pulled_omega = chi.pull_form(theta.d())
     expect_omega = Form(src, 2, {})
     for i in range(n + 1):
         hinv = Form.function(src, LaurentPoly.variable(src, f"h{i}", -1))
@@ -926,11 +908,9 @@ def affine_report(n: int) -> tuple[bool, dict]:
         xi_z = VectorField.coordinate(src, f"z{i}")
         pa = chi.push_field(xi_a)
         pz = chi.push_field(xi_z)
-        expect_pa = VectorField.from_dict(
-            s.chart, {f"p{i}": LaurentPoly.variable(s.chart, f"p{i}")}
-        )
+        expect_pa = VectorField.from_dict(dst, {f"p{i}": LaurentPoly.variable(dst, f"p{i}")})
         expect_pz = VectorField.from_dict(
-            s.chart, {f"x{i}": -LaurentPoly.variable(s.chart, f"p{i}", -1)}
+            dst, {f"x{i}": -LaurentPoly.variable(dst, f"p{i}", -1)}
         )
         push_ok &= pa == expect_pa and pz == expect_pz
         bracket_ok &= bracket(xi_a, xi_z) == xi_z.scale(-1)

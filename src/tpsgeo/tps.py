@@ -10,6 +10,7 @@ with its Gibbs-Duhem pairing.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -26,8 +27,8 @@ def tps_chart(n: int) -> Chart:
     return Chart(["x0"] + [f"p{i}" for i in range(1, n + 1)] + [f"x{i}" for i in range(1, n + 1)])
 
 
-# built once per n, like the metric below: the form, the frame and the
-# bundle are shared by every caller and never mutated
+# built once per n, like the metric below: the form and the frame are shared
+# by every caller and never mutated
 @functools.cache
 def contact_form(n: int) -> Form:
     chart = tps_chart(n)
@@ -38,40 +39,16 @@ def contact_form(n: int) -> Form:
 
 
 @functools.cache
-def canonical_frame(n: int) -> dict:
-    """xi, P_l = d/dp_l, X_i = d/dx^i - p_i d/dx0 (theta-horizontal lifts)."""
+def canonical_frame(n: int) -> tuple[tuple[str, VectorField], ...]:
+    """xi, P_l = d/dp_l, X_i = d/dx^i - p_i d/dx0 (theta-horizontal lifts), as
+    (label, field) pairs in the order xi, P1..Pn, X1..Xn."""
     chart = tps_chart(n)
-    xi = VectorField.coordinate(chart, "x0")
-    P = [VectorField.coordinate(chart, f"p{l}") for l in range(1, n + 1)]
-    X = []
+    out = [("xi", VectorField.coordinate(chart, "x0"))]
+    out += [(f"P{l}", VectorField.coordinate(chart, f"p{l}")) for l in range(1, n + 1)]
     for i in range(1, n + 1):
-        X.append(
-            VectorField.from_dict(
-                chart, {f"x{i}": 1, "x0": -LaurentPoly.variable(chart, f"p{i}")}
-            )
-        )
-    return {"xi": xi, "P": P, "X": X}
-
-
-class TPS:
-    """Bundle of the basic objects; cheap to build, all exact."""
-
-    __slots__ = ("n", "chart", "theta", "reeb", "frame")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.chart = tps_chart(n)
-        self.theta = contact_form(n)
-        self.frame = canonical_frame(n)
-        self.reeb = self.frame["xi"]
-
-    def frame_list(self) -> list[VectorField]:
-        return [self.frame["xi"], *self.frame["P"], *self.frame["X"]]
-
-
-@functools.cache
-def build(n: int) -> TPS:
-    return TPS(n)
+        lift = {f"x{i}": 1, "x0": -LaurentPoly.variable(chart, f"p{i}")}
+        out.append((f"X{i}", VectorField.from_dict(chart, lift)))
+    return tuple(out)
 
 
 # built once per n: a MetricSpec is never mutated, and it keeps its
@@ -123,9 +100,10 @@ def metric_identity_check(n: int) -> tuple[bool, None]:
     return acc == phase_metric(n).g, None
 
 
-def contact_volume(n: int) -> tuple[Form, Fraction | None]:
-    """theta ^ (dtheta)^n; returns the form and its coefficient in the
-    chart-ordered coordinate volume, None unless that is a constant."""
+def contact_volume(n: int) -> tuple[bool, dict]:
+    """theta ^ (dtheta)^n is n! (-1)^(n(n-1)/2) times the chart-ordered
+    coordinate volume; the witness shows its coefficient there, None unless
+    that is a constant."""
     theta = contact_form(n)
     omega = theta.d()
     top = theta
@@ -135,9 +113,9 @@ def contact_volume(n: int) -> tuple[Form, Fraction | None]:
     vol = wedge_all([Form.d_coord(chart, nm) for nm in chart.names])
     (vol_idx,) = vol.terms
     coef = top.terms.get(vol_idx, LaurentPoly.zero(chart))
-    if len(top.terms) > 1 or not coef.is_constant():
-        return top, None
-    return top, coef.constant_value()
+    value = None if len(top.terms) > 1 or not coef.is_constant() else coef.constant_value()
+    want = Fraction(math.factorial(n) * (-1) ** (n * (n - 1) // 2))
+    return value == want, {"coefficient": value, "expected": want}
 
 
 def reeb_pinning(n: int) -> tuple[bool, dict]:
@@ -168,24 +146,23 @@ def reeb_pinning(n: int) -> tuple[bool, dict]:
 
 def frame_commutator_table(n: int) -> tuple[bool, dict | None]:
     """All frame commutators vanish except [P_i, X_i] = -xi."""
-    labels = ["xi", *(f"P{i}" for i in range(1, n + 1)), *(f"X{i}" for i in range(1, n + 1))]
     table = {(f"P{i}", f"X{i}"): {"xi": -1} for i in range(1, n + 1)}
-    failures = bracket_failures(list(zip(labels, build(n).frame_list())), table)
+    failures = bracket_failures(canonical_frame(n), table)
     return not failures, {"failures": failures} if failures else None
 
 
 def symplectic_gram_on_horizontal(n: int) -> tuple[bool, None]:
     """dtheta Gram on span(P, X): omega(P_i, X_j) = delta, omega(P,P) =
     omega(X,X) = 0."""
-    t = build(n)
-    omega = t.theta.d()
-    P, X = t.frame["P"], t.frame["X"]
+    omega = contact_form(n).d()
+    frame = dict(canonical_frame(n))
     ok = True
-    for i in range(n):
-        for j in range(n):
-            ok &= omega(P[i], X[j]) == (1 if i == j else 0)
-            ok &= omega(P[i], P[j]).is_zero()
-            ok &= omega(X[i], X[j]).is_zero()
+    for i in range(1, n + 1):
+        P, X = frame[f"P{i}"], frame[f"X{i}"]
+        for j in range(1, n + 1):
+            ok &= omega(P, frame[f"X{j}"]) == (1 if i == j else 0)
+            ok &= omega(P, frame[f"P{j}"]).is_zero()
+            ok &= omega(X, frame[f"X{j}"]).is_zero()
     return bool(ok), None
 
 
@@ -197,14 +174,14 @@ def signature_split(n: int) -> tuple[list[tuple[VectorField, Fraction]], list[tu
     """Orthogonal split: plus-part (xi and v_l = (P_l + X_l)/2), minus-part
     (w_l = (P_l - X_l)/2).  Each field is paired with its exact squared norm;
     normalizing by 1/sqrt|norm| would give Gram diag(+1 x (n+1), -1 x n)."""
-    t = build(n)
+    frame = dict(canonical_frame(n))
     g = phase_metric(n)
     half = Fraction(1, 2)
-    plus = [(t.frame["xi"], g.inner(t.frame["xi"], t.frame["xi"]).constant_value())]
+    plus = [(frame["xi"], g.inner(frame["xi"], frame["xi"]).constant_value())]
     minus = []
-    for l in range(n):
-        v = (t.frame["P"][l] + t.frame["X"][l]).scale(half)
-        w = (t.frame["P"][l] - t.frame["X"][l]).scale(half)
+    for l in range(1, n + 1):
+        v = (frame[f"P{l}"] + frame[f"X{l}"]).scale(half)
+        w = (frame[f"P{l}"] - frame[f"X{l}"]).scale(half)
         plus.append((v, g.inner(v, v).constant_value()))
         minus.append((w, g.inner(w, w).constant_value()))
     return plus, minus
@@ -261,11 +238,11 @@ def compatibility_check(n: int) -> tuple[tuple[bool, dict], tuple[bool, None], t
     G(phi A, phi B) = -G(A, B) + theta(A) theta(B) on all frame pairs and as
     a matrix identity; and the classical law G(phi A, phi B) = G(A, B) -
     theta(A) theta(B) failing, with (X1, P1) as witness."""
-    t = build(n)
-    chart = t.chart
+    chart = tps_chart(n)
     g = phase_metric(n)
     phi = almost_contact_tensor(n)
-    theta = t.theta
+    theta = contact_form(n)
+    frame = dict(canonical_frame(n))
 
     # phi^2 + I - theta (x) xi == 0
     theta_xi = PolyMatrix(
@@ -289,20 +266,19 @@ def compatibility_check(n: int) -> tuple[tuple[bool, dict], tuple[bool, None], t
     # together with phi^2 = -I + theta(x)xi (any kernel vector V satisfies
     # V = theta(V) xi); det phi = 0 confirms rank < 2n+1
     rank_ok = (
-        phi_sq_ok and apply_matrix_field(phi, t.reeb).is_zero() and bareiss_det(phi).is_zero()
+        phi_sq_ok and apply_matrix_field(phi, frame["xi"]).is_zero() and bareiss_det(phi).is_zero()
     )
 
-    frame = t.frame_list()
     modified_ok = True
-    for a in frame:
-        for b in frame:
+    for a in frame.values():
+        for b in frame.values():
             lhs = g.inner(apply_matrix_field(phi, a), apply_matrix_field(phi, b))
             rhs = -g.inner(a, b) + theta(a) * theta(b)
             modified_ok &= lhs == rhs
     # matrix form of the same law: phi^T G phi + G - theta theta^T = 0
     modified_ok &= ((phi.transpose() @ g.g @ phi) + g.g - tensor2(theta, theta)).is_zero()
 
-    x1, p1 = t.frame["X"][0], t.frame["P"][0]
+    x1, p1 = frame["X1"], frame["P1"]
     witness_lhs = g.inner(apply_matrix_field(phi, x1), apply_matrix_field(phi, p1))
     witness_rhs = g.inner(x1, p1) - theta(x1) * theta(p1)
 
@@ -394,7 +370,7 @@ class ConstitutiveHypersurface:
         """The theta-horizontal lifts X1..Xn of the canonical frame, then the
         rotations P{i}_{j} = x^j d/dp_i - x^i d/dp_j."""
         chart = self.chart
-        out = [(f"X{l}", f) for l, f in enumerate(canonical_frame(self.n)["X"], 1)]
+        out = [(label, f) for label, f in canonical_frame(self.n) if label.startswith("X")]
         for i in range(1, self.n + 1):
             for j in range(i + 1, self.n + 1):
                 out.append(
@@ -429,7 +405,3 @@ class ConstitutiveHypersurface:
         """theta + sum x^i dp_i = d(defining function), globally."""
         lhs = self.theta + self.gibbs_duhem
         return lhs == Form.function(self.chart, self.defining).d()
-
-
-def constitutive_hypersurface(n: int) -> ConstitutiveHypersurface:
-    return ConstitutiveHypersurface(n)

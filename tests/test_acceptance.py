@@ -89,29 +89,31 @@ class TestSectionalCurvature:
     def setup_method(self):
         self.n = 2
         self.m = tps.phase_metric(self.n)
-        self.t = tps.build(self.n)
+        self.chart = self.m.chart
+        self.frame = dict(tps.canonical_frame(self.n))
         self.rng = random.Random(11)
 
     def test_conjugate_pairs_100_points(self):
         for k in range(100):
             i = k % self.n
-            dxi = VectorField.coordinate(self.t.chart, f"x{i+1}")
-            pt = rational_point(self.t.chart, self.rng)
-            assert sectional(self.m, self.t.frame["P"][i], dxi, pt) == Fraction(3, 4)
+            dxi = VectorField.coordinate(self.chart, f"x{i+1}")
+            pt = rational_point(self.chart, self.rng)
+            assert sectional(self.m, self.frame[f"P{i+1}"], dxi, pt) == Fraction(3, 4)
 
     def test_four_zero_families(self):
-        xi, P = self.t.frame["xi"], self.t.frame["P"]
-        dx = [VectorField.coordinate(self.t.chart, f"x{i+1}") for i in range(self.n)]
-        families = [(xi, P[0]), (xi, dx[0]), (P[0], P[1]), (dx[0], dx[1])]
+        xi, P1, P2 = self.frame["xi"], self.frame["P1"], self.frame["P2"]
+        dx = [VectorField.coordinate(self.chart, f"x{i+1}") for i in range(self.n)]
+        families = [(xi, P1), (xi, dx[0]), (P1, P2), (dx[0], dx[1])]
         for a, b in families:
             for _ in range(5):
-                pt = rational_point(self.t.chart, self.rng)
-                assert SectionalForm(self.m, a, b).parts(pt) == (0, 0)
+                pt = rational_point(self.chart, self.rng)
+                form = SectionalForm(self.m, a, b)
+                assert (form.num.evaluate(pt), form.den.evaluate(pt)) == (0, 0)
 
     def test_mixed_pair_raises(self):
-        dx2 = VectorField.coordinate(self.t.chart, "x2")
+        dx2 = VectorField.coordinate(self.chart, "x2")
         with pytest.raises(DegeneratePlaneError):
-            sectional(self.m, self.t.frame["P"][0], dx2, rational_point(self.t.chart, self.rng))
+            sectional(self.m, self.frame["P1"], dx2, rational_point(self.chart, self.rng))
 
 
 class TestIsometrySolve:

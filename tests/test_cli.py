@@ -467,7 +467,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["verify-all", "--only", "nosuch"])
         assert code == 2 and "nosuch" in err
 
-    @pytest.mark.parametrize("only", [[""], [","], [",", ""]])
+    def test_the_names_in_only_are_stripped(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify-all", "--only", "tps, sympl"])
+        assert code == 0
+        assert json.loads(out)["inputs"]["suites"] == ["tps", "sympl"]
+
+    @pytest.mark.parametrize("only", [[""], [","], [",", ""], [" "], [" , "]])
     def test_an_only_that_names_no_suite_is_usage(self, capsys, only):
         # with no suite, the negative control alone would pass vacuously
         argv = ["verify-all"] + [arg for value in only for arg in ("--only", value)]
@@ -613,9 +618,10 @@ class TestVerifyAll:
 
     def test_each_chart_and_space_is_built_once(self, capsys, monkeypatch, clear_caches):
         # a count, not a timing: from cold caches, verify-all gets one Chart
-        # object per (names, invertible) key, and builds tps.build(n) and
-        # sympl.build(n) at most once per n, so a loop that rebuilds them
-        # fails here and not only in the benchmark
+        # object per (names, invertible) key, and builds each contact form,
+        # tautological form and canonical frame once per n it asks for and
+        # reads it again from the cache, so a loop that rebuilds them fails
+        # here and not only in the benchmark
         charts = collections.defaultdict(set)
         new = poly.Chart.__new__
 
@@ -625,18 +631,27 @@ class TestVerifyAll:
             return chart
 
         monkeypatch.setattr(poly.Chart, "__new__", interned)
-        builds = collections.Counter()
-        for space in (tps.TPS, sympl.Sympl):
-            def counted(self, n, init=space.__init__, space=space.__name__):
-                builds[space, n] += 1
-                init(self, n)
+        builders = {
+            (module, name): getattr(module, name)
+            for module, name in [
+                (tps, "contact_form"), (tps, "canonical_frame"),
+                (sympl, "tautological_form"), (sympl, "canonical_frame"),
+            ]
+        }
+        asked = collections.defaultdict(set)
+        for (module, name), build in builders.items():
+            def recorded(n, build=build, key=(module, name)):
+                asked[key].add(n)
+                return build(n)
 
-            monkeypatch.setattr(space, "__init__", counted)
+            monkeypatch.setattr(module, name, recorded)
         code, _, _ = run_cli(capsys, ["verify-all"])
         assert code == 0
         assert len(charts) >= 10 and all(len(made) == 1 for made in charts.values())
-        assert {space for space, _ in builds} == {"TPS", "Sympl"}
-        assert max(builds.values()) == 1
+        for key, build in builders.items():
+            assert hasattr(build, "cache_info"), f"{key[1]} is not cached"
+            info = build.cache_info()
+            assert asked[key] and info.misses == len(asked[key]) and info.hits > 0, (key, info)
 
 
 # ----------------------------------------------------------------------
@@ -710,7 +725,10 @@ EXACT_FLAGS = {
     "--n": (["1", "2"], ["-1", "0", "5", "99", "1000000000000", "x", "", None]),
     "--degree": ([None, "1", "2"], ["-1", "0", "1000", "x"]),
     "--n-max": (["1", "2"], ["-1", "0", "x"]),
-    "--only": ([None, "tps", "heisenberg", "sympl,tps"], ["bogus", "tps,bogus", ",", ""]),
+    "--only": (
+        [None, "tps", "heisenberg", "sympl,tps", "sympl, tps"],
+        ["bogus", "tps,bogus", ",", "", " "],
+    ),
 }
 COMMAND_FLAGS = {
     "curvature": ["--space", "--n"],

@@ -104,6 +104,13 @@ def expected_tps_christoffel(n):
     return out
 
 
+def tps_frame(n):
+    """(xi, [P1..Pn], [X1..Xn]) of the canonical frame of the phase space."""
+    frame = dict(tps.canonical_frame(n))
+    rng = range(1, n + 1)
+    return frame["xi"], [frame[f"P{i}"] for i in rng], [frame[f"X{i}"] for i in rng]
+
+
 class TestTpsCurvature:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_christoffel_table_verbatim(self, n):
@@ -139,9 +146,8 @@ class TestTpsCurvature:
     def test_covariant_derivative_frame_table(self):
         n = 2
         m = tps.phase_metric(n)
-        t = tps.build(n)
-        xi, P, X = t.frame["xi"], t.frame["P"], t.frame["X"]
-        zero = VectorField.zero(t.chart)
+        xi, P, X = tps_frame(n)
+        zero = VectorField.zero(m.chart)
 
         assert covariant_derivative(m, xi, xi) == zero
         for i in range(n):
@@ -159,10 +165,9 @@ class TestTpsCurvature:
     def test_curvature_transformation_table(self):
         n = 2
         m = tps.phase_metric(n)
-        t = tps.build(n)
-        xi, P, X = t.frame["xi"], t.frame["P"], t.frame["X"]
+        xi, P, X = tps_frame(n)
         q = Fraction(1, 4)
-        zero = VectorField.zero(t.chart)
+        zero = VectorField.zero(m.chart)
 
         for i in range(n):
             # R(xi, P_i): xi -> P_i/4, P_j -> 0, X_j -> -delta_ij xi / 4
@@ -212,7 +217,8 @@ class TestSectional:
     def setup_method(self):
         self.n = 2
         self.m = tps.phase_metric(self.n)
-        self.t = tps.build(self.n)
+        self.chart = self.m.chart
+        self.xi, self.P, self.X = tps_frame(self.n)
         self.points = [
             {"x0": 1, "p1": 2, "p2": Fraction(1, 3), "x1": -1, "x2": 5},
             {"x0": 0, "p1": Fraction(-7, 2), "p2": 1, "x1": Fraction(2, 5), "x2": 0},
@@ -220,13 +226,13 @@ class TestSectional:
 
     def test_conjugate_pair_three_quarters(self):
         for i in range(self.n):
-            dxi = VectorField.coordinate(self.t.chart, f"x{i+1}")
+            dxi = VectorField.coordinate(self.chart, f"x{i+1}")
             for pt in self.points:
-                assert sectional(self.m, self.t.frame["P"][i], dxi, pt) == Fraction(3, 4)
+                assert sectional(self.m, self.P[i], dxi, pt) == Fraction(3, 4)
 
     def test_zero_families_have_zero_numerator_and_degenerate_plane(self):
-        xi, P, X = self.t.frame["xi"], self.t.frame["P"], self.t.frame["X"]
-        dx = [VectorField.coordinate(self.t.chart, f"x{i+1}") for i in range(self.n)]
+        xi, P, X = self.xi, self.P, self.X
+        dx = [VectorField.coordinate(self.chart, f"x{i+1}") for i in range(self.n)]
         families = [
             (xi, P[0]),
             (xi, dx[0]),
@@ -236,25 +242,25 @@ class TestSectional:
         ]
         for a, b in families:
             for pt in self.points:
-                num, den = SectionalForm(self.m, a, b).parts(pt)
-                assert num == 0 and den == 0
+                form = SectionalForm(self.m, a, b)
+                assert form.num.evaluate(pt) == 0 and form.den.evaluate(pt) == 0
                 with pytest.raises(DegeneratePlaneError):
                     sectional(self.m, a, b, pt)
 
     def test_mixed_pair_degenerate_but_nonzero_numerator_excluded(self):
         # (P_1, d/dx^2): the plane is degenerate; no value is defined
-        dx2 = VectorField.coordinate(self.t.chart, "x2")
+        dx2 = VectorField.coordinate(self.chart, "x2")
         for pt in self.points:
             with pytest.raises(DegeneratePlaneError):
-                sectional(self.m, self.t.frame["P"][0], dx2, pt)
+                sectional(self.m, self.P[0], dx2, pt)
 
     def test_the_suite_points_are_the_former_fraction_draws(self):
         # suites._rand_point gives a point as the chart's point_values, by
         # the same randint calls in the same order as the former
         # {name: Fraction(randint(-9, 9), randint(1, 9))} points, and a
         # sectional form takes the same value on both
-        chart = self.t.chart
-        form = SectionalForm(self.m, self.t.frame["P"][0], VectorField.coordinate(chart, "x1"))
+        chart = self.chart
+        form = SectionalForm(self.m, self.P[0], VectorField.coordinate(chart, "x1"))
         p1, p2, x0, x2 = (LaurentPoly.variable(chart, nm) for nm in ("p1", "p2", "x0", "x2"))
         poly = p1 * p2 + x0 * p1 - x2  # a value that moves with the point
         rng, former = random.Random(20260825), random.Random(20260825)
@@ -273,7 +279,7 @@ class TestConnectionAxioms:
     @pytest.mark.parametrize("n", [1, 2])
     def test_first_bianchi(self, n):
         m = tps.phase_metric(n)
-        frame = tps.build(n).frame_list()
+        frame = [f for _, f in tps.canonical_frame(n)]
         for a in frame:
             for b in frame:
                 for c in frame:
@@ -289,10 +295,11 @@ class TestConnectionAxioms:
         # R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z on
         # every frame triple, with nabla read from the Christoffel table
         if space == "tps":
-            m, frame = tps.phase_metric(n), tps.build(n).frame_list()
+            m, frame = tps.phase_metric(n), [f for _, f in tps.canonical_frame(n)]
         else:
-            f = sympl.canonical_frame(n)
-            m, frame = sympl.sympl_metric(n), [*f["P"], *f["X"]]
+            f = dict(sympl.canonical_frame(n))
+            m = sympl.sympl_metric(n)
+            frame = [f[f"{kind}{i}"] for kind in "PX" for i in range(n + 1)]
         for a in frame:
             for b in frame:
                 for c in frame:
@@ -306,7 +313,7 @@ class TestConnectionAxioms:
     @pytest.mark.parametrize("n", [1, 2])
     def test_metric_compatibility(self, n):
         m = tps.phase_metric(n)
-        frame = tps.build(n).frame_list()
+        frame = [f for _, f in tps.canonical_frame(n)]
         for a in frame:
             for b in frame:
                 for c in frame:
@@ -319,7 +326,7 @@ class TestConnectionAxioms:
     @pytest.mark.parametrize("n", [1, 2])
     def test_torsion_free(self, n):
         m = tps.phase_metric(n)
-        frame = tps.build(n).frame_list()
+        frame = [f for _, f in tps.canonical_frame(n)]
         for a in frame:
             for b in frame:
                 lhs = covariant_derivative(m, a, b) - covariant_derivative(m, b, a)
@@ -331,7 +338,7 @@ class TestGramAndLie:
     def test_frame_gram_frozen(self, n):
         # (xi, P, X): 1 on xi, the P_i/X_i pairs off-diagonal, zero elsewhere
         m = tps.phase_metric(n)
-        frame = tps.build(n).frame_list()
+        frame = [f for _, f in tps.canonical_frame(n)]
         grid = [[0] * (2 * n + 1) for _ in range(2 * n + 1)]
         grid[0][0] = 1
         for i in range(1, n + 1):
@@ -609,8 +616,7 @@ def test_sectional_forms_match_sympy(sympy, n):
     xs, g, _ginv, gamma = sympy_christoffel(sympy, metric)
     riem = sympy_riemann(sympy, xs, gamma)
     r = range(metric.dim)
-    t = tps.build(n)
-    P, X, xi = t.frame["P"], t.frame["X"], t.frame["xi"]
+    xi, P, X = tps_frame(n)
     dx = [VectorField.coordinate(metric.chart, f"x{i}") for i in range(1, n + 1)]
 
     def inner(u, v):

@@ -5,8 +5,10 @@ tests alone: it reads each module's syntax tree and looks for reads of the
 definition outside the definition itself.  A module-level definition is
 used if its own module reads its bare name, or another module imports it
 or reads it as an attribute, so a local variable of the same name in
-another module is not a use.  A method is matched by its name alone, so
-one that shares its name with a used attribute passes."""
+another module is not a use.  A method is used if some module reads an
+attribute of its name, so a local variable of that name is not a use
+either; it is matched by its name alone, so one that shares its name with
+a read attribute passes."""
 
 import ast
 import os
@@ -93,11 +95,11 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
     bare = {module: set().union(*(n for n, _ in r)) for module, r in reads.items()}
     attrs = {module: set().union(*(a for _, a in r)) for module, r in reads.items()}
     imported = set().union(*map(imported_names, trees.values()))
-    anywhere = set().union(*bare.values(), *attrs.values())
+    any_attr = set().union(*attrs.values())
 
     def used(module: str, name: str) -> bool:
         if "." in name:
-            return name.rpartition(".")[2] in anywhere
+            return name.rpartition(".")[2] in any_attr
         others = set().union(*(attrs[m] for m in trees if m != module))
         return name in bare[module] or name in others or (module, name) in imported
 
@@ -151,6 +153,15 @@ def test_the_scan_finds_an_unused_method():
         "def main():\n    return Used().size\n\nmain()\n",
     }
     assert unreferenced(sources) == ["a.Used.again"]
+
+
+def test_a_method_named_only_by_a_local_variable_is_unused():
+    sources = {
+        "a": "class Form:\n    def parts(self):\n        return []\n\n"
+        "    def at(self):\n        return 0\n\n"
+        "def render(form):\n    parts = [form.at()]\n    return parts\n\nrender(Form())\n",
+    }
+    assert unreferenced(sources) == ["a.Form.parts"]
 
 
 def test_a_local_variable_of_the_same_name_is_not_a_use():

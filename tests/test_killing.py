@@ -20,7 +20,7 @@ from tpsgeo.killing import (
 )
 from tpsgeo.linalg import PolyMatrix
 from tpsgeo.poly import Chart, LaurentPoly
-from tpsgeo import suites, sympl, tps
+from tpsgeo import heisenberg, suites, sympl, tps
 
 
 class TestMonomials:
@@ -124,7 +124,7 @@ class TestPhaseSpaceKilling:
         fields = killing_solve(tps.phase_metric(n), 2)
         cat = dict(tps.killing_catalog(n))
         assert span_contains(fields, cat["A1"] + cat["Q1_2"].scale(Fraction(3, 7)))
-        bad = cat["A1"].scale(Fraction(1, 2)) + tps.build(n).frame["P"][0]
+        bad = cat["A1"].scale(Fraction(1, 2)) + dict(tps.canonical_frame(n))["P1"]
         assert not span_contains(fields, bad)
 
 
@@ -260,8 +260,7 @@ def test_killing_system_rank_and_kernel_match_sympy(n):
 
 class TestBracketFailures:
     def setup_method(self):
-        t = tps.build(1)
-        self.labelled = [("xi", t.frame["xi"]), ("P1", t.frame["P"][0]), ("X1", t.frame["X"][0])]
+        self.labelled = tps.canonical_frame(1)  # xi, P1, X1
 
     def test_the_frame_table_passes(self):
         assert bracket_failures(self.labelled, {("P1", "X1"): {"xi": -1}}) == []
@@ -283,6 +282,43 @@ class TestBracketFailures:
         # a listed pair the fields do not hold in that order fails too
         table = {("P1", "X1"): {"xi": -1}, ("X1", "P1"): {"xi": 1}, ("P1", "Y1"): {}}
         assert bracket_failures(self.labelled, table) == ["[X1,P1]", "[P1,Y1]"]
+
+
+# every labelled family of fields: a repeated label would make dict(family)
+# drop a field without an error
+LABELLED_FAMILIES = {
+    "tps frame": tps.canonical_frame,
+    "sympl frame": sympl.canonical_frame,
+    "tps catalog": tps.killing_catalog,
+    "sympl catalog": sympl.killing_catalog,
+    "right-invariant fields": heisenberg.right_invariant_fields,
+    "left-invariant fields": heisenberg.left_invariant_fields,
+    "hypersurface generators": lambda n: tps.ConstitutiveHypersurface(n).generators(),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", LABELLED_FAMILIES)
+def test_labels_are_unique_in_every_labelled_family(family, n):
+    labels = [label for label, _ in LABELLED_FAMILIES[family](n)]
+    assert len(set(labels)) == len(labels), labels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_canonical_frames_keep_their_label_order(n):
+    # bracket_failures walks the pairs a before b, so the order fixes the
+    # failure witnesses
+    rng = range(1, n + 1)
+    want = ["xi", *(f"P{i}" for i in rng), *(f"X{i}" for i in rng)]
+    assert [label for label, _ in tps.canonical_frame(n)] == want
+    want = [f"{kind}{i}" for kind in "PLX" for i in range(n + 1)] + ["Phat"]
+    assert [label for label, _ in sympl.canonical_frame(n)] == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_label_of_the_sympl_frame_table_is_a_frame_label(n):
+    named = {label for (a, b), row in sympl.frame_brackets(n).items() for label in (a, b, *row)}
+    assert named <= {label for label, _ in sympl.canonical_frame(n)}
 
 
 def test_no_exact_suite_scales_a_field_by_zero(monkeypatch, clear_caches):

@@ -186,7 +186,8 @@ class TestFloatTables:
         rng = np.random.default_rng(n)
         metric = tps.phase_metric(n)
         names = metric.chart.names
-        xfields = tps.canonical_frame(n)["X"]
+        frame = dict(tps.canonical_frame(n))
+        xfields = [frame[f"X{i}"] for i in range(1, n + 1)]
         gamma = metric.christoffel().nonzero()
         dyadic = [
             {nm: Fraction(int(rng.integers(-64, 65)), 2 ** int(rng.integers(0, 7))) for nm in names}
