@@ -8,7 +8,9 @@ import argparse
 import json
 import math
 import os
+import pickle
 import sys
+import threading
 import time
 
 import numpy as np
@@ -284,10 +286,69 @@ def cmd_verify_all(args) -> ReportEnvelope:
         env.extend(suites.tamper_suite())
         return env
 
-    for name in names:
-        env.extend(suites.SUITES[name](args.n_max))
-    env.add(suites.negative_control_result())
+    env.extend(_verify(names, args.n_max))
     return env
+
+
+# verify-all runs these suites in one forked worker process while the parent
+# runs the others and the negative control; the two halves take about as long.
+WORKER_SUITES = ("tps", "heisenberg", "legendre")
+
+
+def _verify(names: list[str], n_max) -> list[Result]:
+    """The results of the named suites, in names order, then the negative
+    control.  When both halves have a suite, the worker half runs in a
+    forked child that sends its results, or the exception it raised, back
+    through a pipe; the parent re-raises that exception and always reaps
+    the child."""
+    worker = [name for name in names if name in WORKER_SUITES]
+    # The halves overlap only on a second usable CPU, and a fork copies only
+    # the calling thread, so the locks and state of any other one would
+    # reach the child half-made.
+    split = (
+        0 < len(worker) < len(names)
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
+    )
+    if not split:
+        results = [r for name in names for r in suites.SUITES[name](n_max)]
+        return results + [suites.negative_control_result()]
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child never returns into the caller's stack, and leaves by
+        # os._exit so that no buffer or exit handler of the parent runs twice.
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                payload = pickle.dumps([suites.SUITES[name](n_max) for name in worker])
+            except Exception as exc:
+                payload = pickle.dumps(exc)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        # Closing the read end before the wait lets a child blocked on a full
+        # pipe fail its write and exit when this half raises.
+        with os.fdopen(read_end, "rb") as pipe:
+            results = {name: suites.SUITES[name](n_max) for name in names if name not in worker}
+            control = suites.negative_control_result()
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not payload or os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"verify-all worker ended with wait status {status} without a result")
+    sent = pickle.loads(payload)
+    if isinstance(sent, BaseException):
+        raise sent
+    results.update(zip(worker, sent))
+    return [r for name in names for r in results[name]] + [control]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -444,7 +444,8 @@ def nijenhuis_report(n: int) -> tuple[tuple[bool, dict], tuple[bool, dict], tupl
     chart = cone_chart(n)
     jm = cone_complex_structure(n)
     d = chart.dim
-    j_squared_ok = (jm @ jm + PolyMatrix.identity(chart, d)).is_zero()
+    jj = jm @ jm
+    j_squared_ok = (jj + PolyMatrix.identity(chart, d)).is_zero()
 
     frame = dict(tps.canonical_frame(n))
     fields = [f.with_chart(chart) for f in frame.values()]
@@ -459,7 +460,7 @@ def nijenhuis_report(n: int) -> tuple[tuple[bool, dict], tuple[bool, dict], tupl
         for b in range(a, len(fields)):
             fa, fb = fields[a], fields[b]
             nj = (
-                apply_matrix_field(jm @ jm, bracket(fa, fb))
+                apply_matrix_field(jj, bracket(fa, fb))
                 + bracket(j(fa), j(fb))
                 - j(bracket(j(fa), fb))
                 - j(bracket(fa, j(fb)))

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -34,3 +35,10 @@ def clear_caches():
     yield
     for cached in CACHES:
         cached.cache_clear()
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU, so verify-all runs every suite in this process and a
+    monkeypatched counter sees the calls of the forked worker's half too."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -7,8 +7,10 @@ import io
 import json
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpsgeo
-from tpsgeo import cli, killing, poly, sympl, tps
-from tpsgeo.report import STATUSES, _jsonable
+from tpsgeo import cli, killing, poly, suites, sympl, tps
+from tpsgeo.report import STATUSES, _jsonable, check
 
 
 def run_cli(capsys, argv):
@@ -50,16 +52,30 @@ VDW_LITERAL = {
 }
 
 
+def modules_after_importing_the_cli() -> set[str]:
+    """Every module loaded by `import tpsgeo.cli` in a fresh interpreter."""
+    probe = "import json, sys, tpsgeo.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tpsgeo.__file__))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout))
+
+
 def test_importing_the_cli_loads_every_module():
     # the benchmark tracer wraps functions only in the modules that
     # `import tpsgeo.cli` has loaded; a module imported lazily would go
     # untraced without any error
     package_dir = os.path.dirname(tpsgeo.__file__)
     expected = {f"tpsgeo.{m.name}" for m in pkgutil.iter_modules([package_dir])} | {"tpsgeo"}
-    probe = "import json, sys, tpsgeo.cli; print(json.dumps(sorted(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(package_dir)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert {m for m in json.loads(out.stdout) if m.split(".")[0] == "tpsgeo"} == expected
+    loaded = modules_after_importing_the_cli()
+    assert {m for m in loaded if m.split(".")[0] == "tpsgeo"} == expected
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # verify-all forks its worker with os.fork alone: every command pays for
+    # what `import tpsgeo.cli` loads, and these packages cost start-up time
+    loaded = modules_after_importing_the_cli()
+    assert not {m for m in loaded if m.split(".")[0] == "multiprocessing"}
+    assert "concurrent.futures" not in loaded
 
 
 # Prints OPENBLAS_NUM_THREADS and the thread count after `import tpsgeo.cli`,
@@ -579,6 +595,32 @@ class TestPotential:
         assert len(per_point) == 3
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the verify-all worker is forked")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs, whatever the host has, and the pid of every child
+    that os.fork starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids = []
+    fork = getattr(os, "fork", None)
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy, raising=False)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestVerifyAll:
     """Aggregated run: filter, negative control, determinism."""
 
@@ -616,7 +658,89 @@ class TestVerifyAll:
         a["timing"] = b["timing"] = None
         assert a == b
 
-    def test_each_chart_and_space_is_built_once(self, capsys, monkeypatch, clear_caches):
+    @needs_fork
+    @pytest.mark.parametrize(
+        "argv", [[], ["--markdown"], ["--n-max", "1"], ["--only", "sympl, legendre"]]
+    )
+    def test_the_forked_worker_changes_no_report_byte(self, capsys, monkeypatch, forks, argv):
+        code, split, _ = run_cli(capsys, ["verify-all", *argv])
+        assert code == 0 and len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        code, serial, _ = run_cli(capsys, ["verify-all", *argv])
+        assert code == 0 and len(forks) == 1
+        assert split.split('"timing"')[0] == serial.split('"timing"')[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "argv", [["--only", "tps,heisenberg,legendre"], ["--only", "curvature,sympl"], ["--tamper"]]
+    )
+    def test_one_half_alone_runs_in_process(self, capsys, forks, argv):
+        code, _, _ = run_cli(capsys, ["verify-all", "--n-max", "1", *argv])
+        assert code == (1 if "--tamper" in argv else 0)
+        assert forks == []
+
+    def test_a_second_thread_keeps_every_suite_in_process(self, capsys, forks):
+        # a fork copies only the calling thread, so a lock another thread
+        # holds would stay held in the child
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            code, _, _ = run_cli(capsys, ["verify-all", "--only", "tps,sympl", "--n-max", "1"])
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert code == 0 and forks == []
+
+    @needs_fork
+    def test_a_worker_exception_keeps_its_type(self, capsys, monkeypatch, forks):
+        def broken(n_max):
+            raise ValueError("broken worker suite")
+
+        monkeypatch.setitem(suites.SUITES, "heisenberg", broken)
+        with pytest.raises(ValueError, match="broken worker suite"):
+            cli.main(["verify-all", "--only", "sympl,heisenberg", "--n-max", "1"])
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @needs_fork
+    def test_a_worker_that_writes_no_result_is_an_error(self, capsys, monkeypatch, forks):
+        monkeypatch.setitem(suites.SUITES, "heisenberg", lambda n_max: os._exit(3))
+        # exit code 3 is wait status 3 << 8
+        with pytest.raises(RuntimeError, match="wait status 768"):
+            cli.main(["verify-all", "--only", "sympl,heisenberg", "--n-max", "1"])
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @needs_fork
+    def test_a_parent_exception_still_reaps_a_worker_blocked_on_the_pipe(
+        self, capsys, monkeypatch, forks
+    ):
+        # the worker's result is larger than any pipe buffer, so its write
+        # blocks until the parent reads or closes the pipe
+        big = [check("x" * (1 << 20), "plumbing", True)]
+        monkeypatch.setitem(suites.SUITES, "heisenberg", lambda n_max: big)
+
+        def broken(n_max):
+            raise ValueError("broken parent suite")
+
+        def stuck(signum, frame):
+            raise TimeoutError("the parent waits on a worker blocked on the pipe")
+
+        monkeypatch.setitem(suites.SUITES, "sympl", broken)
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ValueError, match="broken parent suite"):
+                cli.main(["verify-all", "--only", "sympl,heisenberg", "--n-max", "1"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_each_chart_and_space_is_built_once(self, capsys, monkeypatch, clear_caches, one_cpu):
         # a count, not a timing: from cold caches, verify-all gets one Chart
         # object per (names, invertible) key, and builds each contact form,
         # tautological form and canonical frame once per n it asks for and

@@ -444,7 +444,7 @@ def test_per_plane_riemann_operator_matches_the_full_contraction(space, n):
             assert apply_rows(op, c) == VectorField(chart, expect)
 
 
-def test_each_metric_curvature_is_built_once(monkeypatch, clear_caches, capsys):
+def test_each_metric_curvature_is_built_once(monkeypatch, clear_caches, capsys, one_cpu):
     # verify-all needs the curvature of tps n = 1..3, sympl n = 1, 2 and the
     # tampered metric; the curvature suite, the Einstein report and the
     # Nijenhuis report read the one table of each
