@@ -5,6 +5,7 @@ envelopes (JSON by default, markdown on request)."""
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -124,6 +125,9 @@ def _load_points(args, nvars: int) -> list[list[float]]:
             raise UsageError(f"bad grid axis {part!r}: {exc}")
         if count < 1:
             raise UsageError("grid axis count must be >= 1")
+        # an infinite or NaN bound makes the width non-finite as well
+        if not math.isfinite(stop - start):
+            raise UsageError(f"bad grid axis {part!r}: start, stop and stop - start must be finite")
         specs.append((start, stop, count))
     if len(specs) != nvars:
         raise UsageError(f"model has {nvars} variables; grid has {len(specs)} axes")
@@ -428,5 +432,16 @@ def main(argv=None) -> int:
     return env.exit_code
 
 
+def run() -> int:
+    """Process entry: main() on sys.argv, then gc.freeze(), which moves every
+    tracked object to the permanent generation so that the collections run at
+    interpreter exit have almost nothing to walk.  Exit handlers, the stdio
+    flush and module teardown still run.  In-process callers of main() keep
+    normal collection."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

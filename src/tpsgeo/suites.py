@@ -41,7 +41,7 @@ QUARTER = Fraction(1, 4)
 def _rand_point(chart, rng) -> list[tuple[int, int]]:
     """A random rational point as the chart's point_values: for each name a
     numerator in [-9, 9], then a denominator in [1, 9]."""
-    return [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in chart.names]
+    return [(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in chart.names]
 
 
 def _point(chart, vals: list[tuple[int, int]]) -> dict[str, Fraction]:
@@ -627,7 +627,7 @@ def suite_sympl(n: int) -> list[Result]:
 def _rand_element(rng, n: int) -> heisenberg.HeisElement:
     """a_1..a_n, b_1..b_n, c, each drawn as a numerator in [-9, 9] and then
     a denominator in [1, 9], put over one denominator."""
-    pairs = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2 * n + 1)]
+    pairs = [(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in range(2 * n + 1)]
     den = math.lcm(*(q for _, q in pairs))
     return heisenberg.element([p * (den // q) for p, q in pairs], den)
 

@@ -3,6 +3,7 @@ tamper mode, and output determinism."""
 
 import collections
 import contextlib
+import gc
 import io
 import json
 import os
@@ -52,11 +53,18 @@ VDW_LITERAL = {
 }
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this tpsgeo."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tpsgeo.__file__))}
+
+
 def modules_after_importing_the_cli() -> set[str]:
     """Every module loaded by `import tpsgeo.cli` in a fresh interpreter."""
     probe = "import json, sys, tpsgeo.cli; print(json.dumps(sorted(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tpsgeo.__file__))}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True)
     return set(json.loads(out.stdout))
 
 
@@ -76,6 +84,62 @@ def test_importing_the_cli_loads_no_process_pool():
     loaded = modules_after_importing_the_cli()
     assert not {m for m in loaded if m.split(".")[0] == "multiprocessing"}
     assert "concurrent.futures" not in loaded
+
+
+# ----------------------------------------------------------------------
+# the process entries: run() freezes the collector once the report is out
+
+def test_importing_the_cli_freezes_nothing():
+    # a freeze at import would change what `import tpsgeo.cli` costs, which
+    # the benchmark times on its own
+    probe = "import gc, tpsgeo.cli; print(gc.get_freeze_count())"
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["curvature", "--space", "tps", "--n", "1"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.fixture
+def unfreeze():
+    """Return every object a test froze to the collected generations."""
+    yield
+    gc.unfreeze()
+
+
+def test_run_returns_the_code_of_main_and_freezes(capsys, monkeypatch, unfreeze):
+    before = gc.get_freeze_count()
+    monkeypatch.setattr(sys, "argv", ["tpsgeo", "verify-all", "--tamper"])
+    assert cli.run() == 1
+    assert gc.get_freeze_count() > before
+    assert '"command": "verify-all"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify-all", "--only", "tps"], 0), (["verify-all", "--tamper"], 1), (["verify-all", "--n-max", "0"], 2)],
+)
+def test_the_module_entry_keeps_the_exit_code_and_the_report(capsys, argv, code):
+    proc = subprocess.run([sys.executable, "-m", "tpsgeo.cli", *argv], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert cli.main(argv) == proc.returncode == code
+    captured = capsys.readouterr()
+    assert proc.stdout.split('"timing"')[0] == captured.out.split('"timing"')[0]
+    assert proc.stderr == captured.err
+
+
+def test_the_installed_script_enters_through_run():
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        assert 'tpsgeo = "tpsgeo.cli:run"' in text.splitlines()
+    else:
+        assert tomllib.loads(text)["project"]["scripts"]["tpsgeo"] == "tpsgeo.cli:run"
 
 
 # Prints OPENBLAS_NUM_THREADS and the thread count after `import tpsgeo.cli`,
@@ -189,7 +253,7 @@ class TestEnvelope:
         assert doc["command"] == "curvature"
 
 
-MODELS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "models")
+MODELS_DIR = os.path.join(ROOT, "models")
 MODEL_FILES = sorted(f for f in os.listdir(MODELS_DIR) if f.endswith(".json"))
 README_GRID = "0.5:2:10,1.5:3:10"
 
@@ -478,6 +542,28 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--grid", grid])
         assert code == 2 and out == ""
         assert "at most 1000000" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0:1:x,0:1:2", "bad grid axis '0:1:x'"),
+            ("0:1,0:1:2", "grid axes look like start:stop:count"),
+            ("0:1:0,0:1:2", "grid axis count must be >= 1"),
+            ("inf:1:3,2:3:2", "bad grid axis 'inf:1:3'"),
+            ("0:1:3,nan:3:2", "bad grid axis 'nan:3:2'"),
+            ("inf:inf:3,0:1:2", "bad grid axis 'inf:inf:3'"),
+            ("0:1e308:3,-1e308:1e308:2", "bad grid axis '-1e308:1e308:2'"),
+        ],
+    )
+    def test_bad_grid_axis_is_usage(self, tmp_path, capsys, monkeypatch, grid, message):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an axis was built from a bad grid")
+
+        monkeypatch.setattr(cli.np, "linspace", no_allocation)
+        path = write_model(tmp_path, VDW_LITERAL)
+        code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--grid", grid])
+        assert code == 2 and out == ""
+        assert err.startswith(f"tpsgeo potential: {message}") and err.count("\n") == 1
 
     def test_unknown_suite_is_usage(self, capsys):
         code, _, err = run_cli(capsys, ["verify-all", "--only", "nosuch"])
