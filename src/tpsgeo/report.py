@@ -3,9 +3,9 @@ numeric status, JSON and markdown rendering."""
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 
@@ -28,14 +28,6 @@ class Result:
         self.status = status
         self.witness = witness
 
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "ref": self.ref,
-            "status": self.status,
-            "witness": _jsonable(self.witness),
-        }
-
 
 def check(claim: str, ref: str, ok: bool, witness=None, exact: bool = True) -> Result:
     """Build a pass/fail result; exact selects the passing status flavor."""
@@ -44,20 +36,79 @@ def check(claim: str, ref: str, ok: bool, witness=None, exact: bool = True) -> R
     return Result(claim, ref, "fail", witness if witness is not None else "check returned false")
 
 
-def _jsonable(value):
-    """The value as plain JSON data: a Fraction becomes its string and a
-    non-finite float its name; TypeError on any other leaf type."""
+# strict JSON has no NaN or Infinity tokens, so these are written as strings
+_NON_FINITE = {math.inf: '"Infinity"', -math.inf: '"-Infinity"'}
+
+
+def _write(value, out: list, nl: str | None) -> None:
+    """Append the JSON text of a report value to out, as json.dumps with
+    indent=2 writes it at the depth whose line break and indent is nl, or
+    on one line with ", " and ": " separators when nl is None.  A Fraction
+    is written as its string, a non-finite float as its name in quotes and
+    a dict key as str(key); TypeError on any other leaf type."""
+    cls = type(value)
+    if cls is str:
+        out.append(_quote(value))
+    elif cls is float:
+        out.append(float.__repr__(value) if math.isfinite(value) else _NON_FINITE.get(value, '"NaN"'))
+    elif cls is dict or cls is list or cls is tuple:
+        brackets = "{}" if cls is dict else "[]"
+        if not value:
+            out.append(brackets)
+            return
+        opening, closing = brackets
+        if nl is None:
+            inner, sep = None, ", "
+        else:
+            inner = nl + "  "
+            sep = "," + inner
+            opening += inner
+            closing = nl + closing
+        if cls is dict:
+            mark = len(out)
+            for k, v in value.items():
+                if type(k) is not str:
+                    # keys print as str(key), and a later key replaces an
+                    # earlier one that prints the same
+                    del out[mark:]
+                    _write({str(k): v for k, v in value.items()}, out, nl)
+                    return
+                out.append(opening + _quote(k) + ": ")
+                opening = sep
+                _write(v, out, inner)
+        else:
+            for v in value:
+                out.append(opening)
+                opening = sep
+                _write(v, out, inner)
+        out.append(closing)
+    elif cls is bool:
+        out.append("true" if value else "false")
+    elif cls is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif cls is Fraction:
+        out.append(_quote(str(value)))
+    else:
+        _write(_plain(value), out, nl)
+
+
+def _plain(value):
+    """The value of an exact plain type that a subclass instance stands for
+    in a report; TypeError on any other leaf type."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float) and not math.isfinite(value):
-        # strict JSON has no NaN or Infinity tokens
-        return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(value, "NaN")
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return dict(value.items())
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+        return list(value)
+    if isinstance(value, float):
+        return float.__float__(value)
+    if isinstance(value, int):
+        return int.__int__(value)
+    if isinstance(value, str):
+        return str.__str__(value)
     raise TypeError(f"not a plain report value: {value!r}")
 
 
@@ -94,17 +145,30 @@ class ReportEnvelope:
             out[r.status] += 1
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "inputs": _jsonable(self.inputs),
-            "results": [r.to_dict() for r in self.results],
-            "timing": self.timing,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        """The envelope as json.dumps with indent=2 writes it, each record
+        holding claim, ref, status and witness in that order."""
+        out = [
+            '{\n  "tool_version": ', _quote(self.tool_version),
+            ',\n  "command": ', _quote(self.command),
+            ',\n  "inputs": ',
+        ]
+        _write(self.inputs, out, "\n  ")
+        opening = ',\n  "results": [\n    {\n      "claim": '
+        for r in self.results:
+            out.append(
+                f"{opening}{_quote(r.claim)},\n      "
+                f'"ref": {_quote(r.ref)},\n      '
+                f'"status": {_quote(r.status)},\n      '
+                '"witness": '
+            )
+            _write(r.witness, out, "\n      ")
+            opening = '\n    },\n    {\n      "claim": '
+        out.append("\n    }\n  ]" if self.results else ',\n  "results": []')
+        out.append(',\n  "timing": ')
+        _write(self.timing, out, "\n  ")
+        out.append("\n}")
+        return "".join(out)
 
     def to_markdown(self) -> str:
         lines = [
@@ -117,8 +181,10 @@ class ReportEnvelope:
             "| --- | --- | --- | --- |",
         ]
         for r in self.results:
-            wit = json.dumps(_jsonable(r.witness)) if r.witness is not None else ""
-            wit = wit.replace("|", "\\|")
+            parts = []
+            if r.witness is not None:
+                _write(r.witness, parts, None)
+            wit = "".join(parts).replace("|", "\\|")
             lines.append(f"| {r.claim} | {r.ref} | {r.status} | {wit} |")
         lines.append("")
         return "\n".join(lines)

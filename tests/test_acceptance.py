@@ -19,6 +19,7 @@ from tpsgeo.curvature import (
 from tpsgeo.fields import VectorField, bracket
 from tpsgeo.jets import jet_fd_compare
 from tpsgeo.poly import LaurentPoly
+from tpsgeo.report import ReportEnvelope
 
 
 def rational_point(chart, rng):
@@ -257,14 +258,21 @@ class TestNegativeControl:
         # served the untampered metric, the negative control gives exactly
         # the curvature suite's own records for the claims it shares
         monkeypatch.setattr(suites, "tampered_metric", tps.phase_metric)
-        control = [r.to_dict() for r in suites.tamper_suite(n)]
-        real = {r.claim: r.to_dict() for r in suites.suite_curvature("tps", n)}
-        assert [r["claim"] for r in control] == [
+
+        def encoded(result):
+            """The result's record as the JSON report writes it."""
+            env = ReportEnvelope("record")
+            env.add(result)
+            return env.to_json()
+
+        control = [(r.claim, encoded(r)) for r in suites.tamper_suite(n)]
+        real = {r.claim: encoded(r) for r in suites.suite_curvature("tps", n)}
+        assert [claim for claim, _ in control] == [
             "Christoffel symbols match the seven closed-form families and nothing else",
             "Ricci tensor matches its closed form",
             "scalar curvature equals n/2",
         ]
-        assert control == [real[r["claim"]] for r in control]
+        assert control == [(claim, real[claim]) for claim, _ in control]
 
     def test_control_result_passes(self):
         res = suites.negative_control_result()

@@ -6,6 +6,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import pkgutil
 import signal
@@ -16,12 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tpsgeo
 from tpsgeo import cli, killing, poly, suites, sympl, tps
-from tpsgeo.report import STATUSES, _jsonable, check
+from tpsgeo.report import STATUSES, ReportEnvelope, Result, check
 
 
 def run_cli(capsys, argv):
@@ -313,13 +314,161 @@ def test_reports_hold_only_plain_values(tmp_path, argv):
     assert [(r.claim, bad) for r in env.results for bad in foreign_values(r.witness)] == []
 
 
-def test_report_writer_rejects_a_value_it_does_not_know():
+def oracle_plain(value):
+    """The value as plain JSON data: a Fraction becomes its string and a
+    non-finite float its name; TypeError on any other leaf type.  This was
+    the report's copy step before the writer; the writer must print what
+    json.dumps prints for this copy."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(value, "NaN")
+    if isinstance(value, dict):
+        return {str(k): oracle_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [oracle_plain(v) for v in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"not a plain report value: {value!r}")
+
+
+def oracle_json(env):
+    """The JSON report as the envelope printed it before the writer."""
+    doc = {
+        "tool_version": env.tool_version,
+        "command": env.command,
+        "inputs": oracle_plain(env.inputs),
+        "results": [
+            {"claim": r.claim, "ref": r.ref, "status": r.status, "witness": oracle_plain(r.witness)}
+            for r in env.results
+        ],
+        "timing": env.timing,
+    }
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def oracle_markdown(env):
+    """The markdown report as the envelope printed it before the writer."""
+    lines = [
+        f"# {env.command}",
+        "",
+        f"tool version {env.tool_version}; "
+        + ", ".join(f"{k}: {v}" for k, v in sorted(env.counts().items())),
+        "",
+        "| claim | ref | status | witness |",
+        "| --- | --- | --- | --- |",
+    ]
+    for r in env.results:
+        wit = json.dumps(oracle_plain(r.witness)) if r.witness is not None else ""
+        wit = wit.replace("|", "\\|")
+        lines.append(f"| {r.claim} | {r.ref} | {r.status} | {wit} |")
+    lines.append("")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("markdown", [False, True], ids=["json", "markdown"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-all"],
+        ["verify-all", "--tamper"],
+        ["killing", "--space", "sympl", "--n", "3"],
+        ["curvature", "--space", "tps", "--n", "4"],
+        ["potential", "--model-file", os.path.join(MODELS_DIR, "homogeneous.json"),
+         "--points-file", "EXTREME"],
+        ["potential", "--model-file", os.path.join(MODELS_DIR, "van_der_waals.json"),
+         "--points-file", "EXTREME"],
+    ],
+)
+def test_shipped_reports_equal_the_oracle_byte_for_byte(tmp_path, monkeypatch, capsys, argv, markdown):
+    extreme = [[1.0, 2.0], [1e308, 2.0], [float("nan"), 1.0], [1e-320, 3.0], [0.5, 0.5]]
+    points = write_model(tmp_path, extreme, "points.json")
+    argv = [points if a == "EXTREME" else a for a in argv] + ["--markdown"] * markdown
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda env, args: emit(env, args) or emitted.append(env))
+    _, out, _ = run_cli(capsys, argv)
+    (env,) = emitted
+    assert out == (oracle_markdown(env) if markdown else oracle_json(env)) + "\n"
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan)
+# lone surrogates and control characters too
+report_texts = st.text(st.characters(exclude_categories=()), max_size=6)
+report_keys = st.one_of(report_texts, st.integers(), st.floats(), st.booleans(), st.none())
+report_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.floats(),
+        st.sampled_from(SPECIAL_FLOATS),
+        st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)).map(np.float64),
+        st.fractions(),
+        report_texts,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(report_keys, children, max_size=4),
+        st.dictionaries(report_keys, children, max_size=4).map(collections.OrderedDict),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=report_texts,
+    inputs=st.dictionaries(report_keys, report_values, max_size=4),
+    records=st.lists(
+        st.tuples(report_texts, report_texts, st.sampled_from(STATUSES), report_values), max_size=4
+    ),
+    seconds=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+)
+# keys that print alike: the later value takes the earlier key's place
+@example(
+    command="c",
+    inputs={1: "a", None: [], "1": "b", "None": ()},
+    records=[("c", "r", "fail", {0.5: {2: 1, "x": 0, "2": -0.0}, "0.5": [{}]})],
+    seconds=0.25,
+)
+def test_report_writer_prints_what_json_dumps_prints(command, inputs, records, seconds):
+    env = ReportEnvelope(command, inputs)
+    for claim, ref, status, witness in records:
+        if status == "fail" and witness is None:
+            witness = "check returned false"
+        env.add(Result(claim, ref, status, witness))
+    env.timing = {"seconds": seconds}
+    assert env.to_json() == oracle_json(env)
+    assert env.to_markdown() == oracle_markdown(env)
+
+
+def test_report_writer_rejects_a_value_it_does_not_know(tmp_path, monkeypatch):
     # an unconverted numpy verdict or an object would otherwise print as
     # its repr
-    assert _jsonable({"ok": [True, Fraction(1, 2), 3, float("inf")]}) == {"ok": [True, "1/2", 3, "Infinity"]}
-    for leaf in (np.True_, np.int64(3), object()):
-        with pytest.raises(TypeError, match="not a plain report value"):
-            _jsonable({"witness": [leaf]})
+    env = ReportEnvelope("x")
+    env.add(check("c", "plumbing", True, {"ok": [True, Fraction(1, 2), 3, float("inf")]}))
+    assert json.loads(env.to_json())["results"][0]["witness"] == {"ok": [True, "1/2", 3, "Infinity"]}
+    dest = tmp_path / "report.json"
+    dest.write_bytes(b"an earlier report\n")
+    for leaf in (np.True_, np.int64(3), object(), set(), b""):
+        held = ReportEnvelope("x", {"inputs": [leaf]})
+        witnessed = ReportEnvelope("x")
+        witnessed.add(check("c", "plumbing", False, {"witness": [leaf]}))
+        for write in (held.to_json, witnessed.to_json, witnessed.to_markdown):
+            with pytest.raises(TypeError, match="not a plain report value"):
+                write()
+        # the report is encoded whole before the file is opened, so an
+        # earlier report is left as it was
+        monkeypatch.setattr(
+            suites, "suite_curvature", lambda space, n, leaf=leaf: [check("c", "plumbing", True, [leaf])]
+        )
+        for fmt in ([], ["--markdown"]):
+            with pytest.raises(TypeError, match="not a plain report value"):
+                cli.main(["curvature", "--space", "tps", "--n", "1", "--out", str(dest), *fmt])
+            assert dest.read_bytes() == b"an earlier report\n"
 
 
 class TestExitCodes:
