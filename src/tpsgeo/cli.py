@@ -90,10 +90,12 @@ def cmd_killing(args) -> ReportEnvelope:
 
 
 def _load_model(path: str):
+    # ValueError covers bad JSON and bytes that are not UTF-8; RecursionError
+    # is JSON nested deeper than the interpreter's recursion limit
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read model file: {exc}")
     if not isinstance(spec, dict):
         raise UsageError("model file must hold a JSON object")
@@ -108,12 +110,21 @@ def _load_points(args, nvars: int) -> list[list[float]]:
         try:
             with open(args.points_file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            pts = [[float(v) for v in row] for row in data]
-        except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read points file: {exc}")
-        if any(len(p) != nvars for p in pts):
+        if not isinstance(data, list):
+            raise UsageError("points file must hold a JSON list of points")
+        if not data:
+            raise UsageError("points file holds no points")
+        # a string row would iterate as its characters, and a bool is an int
+        if not all(type(row) is list and all(type(v) in (int, float) for v in row) for row in data):
+            raise UsageError("each point must be a JSON array of numbers")
+        if any(len(row) != nvars for row in data):
             raise UsageError(f"each point needs {nvars} coordinates")
-        return pts
+        try:
+            return [[float(v) for v in row] for row in data]
+        except OverflowError as exc:
+            raise UsageError(f"bad point coordinate: {exc}")
     specs = []
     for part in args.grid.split(","):
         bits = part.split(":")

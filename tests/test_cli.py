@@ -548,6 +548,17 @@ class TestExitCodes:
         )
         assert code == 2 and "model file" in err
 
+    # a byte that is not UTF-8, and nesting deeper than the recursion limit
+    @pytest.mark.parametrize("text", [b"\xff", b"[" * 100_000 + b"]" * 100_000])
+    def test_unreadable_model_file_is_usage(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        code, out, err = run_cli(
+            capsys, ["potential", "--model-file", str(bad), "--grid", "0:1:2,0:1:2"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("tpsgeo potential: cannot read model file") and err.count("\n") == 1
+
     def test_unknown_model_kind(self, tmp_path, capsys):
         path = write_model(tmp_path, {"model": "nope"})
         code, _, err = run_cli(capsys, ["potential", "--model-file", path, "--grid", "0:1:2,0:1:2"])
@@ -711,6 +722,38 @@ class TestExitCodes:
         monkeypatch.setattr(cli.np, "linspace", no_allocation)
         path = write_model(tmp_path, VDW_LITERAL)
         code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--grid", grid])
+        assert code == 2 and out == ""
+        assert err.startswith(f"tpsgeo potential: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            # a string row used to iterate as its characters: the point (1, 2)
+            ('["12"]', "each point must be a JSON array of numbers"),
+            ('[["1", "2"]]', "each point must be a JSON array of numbers"),
+            ("[[true, false]]", "each point must be a JSON array of numbers"),
+            ("[[1.0, null]]", "each point must be a JSON array of numbers"),
+            ("[[1.0, [2.0]]]", "each point must be a JSON array of numbers"),
+            ("[1.0, 2.0]", "each point must be a JSON array of numbers"),
+            ('[{"s": 1.0, "v": 2.0}]', "each point must be a JSON array of numbers"),
+            # no point would report no claims and pass vacuously
+            ("[]", "points file holds no points"),
+            ('{"a": 1}', "points file must hold a JSON list of points"),
+            ('"12"', "points file must hold a JSON list of points"),
+            ("NaN", "points file must hold a JSON list of points"),
+            ("[[1.0, 2.0], [1.0, 2.0, 3.0]]", "each point needs 2 coordinates"),
+            ("[[1" + "0" * 400 + ", 2.0]]", "bad point coordinate: int too large to convert to float"),
+            ("[[1.0, 2.0]", "cannot read points file"),
+            ("[" * 100_000 + "]" * 100_000, "cannot read points file"),
+            ("\udcff", "cannot read points file"),
+        ],
+    )
+    def test_malformed_points_file_is_usage(self, tmp_path, capsys, points, message):
+        path = write_model(tmp_path, VDW_LITERAL)
+        pts = tmp_path / "pts.json"
+        # a lone surrogate is written as a byte that is not UTF-8
+        pts.write_bytes(points.encode("utf-8", "surrogateescape"))
+        code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--points-file", str(pts)])
         assert code == 2 and out == ""
         assert err.startswith(f"tpsgeo potential: {message}") and err.count("\n") == 1
 

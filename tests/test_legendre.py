@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpsgeo import jets, legendre as lg, suites, tps
+from tpsgeo import jets, legendre as lg, pcg, suites, tps
 from tpsgeo.jets import DomainError, Jet3, fd_oracle
 from tpsgeo.fields import PolyMap
 from tpsgeo.legendre import DegenerateSurfaceError
@@ -721,28 +721,30 @@ FORMER_DRAWS = [
 
 def test_the_suite_draws_its_points_as_the_former_scalar_draws(monkeypatch):
     # every draw of the suite, k points as one rng.uniform(low, high,
-    # size=(k, 2)), equals bit for bit the k points that the former scalar
-    # draws, one per coordinate in order, take from a generator of the same
-    # seed, and leaves the generator in the same state; so the claims and
-    # witnesses keep their values
-    default_rng, recorders = np.random.default_rng, []
+    # size=(k, 2)) of the in-package PCG64 stream, equals bit for bit the k
+    # points that the former scalar draws, one per coordinate in order, take
+    # from numpy's generator of the same seed, and leaves the stream in the
+    # same 128-bit state; so the claims and witnesses keep their values
+    recorders = []
 
-    class Recording:
+    class Recording(pcg.PCG64):
         def __init__(self, seed):
-            self.seed, self.rng, self.draws = seed, default_rng(seed), []
+            super().__init__(seed)
+            self.seed, self.draws = seed, []
             recorders.append(self)
 
         def uniform(self, low, high, size):
-            self.draws.append(self.rng.uniform(low, high, size))
+            self.draws.append(super().uniform(low, high, size))
             return self.draws[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", Recording)
+    monkeypatch.setattr(pcg, "PCG64", Recording)
     suites.suite_legendre()
     (rec,) = recorders
+    assert rec.seed == 20260825
     assert len(rec.draws) == len(FORMER_DRAWS)
-    scalar = default_rng(rec.seed)
+    scalar = np.random.default_rng(rec.seed)
     for out, (k, box) in zip(rec.draws, FORMER_DRAWS):
         old = np.array([[scalar.uniform(lo, hi) for lo, hi in box] for _ in range(k)])
         assert out.shape == old.shape and out.dtype == old.dtype
         assert out.tobytes() == old.tobytes()
-    assert rec.rng.bit_generator.state == scalar.bit_generator.state
+    assert scalar.bit_generator.state["state"] == {"state": rec.state, "inc": rec.inc}
