@@ -352,13 +352,42 @@ def _sort_with_sign(idx: tuple) -> tuple[tuple, int]:
     return tuple(lst), sign
 
 
-def wedge_all(forms: Sequence[Form]) -> Form:
-    if not forms:
-        raise ValueError("empty wedge")
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = acc.wedge(f)
-    return acc
+def skew_rows(omega: Form, alpha: Form | None = None) -> list[dict[int, LaurentPoly]]:
+    """The coefficient matrix of a 2-form as sparse skew rows: row a is
+    {b: omega(d/da, d/db)} over the nonzero entries.  A 1-form alpha borders
+    it in front: row 0 is {b + 1: alpha_b}, and coordinate a moves to a + 1."""
+    if alpha is not None and alpha.chart is not omega.chart:
+        raise ValueError("chart mismatch")
+    shift = 0 if alpha is None else 1
+    rows: list[dict[int, LaurentPoly]] = [{} for _ in range(omega.chart.dim + shift)]
+    # alpha's terms are the row of a coordinate -1, in front of the chart
+    border = [((-1, b), c) for (b,), c in alpha.terms.items()] if shift else []
+    for (a, b), c in border + list(omega.terms.items()):
+        rows[a + shift][b + shift] = c
+        rows[b + shift][a + shift] = -c
+    return rows
+
+
+def top_coefficient(omega: Form, alpha: Form | None = None) -> LaurentPoly:
+    """The coefficient of omega^m/m! (or alpha ^ omega^m/m!) on the
+    chart-ordered volume: the Pfaffian of skew_rows(omega, alpha), zero for
+    odd size.  It expands along the first row over the nonzero entries only,
+    Pf(A) = sum_j (-1)^k A_0j Pf(A without rows and columns 0, j) with k the
+    place of j after 0.  Every form in the package has one or two nonzeros
+    per row, so all branches but one end at their next row; a dense form
+    would cost (d-1)!! products."""
+    rows = skew_rows(omega, alpha)
+
+    def pfaffian(live: tuple) -> LaurentPoly:
+        if not live:
+            return LaurentPoly.one(omega.chart)
+        row, rest = rows[live[0]], live[1:]
+        terms = (
+            row[j] * pfaffian(rest[:k] + rest[k + 1:]) * (-1) ** k for k, j in enumerate(rest) if j in row
+        )
+        return sum(terms, LaurentPoly.zero(omega.chart))
+
+    return pfaffian(tuple(range(len(rows))))
 
 
 def pairing(g: PolyMatrix, x: VectorField, y: VectorField) -> LaurentPoly:

@@ -524,9 +524,9 @@ def ideal_gas_energy(r=1.0, c_v=1.5) -> PotentialModel:
 def quadratic(q, part_i=()) -> PotentialModel:
     """phi = (1/2) b^T Q b for a symmetric matrix Q; jets are exact."""
     qm = np.asarray(q, dtype=float)
-    n = qm.shape[0]
-    if qm.shape != (n, n) or not np.array_equal(qm, qm.T):
+    if qm.ndim != 2 or qm.shape[0] != qm.shape[1] or not np.array_equal(qm, qm.T):
         raise ValueError("Q must be square and symmetric")
+    n = qm.shape[0]
 
     def evaluator(seeds):
         # per point the products of 0.5 * b @ qm @ b and qm @ b
@@ -606,13 +606,30 @@ _CATALOG = {
 
 def model_from_spec(d: dict) -> PotentialModel:
     """Build a catalog model from a JSON-style description:
-    {model: catalog-id, parameters: {...}, convention?, partition?}."""
-    kind = d.get("model")
+    {model: catalog-id, parameters: {...}, convention?, partition?}.
+    Nothing is coerced: a parameter is a number (int or float, not bool) or
+    nested arrays of them, but the bool positive_exponent, and a partition
+    is an array of ints, which only a quadratic model takes."""
+    kind, params, partition = d.get("model"), d.get("parameters", {}), d.get("partition", [])
     if kind not in _CATALOG:
         raise ValueError(f"unknown model {kind!r}")
-    params = dict(d.get("parameters", {}))
+    if type(params) is not dict:
+        raise TypeError("parameters must be a JSON object")
+    for key, value in params.items():
+        if key == "positive_exponent" and type(value) is not bool:
+            raise TypeError("positive_exponent must be true or false")
+        numbers = [value] if key != "positive_exponent" else []
+        for v in numbers:  # nested arrays are opened onto the end
+            if type(v) is list:
+                numbers.extend(v)
+            elif type(v) not in (int, float):
+                raise TypeError(f"parameter {key!r} must be a number or an array of numbers")
+    if "partition" in d and kind != "quadratic":
+        raise ValueError(f"model {kind!r} takes no partition")
+    if type(partition) is not list or any(type(k) is not int for k in partition):
+        raise TypeError("partition must be an array of integers")
     if kind == "quadratic":
-        model = quadratic(params["q"], tuple(d.get("partition", ())))
+        model = quadratic(params["q"], tuple(partition))
     elif kind == "linear":
         model = linear(params["a"])
     else:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .curvature import MetricSpec
-from .fields import Form, VectorField, apply_matrix_field, sym2, tensor2, wedge_all
+from .fields import Form, VectorField, apply_matrix_field, skew_rows, sym2, tensor2, top_coefficient
 from .killing import BracketTable, bracket_failures, bracket_table
 from .linalg import Elimination, PolyMatrix, bareiss_det
 from .poly import Chart, LaurentPoly
@@ -102,18 +102,11 @@ def metric_identity_check(n: int) -> tuple[bool, None]:
 
 def contact_volume(n: int) -> tuple[bool, dict]:
     """theta ^ (dtheta)^n is n! (-1)^(n(n-1)/2) times the chart-ordered
-    coordinate volume; the witness shows its coefficient there, None unless
-    that is a constant."""
+    coordinate volume; the witness shows its coefficient there, n! times
+    top_coefficient(dtheta, theta), None unless that is a constant."""
     theta = contact_form(n)
-    omega = theta.d()
-    top = theta
-    for _ in range(n):
-        top = top.wedge(omega)
-    chart = theta.chart
-    vol = wedge_all([Form.d_coord(chart, nm) for nm in chart.names])
-    (vol_idx,) = vol.terms
-    coef = top.terms.get(vol_idx, LaurentPoly.zero(chart))
-    value = None if len(top.terms) > 1 or not coef.is_constant() else coef.constant_value()
+    coef = top_coefficient(theta.d(), theta) * math.factorial(n)
+    value = coef.constant_value() if coef.is_constant() else None
     want = Fraction(math.factorial(n) * (-1) ** (n * (n - 1) // 2))
     return value == want, {"coefficient": value, "expected": want}
 
@@ -121,26 +114,18 @@ def contact_volume(n: int) -> tuple[bool, dict]:
 def reeb_pinning(n: int) -> tuple[bool, dict]:
     """ker(dtheta) on the chart is 1-dimensional and spanned by d/dx0, and
     theta normalizes it to 1; dtheta has constant coefficients, so this is a
-    pure rational kernel computation.  A dtheta coefficient that is not
-    constant fails, with its coordinate pair under "nonconstant"."""
+    pure rational kernel computation on its skew rows.  A dtheta coefficient
+    that is not constant fails, with its coordinate pair under
+    "nonconstant"."""
     chart = tps_chart(n)
-    theta = contact_form(n)
-    omega = theta.d()
-    d = chart.dim
+    omega = contact_form(n).d()
     nonconstant = [
         [chart.names[a] for a in key] for key, c in omega.terms.items() if not c.is_constant()
     ]
     if nonconstant:
         return False, {"kernel_dimension": None, "nonconstant": nonconstant[:3]}
-    rows = []
-    for b in range(d):
-        row = {}
-        for a in range(d):
-            c = omega.terms.get((a, b) if a < b else (b, a), LaurentPoly.zero(chart))
-            v = c.constant_value()
-            row[a] = v if a < b else -v
-        rows.append(row)
-    basis = Elimination(rows).kernel(range(d))
+    rows = [{b: c.constant_value() for b, c in row.items()} for row in skew_rows(omega)]
+    basis = Elimination(rows).kernel(range(chart.dim))
     return basis == [{0: 1}], {"kernel_dimension": len(basis)}
 
 
@@ -244,17 +229,8 @@ def compatibility_check(n: int) -> tuple[tuple[bool, dict], tuple[bool, None], t
     theta = contact_form(n)
     frame = dict(canonical_frame(n))
 
-    # phi^2 + I - theta (x) xi == 0
-    theta_xi = PolyMatrix(
-        chart,
-        [
-            [
-                (theta.terms.get((b,), LaurentPoly.zero(chart)) if a == 0 else LaurentPoly.zero(chart))
-                for b in range(chart.dim)
-            ]
-            for a in range(chart.dim)
-        ],
-    )
+    # phi^2 + I - theta (x) xi == 0; xi = d/dx0 has the components of dx0
+    theta_xi = tensor2(Form.d_coord(chart, "x0"), theta)
     phi_sq_ok = ((phi @ phi) + PolyMatrix.identity(chart, chart.dim) - theta_xi).is_zero()
 
     theta_phi_zero = all(

@@ -48,6 +48,14 @@ def point_records(doc):
     return [r for r in doc["results"] if r["claim"].startswith("surface data at ")]
 
 
+QUADRATIC = {"model": "quadratic", "parameters": {"q": [[2.0, 0.5], [0.5, 1.0]]}}
+NOT_NUMBERS = "must be a number or an array of numbers"
+
+
+def vdw(**parameters):
+    return {"model": "van_der_waals", "parameters": parameters}
+
+
 VDW_LITERAL = {
     "model": "van_der_waals",
     "parameters": {"a": 1.0, "b": 1.0, "r": 1.0, "c_v": 1.5, "positive_exponent": True},
@@ -558,6 +566,46 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert err.startswith("tpsgeo potential: cannot read model file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # a string partition used to iterate as its characters: I = {1, 2}
+            ({**QUADRATIC, "partition": "12"}, "partition must be an array of integers"),
+            # both used to run as [1]
+            ({**QUADRATIC, "partition": [1.5]}, "partition must be an array of integers"),
+            ({**QUADRATIC, "partition": [True]}, "partition must be an array of integers"),
+            ({**QUADRATIC, "partition": None}, "partition must be an array of integers"),
+            # a non-empty string used to select the positive exponent
+            (vdw(positive_exponent="no"), "positive_exponent must be true or false"),
+            (vdw(positive_exponent=0), "positive_exponent must be true or false"),
+            # true used to run as c_v = 1, and a string as the number it spells
+            (vdw(c_v=True), f"parameter 'c_v' {NOT_NUMBERS}"),
+            (vdw(c_v="1.5"), f"parameter 'c_v' {NOT_NUMBERS}"),
+            ({"model": "ideal_gas_energy", "parameters": {"r": None}}, f"parameter 'r' {NOT_NUMBERS}"),
+            ({"model": "quadratic", "parameters": {"q": [[True, 0], [0, 1]]}}, f"parameter 'q' {NOT_NUMBERS}"),
+            ({"model": "linear", "parameters": {"a": [1.0, "2"]}}, f"parameter 'a' {NOT_NUMBERS}"),
+            ({"model": "van_der_waals", "parameters": [["a", 1.0]]}, "parameters must be a JSON object"),
+            # a partition used to be ignored where the model has none
+            (
+                {"model": "linear", "parameters": {"a": [1.0, 2.0]}, "partition": [1]},
+                "model 'linear' takes no partition",
+            ),
+            ({**vdw(), "partition": []}, "model 'van_der_waals' takes no partition"),
+            # a scalar Q used to raise IndexError
+            ({"model": "quadratic", "parameters": {"q": 5}}, "Q must be square and symmetric"),
+        ],
+    )
+    def test_malformed_model_is_usage(self, tmp_path, capsys, spec, message):
+        path = write_model(tmp_path, spec)
+        code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--grid", "1:2:2,2:3:2"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"tpsgeo potential: bad model description: {message}") and err.count("\n") == 1
+
+    def test_a_quadratic_partition_of_integers_runs(self, tmp_path, capsys):
+        path = write_model(tmp_path, {**QUADRATIC, "partition": [1]})
+        code, out, _ = run_cli(capsys, ["potential", "--model-file", path, "--grid", "1:2:2,2:3:2"])
+        assert code in (0, 1) and json.loads(out)["inputs"]["model"] == "quadratic"
 
     def test_unknown_model_kind(self, tmp_path, capsys):
         path = write_model(tmp_path, {"model": "nope"})

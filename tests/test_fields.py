@@ -1,5 +1,7 @@
 """Vector fields, exterior algebra, and polynomial maps."""
 
+import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpsgeo import sympl, tps
-from tpsgeo.fields import Form, PolyMap, VectorField, bracket, sym2, tensor2, wedge_all
-from tpsgeo.linalg import PolyMatrix
+from tpsgeo.fields import (
+    Form, PolyMap, VectorField, bracket, skew_rows, sym2, tensor2, top_coefficient,
+)
+from tpsgeo.linalg import PolyMatrix, bareiss_det
 from tpsgeo.poly import Chart, LaurentPoly
 
 CH = Chart(["x0", "p1", "x1"], invertible=["p1"])
@@ -59,7 +63,7 @@ class TestForms:
         # theta ^ dtheta = dx0 ^ dp1 ^ dx1 for theta = dx0 + p1 dx1
         theta = Form.one_form(CH, {"x0": 1, "x1": var("p1")})
         top = theta.wedge(theta.d())
-        vol = wedge_all([Form.d_coord(CH, nm) for nm in ["x0", "p1", "x1"]])
+        vol = functools.reduce(Form.wedge, [Form.d_coord(CH, nm) for nm in ["x0", "p1", "x1"]])
         assert top == vol
 
     def test_insert(self):
@@ -292,3 +296,87 @@ def test_bracket_from_the_cached_jacobians_matches_the_formula(x, y):
         tuple((i, p) for i, p in enumerate(c.partial(nm) for nm in CH.names) if not p.is_zero())
         for c in x.comps
     )
+
+
+# top-degree coefficients: the Pfaffian against the wedge-power expansion
+
+
+def wedge_power_coefficient(omega, alpha=None):
+    """The coefficient of omega^m/m! (or alpha ^ omega^m/m!) on the
+    chart-ordered volume, m = dim // 2, by m repeated Form.wedge calls: the
+    expansion the volume claims made before they read top_coefficient.  On
+    d coordinates omega^k has up to C(d, 2k) terms, so it suits small charts."""
+    chart = omega.chart
+    m = chart.dim // 2
+    top = Form.function(chart, LaurentPoly.one(chart)) if alpha is None else alpha
+    for _ in range(m):
+        top = top.wedge(omega)
+    coef = top.terms.get(tuple(range(chart.dim)), LaurentPoly.zero(chart))
+    return coef * Fraction(1, math.factorial(m))
+
+
+@st.composite
+def two_forms(draw, polynomial=False):
+    """A 2-form and a 1-form on a chart of 1 to 7 coordinates, with entries
+    in -3..3, times the first coordinate for some entries if polynomial."""
+    dim = draw(st.integers(1, 7))
+    chart = Chart([f"y{i}" for i in range(dim)])
+
+    def entry():
+        c = LaurentPoly.constant(chart, draw(st.integers(-3, 3)))
+        return c * LaurentPoly.variable(chart, "y0") if polynomial and draw(st.booleans()) else c
+
+    omega = Form(chart, 2, {(a, b): entry() for a in range(dim) for b in range(a + 1, dim)})
+    return omega, Form(chart, 1, {(a,): entry() for a in range(dim)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_forms())
+def test_the_pfaffian_squares_to_the_determinant(forms):
+    omega, _ = forms
+    chart = omega.chart
+    zero = LaurentPoly.zero(chart)
+    matrix = PolyMatrix(chart, [[row.get(b, zero) for b in range(chart.dim)] for row in skew_rows(omega)])
+    assert matrix.transpose() == matrix.scale(-1)
+    pf = top_coefficient(omega)
+    assert pf * pf == bareiss_det(matrix)
+    if chart.dim % 2:
+        assert pf.is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_forms(polynomial=True))
+def test_top_coefficient_is_the_wedge_power_coefficient(forms):
+    omega, alpha = forms
+    assert top_coefficient(omega) == wedge_power_coefficient(omega)
+    assert top_coefficient(omega, alpha) == wedge_power_coefficient(omega, alpha)
+
+
+class TestVolumeClaims:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_contact_volume_is_the_wedge_power_expansion(self, n):
+        theta = tps.contact_form(n)
+        want = wedge_power_coefficient(theta.d(), theta) * math.factorial(n)
+        passed, witness = tps.contact_volume(n)
+        assert passed and witness["coefficient"] == want.constant_value()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_symplectic_volume_is_the_wedge_power_expansion(self, n):
+        chart = sympl.sympl_chart(n)
+        omega = sympl.tautological_form(n).d()
+        top = functools.reduce(Form.wedge, [omega] * (n + 1)).scale(Fraction(1, math.factorial(n + 1)))
+        planes = functools.reduce(
+            Form.wedge,
+            [Form.d_coord(chart, f"p{i}").wedge(Form.d_coord(chart, f"x{i}")) for i in range(n + 1)],
+        )
+        passed, witness = sympl.volume_report(n)
+        assert top == planes and passed
+        assert witness == {"pfaffian_sign": wedge_power_coefficient(omega).constant_value()}
+
+    def test_the_volume_and_reeb_claims_pass_at_n_16(self):
+        # the wedge-power expansion needs over 20 s for the contact volume
+        # here; a return of it shows as a slow tier-1 run
+        want = Fraction(math.factorial(16))
+        assert tps.contact_volume(16) == (True, {"coefficient": want, "expected": want})
+        assert tps.reeb_pinning(16) == (True, {"kernel_dimension": 1})
+        assert sympl.volume_report(16) == (True, {"pfaffian_sign": 1})

@@ -10,7 +10,7 @@ import pytest
 from tpsgeo.fields import Form, VectorField
 from tpsgeo.linalg import Elimination, solve_exact
 from tpsgeo.poly import LaurentPoly
-from tpsgeo import killing, suites, sympl, tps
+from tpsgeo import cli, killing, suites, sympl, tps
 
 from test_acceptance import computed_matches_closed_form
 
@@ -680,3 +680,21 @@ class TestAffineGroup:
         assert pulled == Form.one_form(
             src, {"z0": LaurentPoly.constant(src, -1), "h0": z0 * h0inv}
         )
+
+
+# a flipped plane keeps a unit Pfaffian, so only the paired volume fails it
+@pytest.mark.parametrize("n, i, factor", [(1, 0, 2), (1, 1, 2), (2, 2, 2), (1, 1, -1), (2, 0, -1)])
+def test_a_scaled_plane_fails_the_symplectic_volume_claim(monkeypatch, clear_caches, capsys, n, i, factor):
+    def scaled(n):
+        # dp_i ^ dx^i has coefficient factor in the symplectic form
+        chart = sympl.sympl_chart(n)
+        p = [LaurentPoly.variable(chart, f"p{k}") for k in range(n + 1)]
+        return Form.one_form(chart, {f"x{k}": p[k] * (factor if k == i else 1) for k in range(n + 1)})
+
+    monkeypatch.setattr(sympl, "tautological_form", scaled)
+    claims = {r.claim: r for r in suites.suite_curvature("sympl", n)}
+    claim = claims["symplectic top power matches the paired volume with unit Pfaffian sign"]
+    assert claim.status == "fail"
+    assert claim.witness == {"pfaffian_sign": factor * (-1) ** (n * (n + 1) // 2)}
+    assert cli.main(["curvature", "--space", "sympl", "--n", str(n)]) == 1
+    assert "Traceback" not in capsys.readouterr().err

@@ -305,6 +305,30 @@ def test_a_nonconstant_contact_volume_fails_its_claim(monkeypatch, clear_caches,
     assert "Traceback" not in capsys.readouterr().err
 
 
+def scaled_contact_form(i, factor):
+    """theta with its p_i dx^i term scaled: dp_i ^ dx^i has coefficient
+    factor in dtheta."""
+
+    def build(n):
+        chart = tps.tps_chart(n)
+        coeffs = {"x0": LaurentPoly.one(chart)}
+        for l in range(1, n + 1):
+            coeffs[f"x{l}"] = LaurentPoly.variable(chart, f"p{l}") * (factor if l == i else 1)
+        return Form.one_form(chart, coeffs)
+
+    return build
+
+
+@pytest.mark.parametrize("n, i, factor", [(1, 1, 2), (2, 1, 2), (2, 2, 2), (3, 2, 2), (2, 1, -1)])
+def test_a_scaled_plane_fails_the_contact_volume_claim(monkeypatch, clear_caches, n, i, factor):
+    monkeypatch.setattr(tps, "contact_form", scaled_contact_form(i, factor))
+    claims = {r.claim: r for r in suites.suite_tps(n)}
+    claim = claims["theta ^ (d theta)^n is the chart volume up to the exact constant"]
+    want = Fraction(math.factorial(n) * (-1) ** (n * (n - 1) // 2))
+    assert claim.status == "fail"
+    assert claim.witness == {"coefficient": factor * want, "expected": want}
+
+
 def test_a_nonconstant_d_theta_fails_the_reeb_claim(monkeypatch, clear_caches):
     monkeypatch.setattr(tps, "contact_form", squared_contact_form)
     for n in (1, 2):
