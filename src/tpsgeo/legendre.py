@@ -548,10 +548,10 @@ def quadratic(q, part_i=()) -> PotentialModel:
     )
 
 
-def linear(avec) -> PotentialModel:
+def linear(a) -> PotentialModel:
     """phi = sum a_j b_j; the surface sits inside the constitutive
     hypersurface x0 + sum p_l x^l = 0."""
-    av = np.asarray(avec, dtype=float)
+    av = np.asarray(a, dtype=float)
     if av.ndim != 1:
         raise ValueError("a must be a vector")
     n = av.size
@@ -604,12 +604,20 @@ _CATALOG = {
 }
 
 
+_SPEC_KEYS = ("model", "parameters", "convention", "partition", "name")
+
+
 def model_from_spec(d: dict) -> PotentialModel:
     """Build a catalog model from a JSON-style description:
-    {model: catalog-id, parameters: {...}, convention?, partition?}.
-    Nothing is coerced: a parameter is a number (int or float, not bool) or
-    nested arrays of them, but the bool positive_exponent, and a partition
-    is an array of ints, which only a quadratic model takes."""
+    {model: catalog-id, parameters: {...}, convention?, partition?, name?}.
+    Nothing is coerced or dropped: a key or parameter the model does not
+    take is an error, a parameter is a number (int or float, not bool) or
+    nested arrays of them, but the bool positive_exponent, a partition is
+    an array of ints, which only a quadratic model takes, and a name is a
+    string."""
+    unknown = [key for key in d if key not in _SPEC_KEYS]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; the keys are {', '.join(_SPEC_KEYS)}")
     kind, params, partition = d.get("model"), d.get("parameters", {}), d.get("partition", [])
     if kind not in _CATALOG:
         raise ValueError(f"unknown model {kind!r}")
@@ -628,10 +636,11 @@ def model_from_spec(d: dict) -> PotentialModel:
         raise ValueError(f"model {kind!r} takes no partition")
     if type(partition) is not list or any(type(k) is not int for k in partition):
         raise TypeError("partition must be an array of integers")
+    if "name" in d and type(d["name"]) is not str:
+        raise TypeError("name must be a string")
+    # the parameters are the keyword arguments, so one the model lacks raises TypeError
     if kind == "quadratic":
-        model = quadratic(params["q"], tuple(partition))
-    elif kind == "linear":
-        model = linear(params["a"])
+        model = quadratic(**params, part_i=tuple(partition))
     else:
         model = _CATALOG[kind](**params)
     conv = d.get("convention")
@@ -642,7 +651,7 @@ def model_from_spec(d: dict) -> PotentialModel:
             convention=conv, in_domain=model.in_domain,
         )
     if "name" in d:
-        model.name = str(d["name"])
+        model.name = d["name"]
     return model
 
 

@@ -367,11 +367,6 @@ def _curvature_sympl(n: int) -> list[Result]:
     )
 
 
-# Largest number of conjugate pairs n each exact command accepts, by space;
-# the command line checks --n against it.
-MAX_N = {"curvature": {"tps": 4, "sympl": 3}, "killing": {"tps": 3, "sympl": 3}}
-
-
 def _of_space(builders: dict, space: str):
     if space not in builders:
         raise ValueError(f"unknown space {space!r}")

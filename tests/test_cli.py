@@ -534,6 +534,36 @@ class TestExitCodes:
         assert "--degree" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # the largest n at the default degree, and the first past it
+            (["curvature", "--space", "tps", "--n", "16"], 0),
+            (["killing", "--space", "tps", "--n", "16"], 0),
+            (["curvature", "--space", "sympl", "--n", "15"], 0),
+            (["killing", "--space", "sympl", "--n", "15"], 0),
+            (["curvature", "--space", "tps", "--n", "17"], 2),
+            (["killing", "--space", "tps", "--n", "17"], 2),
+            (["curvature", "--space", "sympl", "--n", "16"], 2),
+            (["killing", "--space", "sympl", "--n", "16"], 2),
+            # degree 1 counts as 2, so it admits no larger n
+            (["killing", "--space", "tps", "--n", "17", "--degree", "1"], 2),
+            (["curvature", "--space", "tps", "--n", "1000000000000000000"], 2),
+            (["killing", "--space", "sympl", "--n", "1000000000000000000", "--degree", "1000000000000000000"], 2),
+            (["killing", "--space", "tps", "--n", "8", "--degree", "3"], 0),
+            (["killing", "--space", "tps", "--n", "9", "--degree", "3"], 2),
+        ],
+    )
+    def test_one_ansatz_cap_admits_both_commands_before_any_work(self, capsys, monkeypatch, argv, code):
+        ran = []
+        for name in ("suite_curvature", "suite_killing"):
+            monkeypatch.setattr(cli.suites, name, lambda *args: ran.append(args) or [])
+        got, out, err = run_cli(capsys, argv)
+        assert got == code and bool(ran) == (code == 0)
+        if code == 2:
+            assert out == "" and err.count("\n") == 1
+            assert "ansatz unknowns" in err and f"at most {cli.MAX_ANSATZ_UNKNOWNS} are allowed" in err
+
+    @pytest.mark.parametrize(
         "space,n,degree,unknowns", [("tps", 3, 6, 12012), ("tps", 2, 8, 6435), ("sympl", 3, 5, 10296)]
     )
     def test_the_ansatz_cap_admits_solves_of_about_ten_seconds(
@@ -594,6 +624,19 @@ class TestExitCodes:
             ({**vdw(), "partition": []}, "model 'van_der_waals' takes no partition"),
             # a scalar Q used to raise IndexError
             ({"model": "quadratic", "parameters": {"q": 5}}, "Q must be square and symmetric"),
+            # a parameter, a key or a name the model does not take used to be dropped
+            (
+                {"model": "linear", "parameters": {"a": [1, 2], "b": 3}},
+                "linear() got an unexpected keyword argument 'b'",
+            ),
+            (
+                {**QUADRATIC, "parameters": {**QUADRATIC["parameters"], "r": 1.0}},
+                "quadratic() got an unexpected keyword argument 'r'",
+            ),
+            ({**vdw(), "partiton": [1]}, "unknown key 'partiton'"),
+            # null used to print as the model "None"
+            ({**vdw(), "name": None}, "name must be a string"),
+            ({**vdw(), "name": 1}, "name must be a string"),
         ],
     )
     def test_malformed_model_is_usage(self, tmp_path, capsys, spec, message):
@@ -839,6 +882,14 @@ class TestKilling:
         first = doc["results"][0]
         assert first["status"] == "exact-pass"
         assert first["witness"] == {"dimension": dim, "expected": dim}
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("space", ["tps", "sympl"])
+    @pytest.mark.parametrize("command", ["curvature", "killing"])
+    def test_every_claim_passes_past_n_four(self, capsys, command, space, n):
+        code, out, _ = run_cli(capsys, [command, "--space", space, "--n", str(n)])
+        assert code == 0
+        assert {r["status"] for r in json.loads(out)["results"]} == {"exact-pass"}
 
     def test_degree_one_lifted_metric_is_not_applicable(self, capsys):
         code, out, _ = run_cli(capsys, ["killing", "--space", "sympl", "--n", "1", "--degree", "1"])
@@ -1169,10 +1220,10 @@ def test_potential_keeps_its_exit_code_contract(tmp_path_factory, inputs):
 
 # per flag: values the command accepts and values it must refuse; None
 # leaves the flag out.  In range only up to n = 2, so every example stays
-# cheap; 5 and above are out of range for every space.
+# cheap; 17 and above are past the ansatz cap for every space.
 EXACT_FLAGS = {
     "--space": (["tps", "sympl"], ["bogus", None]),
-    "--n": (["1", "2"], ["-1", "0", "5", "99", "1000000000000", "x", "", None]),
+    "--n": (["1", "2"], ["-1", "0", "17", "99", "1000000000000", "x", "", None]),
     "--degree": ([None, "1", "2"], ["-1", "0", "1000", "x"]),
     "--n-max": (["1", "2"], ["-1", "0", "x"]),
     "--only": (

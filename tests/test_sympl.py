@@ -154,8 +154,8 @@ class TestIsometries:
         assert bracket(cat["D0"], cat["D1"]).is_zero()
         assert bracket(cat["D1"], cat["D2"]).is_zero()
 
-    # n = 4 and 5 lie past the command line's MAX_N (3); the sparse tables
-    # keep them cheap
+    # n = 4 and 5 lie past every n that verify-all checks; the sparse
+    # tables keep them cheap
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_sl_embedding(self, n):
         passed, witness = sympl.sl_embedding_report(n)
