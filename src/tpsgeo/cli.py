@@ -154,7 +154,7 @@ def _analyze(model, points: list):
     CHUNK; a point that raises DomainError gives the error instead.  Points
     the model does not admit are set aside before each batch; if the batch
     raises all the same (a jet factor beyond the float range), each of its
-    points is analysed alone, through the same code."""
+    points is analysed alone, as a batch of one."""
     for start in range(0, len(points), CHUNK):
         part = points[start : start + CHUNK]
         admitted = model.admits(part).tolist()
@@ -168,7 +168,7 @@ def _analyze(model, points: list):
                 yield next(reps)
                 continue
             try:
-                yield legendre.analyze(model, pt)
+                yield legendre.analyze(model, [pt])[0]
             except DomainError as exc:
                 yield exc
 
@@ -185,7 +185,7 @@ def cmd_potential(args) -> ReportEnvelope:
             "points_file": args.points_file,
             "grid": args.grid,
             "model": model.name,
-            "convention": model.convention,
+            "convention": "canonical",
             "parameters": model.parameters,
             "point_count": len(points),
         },
@@ -219,10 +219,10 @@ def cmd_potential(args) -> ReportEnvelope:
             "legendre_residual": rep["legendre_residual"],
             "block_agreement": rep["block_agreement"],
         }
-        if rep.get("degenerate"):
+        if rep["degenerate"]:
             counts["degenerate_metric"] += 1
             witness["degenerate_metric"] = True
-        elif "ii_norm" in rep:
+        else:
             witness["ii_norm"] = rep["ii_norm"]
             worst_ii = rep["ii_norm"] if worst_ii is None else max(worst_ii, rep["ii_norm"])
         env.add(
@@ -315,9 +315,9 @@ WORKER_SUITES = ("tps", "heisenberg", "legendre")
 def _verify(names: list[str], n_max) -> list[Result]:
     """The results of the named suites, in names order, then the negative
     control.  When both halves have a suite, the worker half runs in a
-    forked child that sends its results, or the exception it raised, back
-    through a pipe; the parent re-raises that exception and always reaps
-    the child."""
+    forked child that sends its results, or the exception or interrupt it
+    raised, back through a pipe; the parent re-raises that exception and
+    always reaps the child."""
     worker = [name for name in names if name in WORKER_SUITES]
     # The halves overlap only on a second usable CPU, and a fork copies only
     # the calling thread, so the locks and state of any other one would
@@ -342,7 +342,7 @@ def _verify(names: list[str], n_max) -> list[Result]:
             os.close(read_end)
             try:
                 payload = pickle.dumps([suites.SUITES[name](n_max) for name in worker])
-            except Exception as exc:
+            except (Exception, KeyboardInterrupt) as exc:
                 payload = pickle.dumps(exc)
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(payload)
@@ -436,6 +436,14 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except UsageError as exc:
         print(f"tpsgeo {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        # 128 + SIGINT, as a shell reports a command that SIGINT ended
+        print(f"tpsgeo {args.command}: interrupted", file=sys.stderr)
+        return 130
+    except MemoryError:
+        # an input too large for this host, like one past the ansatz cap
+        print(f"tpsgeo {args.command}: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader closed the pipe (say, `| head`).  What is left of the

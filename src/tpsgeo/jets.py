@@ -18,9 +18,9 @@ import numpy as np
 
 
 class DomainError(ValueError):
-    """An operation left its numeric domain: division by zero, log of a
-    nonpositive value, a fractional power of a nonpositive base, or a
-    chain-rule factor outside the float range."""
+    """An operation left its numeric domain: division by zero, a fractional
+    power of a nonpositive base, or a chain-rule factor outside the float
+    range."""
 
 
 @functools.cache
@@ -204,8 +204,8 @@ def _pow(v, e) -> np.ndarray:
 
 
 def _over_powers(v, coefs) -> list:
-    """coef_k / v**k for k = 1, 2, ...: the chain-rule factors of 1/v and
-    ln v.  A power that underflows to zero is a DomainError, where Python's
+    """coef_k / v**k for k = 1, 2, ...: the chain-rule factors of 1/v.  A
+    power that underflows to zero is a DomainError, where Python's
     float division raises."""
     out = []
     for k, c in enumerate(coefs, start=1):
@@ -219,13 +219,6 @@ def _over_powers(v, coefs) -> list:
 def exp(a: Jet3) -> Jet3:
     e = np.exp(a.value)
     return _compose(a, e, e, e, e)
-
-
-def ln(a: Jet3) -> Jet3:
-    v = a.value
-    if np.any(v <= 0.0):
-        raise DomainError("log of a nonpositive value")
-    return _compose(a, np.log(v), *_over_powers(v, (1.0, -1.0, 2.0)))
 
 
 def power(a: Jet3, exponent) -> Jet3:

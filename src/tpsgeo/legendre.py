@@ -3,14 +3,17 @@ potential and a partition of the variable indices: parameterization, induced
 metric, adapted tangent/normal frames, second fundamental form, homogeneity
 and stability reports, plus a small catalog of potentials.
 
-Every function takes one base point (shape (n,)) or a batch of them (shape
-(N, n)) and then carries the batch axis B = (N,) in front of every array it
-returns; one point is the case B = ().  Each point sees the same
-floating-point operations, in the same order, whatever batch it is in."""
+The surface is the canonical one: on the coordinate part J the momenta are
+p_j = -phi_j, so the contact form pulls back to zero.  Every function takes
+a batch of base points, of shape (N, n), and carries the batch axis N in
+front of every array it returns; one point is a batch of one.  Each point
+sees the same floating-point operations, in the same order, whatever batch
+it is in."""
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +32,6 @@ SCALING_TOL = 1e-10  # homogeneity_check's scaling_residual
 CONSTITUTIVE_TOL = 1e-12  # homogeneity_check's constitutive and Gibbs-Duhem residuals
 
 
-class DegenerateSurfaceError(ValueError):
-    """The induced metric is singular at the requested base point."""
-
-
 def _quiet(func):
     """Runs func with numpy's floating-point warnings off.  Overflow and
     invalid values at extreme points are expected: they surface as
@@ -49,27 +48,25 @@ def _quiet(func):
 def _max(a, b):
     """Python's max(a, b) point by point: b only where b > a, so a NaN b
     leaves a as it is."""
-    return np.where(b > a, b, a)[()]
+    return np.where(b > a, b, a)
 
 
 class PotentialModel:
     """A potential phi of n variables with a partition of {1..n} into the
     momentum part I and the coordinate part J.
 
-    The evaluator maps the seed jets of a base point or batch (slot k-1
+    The evaluator maps the seed jets of a batch of base points (slot k-1
     holds p_k for k in I, x^k for k in J) to a Jet3 of the same batch;
     plain is the same function of one float point, used by the
     finite-difference oracle.  in_domain maps the coordinate rows b.T to a
-    flag per point.  Convention 'canonical' builds a Legendre surface
-    (p_j = -phi_j on J); 'graph' is the momentumless graph embedding with
-    p = +grad(phi), kept for metric comparisons.
+    flag per point.
     """
 
     __slots__ = ("name", "nvars", "part_i", "part_j", "evaluator", "plain", "parameters",
-                 "homogeneous_degree", "convention", "in_domain")
+                 "homogeneous_degree", "in_domain")
 
     def __init__(self, name, nvars, part_i, evaluator, plain, parameters=None,
-                 homogeneous_degree=None, convention="canonical", in_domain=None):
+                 homogeneous_degree=None, in_domain=None):
         self.name = str(name)
         self.nvars = int(nvars)
         if self.nvars < 1:
@@ -79,11 +76,6 @@ class PotentialModel:
         if not self.part_i <= full:
             raise ValueError("partition indices out of range")
         self.part_j = full - self.part_i
-        if convention not in ("canonical", "graph"):
-            raise ValueError(f"unknown convention {convention!r}")
-        if convention == "graph" and self.part_i:
-            raise ValueError("the graph convention needs an empty momentum part")
-        self.convention = convention
         self.evaluator = evaluator
         self.plain = plain
         self.parameters = dict(parameters or {})
@@ -101,10 +93,10 @@ class PotentialModel:
             return np.isfinite(b).all(axis=-1) & self.in_domain(b.T)
 
     def jet(self, base) -> Jet3:
-        """The jet of phi at a base point, or at every point of a batch."""
+        """The jet of phi at every point of a batch."""
         b = np.asarray(base, dtype=float)
-        if b.ndim not in (1, 2) or b.shape[-1] != self.nvars:
-            raise ValueError("base point has the wrong length")
+        if b.ndim != 2 or b.shape[1] != self.nvars:
+            raise ValueError(f"base points must be a batch of shape (N, {self.nvars})")
         if not np.all(np.isfinite(b)):
             raise DomainError("base point has a non-finite coordinate")
         if not np.all(self.admits(b)):
@@ -122,26 +114,23 @@ class PotentialModel:
 
 @_quiet
 def surface_point(model: PotentialModel, base) -> dict:
-    """Ambient point of the surface over a base point, together with the
+    """Ambient point of the surface over each base point, together with the
     jet of phi there, the tangent frame (rows in chart order) and the
-    residual of the contact form on it (zero for the canonical convention:
-    the surface is Legendre)."""
+    residual of the contact form on it (zero up to rounding: the surface is
+    Legendre)."""
     b = np.asarray(base, dtype=float)
     jet = model.jet(b)
     n = model.nvars
     grad = jet.grad
-    if model.convention == "graph":
-        x0, p, x = jet.value, grad.copy(), b
-    else:
-        acc = 0.0
-        for i in model.part_i:
-            acc = acc + b[..., i - 1] * grad[..., i - 1]
-        x0 = jet.value - acc
-        in_i = model._in_i()
-        p = np.where(in_i, b, -grad)
-        x = np.where(in_i, grad, b)
-    ambient = {"x0": x0, **{f"p{k}": p[..., k - 1][()] for k in range(1, n + 1)}}
-    ambient.update({f"x{k}": x[..., k - 1][()] for k in range(1, n + 1)})
+    acc = 0.0
+    for i in model.part_i:
+        acc = acc + b[..., i - 1] * grad[..., i - 1]
+    x0 = jet.value - acc
+    in_i = model._in_i()
+    p = np.where(in_i, b, -grad)
+    x = np.where(in_i, grad, b)
+    ambient = {"x0": x0, **{f"p{k}": p[..., k - 1] for k in range(1, n + 1)}}
+    ambient.update({f"x{k}": x[..., k - 1] for k in range(1, n + 1)})
     t = _tangent_frame(model, jet, p)
     res = 0.0
     for k in range(n):
@@ -150,8 +139,7 @@ def surface_point(model: PotentialModel, base) -> dict:
             term = p[..., s] * t[..., k, 1 + n + s]
             val, scale = val + term, scale + np.abs(term)
         res = _max(res, np.abs(t[..., k, 0] + val) / (1.0 + np.abs(t[..., k, 0]) + scale))
-    return {"base": b, "ambient": ambient, "jet": jet, "tangent": t,
-            "legendre_residual": res, "convention": model.convention}
+    return {"base": b, "ambient": ambient, "jet": jet, "tangent": t, "legendre_residual": res}
 
 
 def _tangent_frame(model: PotentialModel, jet: Jet3, p: np.ndarray) -> np.ndarray:
@@ -160,9 +148,6 @@ def _tangent_frame(model: PotentialModel, jet: Jet3, p: np.ndarray) -> np.ndarra
     n = model.nvars
     h, eye = jet.hess, np.eye(n)  # h is symmetric to the last bit
     t = np.zeros(p.shape[:-1] + (n, 2 * n + 1))
-    if model.convention == "graph":
-        t[..., 0], t[..., 1 : n + 1], t[..., n + 1 :] = jet.grad, h, eye
-        return t
     in_i = model._in_i()
     t[..., 1 : n + 1] = np.where(in_i, eye, -h)
     t[..., n + 1 :] = np.where(in_i, h, eye)
@@ -237,20 +222,14 @@ def ambient_metric(n: int, ambient: dict) -> np.ndarray:
 def induced_metric(model: PotentialModel, base) -> dict:
     """Pullback of the ambient metric to the surface, computed as the Gram
     matrix of the tangent frame, and its largest deviation from the block
-    formula (+2 hess on the I block, -2 hess on the J block, zero mixed) for
-    the canonical convention, or from 2 hess plus the contact-form square
-    for the graph convention."""
+    formula: +2 hess on the I block, -2 hess on the J block, zero mixed."""
     sp = surface_point(model, base)
     jet, t = sp["jet"], sp["tangent"]
     pullback = t @ ambient_metric(model.nvars, sp["ambient"]) @ t.swapaxes(-1, -2)
     hess = jet.hess.copy()
-    if model.convention == "graph":
-        theta_on_t = 2.0 * jet.grad
-        expected = 2.0 * hess + theta_on_t[..., :, None] * theta_on_t[..., None, :]
-    else:
-        in_i = model._in_i()
-        sign = np.where(in_i, 2.0, -2.0)
-        expected = np.where(in_i[:, None] == in_i, sign[:, None] * hess, 0.0)
+    in_i = model._in_i()
+    sign = np.where(in_i, 2.0, -2.0)
+    expected = np.where(in_i[:, None] == in_i, sign[:, None] * hess, 0.0)
     return {
         "pullback": pullback, "hessian": hess, "surface_point": sp,
         "block_agreement": np.max(np.abs(pullback - expected), axis=(-2, -1)),
@@ -287,11 +266,8 @@ def frames(model: PotentialModel, base) -> dict:
     """Adapted frames along the surface: tangent Y_k = V_k + hess_kl W_l and
     normal Z_k = W_k - (1/2) hinv_kl Y_l, where V = P, W = X on the momentum
     part I and V = X, W = -P on J, and hinv inverts the Hessian blockwise.
-    A point whose surface metric is degenerate (or not finite) raises
-    DegenerateSurfaceError; in a batch it is flagged in "degenerate"
-    instead, and its frame entries are meaningless."""
-    if model.convention != "canonical":
-        raise ValueError("frames need the canonical convention")
+    A point whose surface metric is degenerate (or not finite) is flagged
+    in "degenerate", and its frame entries are meaningless."""
     im = induced_metric(model, base)
     sp = im["surface_point"]
     hess = im["hessian"]
@@ -299,8 +275,6 @@ def frames(model: PotentialModel, base) -> dict:
     scale = np.max(np.abs(pullback), axis=(-2, -1))
     det = np.linalg.det(pullback / scale[..., None, None])
     hinv, degenerate = _block_inverse(model, hess, (scale == 0.0) | ~(np.abs(det) > 1e-10))
-    if degenerate.ndim == 0 and degenerate:
-        raise DegenerateSurfaceError("degenerate surface metric")
     pvec, xvec = _frame_vectors(model.nvars, sp["ambient"])
     in_i = model._in_i()[:, None]
     v = np.where(in_i, pvec, xvec)
@@ -437,14 +411,14 @@ def homogeneity_check(model: PotentialModel, samples, lambdas=(0.5, 2.0, 3.0)) -
 
 
 def stability_classify(model: PotentialModel, base) -> dict:
-    """Definiteness of the Hessian at a base point (or per point of a
-    batch) via its eigenvalues."""
-    return _classify(model.jet(np.asarray(base, dtype=float)).hess)
+    """Definiteness of the Hessian at each point of a batch via its
+    eigenvalues."""
+    return _classify(model.jet(base).hess)
 
 
 def _classify(h: np.ndarray) -> dict:
     """Stability class and definiteness of a Hessian from its eigenvalues;
-    plain Python values, one per point for a batch."""
+    plain Python values, one per point."""
     finite = np.isfinite(h).all(axis=(-2, -1))[..., None]  # LAPACK may fail on the others
     eigs = np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], h, 0.0)), np.nan)
     tol = 1e-9 * _max(np.max(np.abs(eigs), axis=-1), 1e-300)
@@ -466,12 +440,19 @@ def _classify(h: np.ndarray) -> dict:
 # catalog
 
 
+def _exponent(r, c_v) -> Fraction:
+    """r / c_v, the exponent on the volume, exactly."""
+    if c_v == 0:
+        raise ValueError("c_v must be nonzero")
+    return Fraction(r) / Fraction(c_v)
+
+
 def van_der_waals(a=1.0, b=1.0, r=1.0, c_v=1.5, positive_exponent=False) -> PotentialModel:
     """Internal energy U(S, V) of a van der Waals gas.  The physically
     standard exponent on (V - b) is negative; positive_exponent switches to
     the positive variant (smooth on the same domain, used for cross-checks).
     """
-    exponent = Fraction(r) / Fraction(c_v)
+    exponent = _exponent(r, c_v)
     if not positive_exponent:
         exponent = -exponent
     af, bf, cvf = float(a), float(b), float(c_v)
@@ -499,7 +480,7 @@ def van_der_waals(a=1.0, b=1.0, r=1.0, c_v=1.5, positive_exponent=False) -> Pote
 
 def ideal_gas_energy(r=1.0, c_v=1.5) -> PotentialModel:
     """The a = b = 0 limit of the van der Waals energy."""
-    exponent = -Fraction(r) / Fraction(c_v)
+    exponent = -_exponent(r, c_v)
     cvf = float(c_v)
     ef = float(exponent)
 
@@ -604,17 +585,17 @@ _CATALOG = {
 }
 
 
-_SPEC_KEYS = ("model", "parameters", "convention", "partition", "name")
+_SPEC_KEYS = ("model", "parameters", "partition", "name")
 
 
 def model_from_spec(d: dict) -> PotentialModel:
     """Build a catalog model from a JSON-style description:
-    {model: catalog-id, parameters: {...}, convention?, partition?, name?}.
+    {model: catalog-id, parameters: {...}, partition?, name?}.
     Nothing is coerced or dropped: a key or parameter the model does not
-    take is an error, a parameter is a number (int or float, not bool) or
-    nested arrays of them, but the bool positive_exponent, a partition is
-    an array of ints, which only a quadratic model takes, and a name is a
-    string."""
+    take is an error, a parameter is a number (int or finite float, not
+    bool) or nested arrays of them, but the bool positive_exponent, a
+    partition is an array of ints, which only a quadratic model takes, and
+    a name is a string."""
     unknown = [key for key in d if key not in _SPEC_KEYS]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}; the keys are {', '.join(_SPEC_KEYS)}")
@@ -632,6 +613,8 @@ def model_from_spec(d: dict) -> PotentialModel:
                 numbers.extend(v)
             elif type(v) not in (int, float):
                 raise TypeError(f"parameter {key!r} must be a number or an array of numbers")
+            elif not math.isfinite(v):
+                raise ValueError(f"parameter {key!r} must be finite")
     if "partition" in d and kind != "quadratic":
         raise ValueError(f"model {kind!r} takes no partition")
     if type(partition) is not list or any(type(k) is not int for k in partition):
@@ -643,58 +626,35 @@ def model_from_spec(d: dict) -> PotentialModel:
         model = quadratic(**params, part_i=tuple(partition))
     else:
         model = _CATALOG[kind](**params)
-    conv = d.get("convention")
-    if conv is not None and conv != model.convention:
-        model = PotentialModel(
-            model.name, model.nvars, model.part_i, model.evaluator, model.plain,
-            parameters=model.parameters, homogeneous_degree=model.homogeneous_degree,
-            convention=conv, in_domain=model.in_domain,
-        )
     if "name" in d:
         model.name = d["name"]
     return model
 
 
+# the per-point fields of analyze, which the potential command prints
+_REPORT_KEYS = ("classification", "definiteness", "legendre_residual", "block_agreement",
+                "degenerate", "ii_norm")
+
+
 @_quiet
-def analyze(model: PotentialModel, base) -> "dict | list[dict]":
-    """One-stop report per base point: ambient coordinates, induced metric,
-    stability, and the second fundamental form when the metric allows it.
-    A batch of points gives a list of reports; one point gives its report,
-    analysed as a batch of one.  The jet is evaluated once per batch."""
-    b = np.asarray(base, dtype=float)
-    batch = b.reshape(-1, b.shape[-1])
-    if model.convention == "canonical":
-        ii = second_fundamental_form(model, batch)
-        im, degenerate = ii["frames"]["induced"], ii["frames"]["degenerate"].tolist()
-        ii_norm, decomposition = ii["ii_norm"].tolist(), ii["decomposition_residual"].tolist()
-    else:
-        im = induced_metric(model, batch)
+def analyze(model: PotentialModel, base) -> list[dict]:
+    """One report per point of a batch: stability class and definiteness,
+    contact-form residual, metric block agreement, the degenerate flag and
+    the largest second-fundamental-form coefficient (meaningless where the
+    metric is degenerate).  The jet is evaluated once per batch."""
+    ii = second_fundamental_form(model, base)
+    fr = ii["frames"]
+    im = fr["induced"]
     if not np.isfinite(im["hessian"]).all():
         # its eigenvalues would be NaN: no stability class, no definiteness
         raise DomainError("the Hessian of the potential is not finite at the base point")
-    sp = im["surface_point"]
     stab = _classify(im["hessian"])
-    names = list(sp["ambient"])
-    ambient = [dict(zip(names, vals)) for vals in zip(*(sp["ambient"][k].tolist() for k in names))]
     columns = (
-        ("point", batch.tolist()),
-        ("ambient", ambient),
-        ("pullback_metric", im["pullback"].tolist()),
-        ("hessian", im["hessian"].tolist()),
-        ("block_agreement", im["block_agreement"].tolist()),
-        ("legendre_residual", sp["legendre_residual"].tolist()),
-        ("eigenvalues", stab["eigenvalues"]),
-        ("classification", stab["classification"]),
-        ("definiteness", stab["definiteness"]),
+        stab["classification"],
+        stab["definiteness"],
+        fr["surface_point"]["legendre_residual"].tolist(),
+        im["block_agreement"].tolist(),
+        fr["degenerate"].tolist(),
+        ii["ii_norm"].tolist(),
     )
-    out = []
-    for i in range(len(batch)):
-        rep = {"model": model.name, "convention": model.convention}
-        rep.update((key, col[i]) for key, col in columns)
-        if model.convention == "canonical":
-            if not degenerate[i]:
-                rep["ii_norm"] = ii_norm[i]
-                rep["decomposition_residual"] = decomposition[i]
-            rep["degenerate"] = degenerate[i]
-        out.append(rep)
-    return out[0] if b.ndim == 1 else out
+    return [dict(zip(_REPORT_KEYS, row)) for row in zip(*columns)]

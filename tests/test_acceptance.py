@@ -198,14 +198,12 @@ class TestPotentialSurfaces:
     def test_headline_tolerances(self):
         rng = np.random.default_rng(5)
         vdw = legendre.van_der_waals()
-        for _ in range(100):
-            base = np.array([rng.uniform(-1.5, 1.5), rng.uniform(1.3, 4.0)])
-            assert legendre.surface_point(vdw, base)["legendre_residual"] < 1e-12
-            assert legendre.induced_metric(vdw, base)["block_agreement"] < 1e-10
+        base = [[rng.uniform(-1.5, 1.5), rng.uniform(1.3, 4.0)] for _ in range(100)]
+        assert np.all(legendre.surface_point(vdw, base)["legendre_residual"] < 1e-12)
+        assert np.all(legendre.induced_metric(vdw, base)["block_agreement"] < 1e-10)
         quad = legendre.quadratic([[2.0, 0.5], [0.5, 1.0]])
-        for _ in range(20):
-            rep = legendre.second_fundamental_form(quad, rng.uniform(-2.0, 2.0, size=2))
-            assert rep["ii_norm"] < 1e-12
+        rep = legendre.second_fundamental_form(quad, rng.uniform(-2.0, 2.0, size=(20, 2)))
+        assert np.all(rep["ii_norm"] < 1e-12)
         cmp = jet_fd_compare(
             vdw.evaluator,
             vdw.plain,

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import signal
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tpsgeo
-from tpsgeo import cli, killing, poly, suites, sympl, tps
+from tpsgeo import cli, killing, legendre, poly, suites, sympl, tps
 from tpsgeo.report import STATUSES, ReportEnvelope, Result, check
 
 
@@ -301,7 +302,7 @@ def envelope(argv):
         ["killing", "--space", "sympl", "--n", "3"],
         *[["potential", "--model-file", os.path.join(MODELS_DIR, f), "--grid", README_GRID]
           for f in MODEL_FILES],
-        ["potential", "--model-file", "GRAPH", "--grid", README_GRID],
+        ["potential", "--model-file", "MIXED", "--grid", README_GRID],
         ["potential", "--model-file", "SINGULAR", "--points-file", "EXTREME"],
         ["potential", "--model-file", os.path.join(MODELS_DIR, "homogeneous.json"),
          "--points-file", "EXTREME"],
@@ -311,7 +312,7 @@ def test_reports_hold_only_plain_values(tmp_path, argv):
     # degenerate, overflowing, non-finite and out-of-domain points too
     extreme = [[1.0, 2.0], [1e308, 2.0], [float("nan"), 1.0], [1e-320, 3.0], [0.5, 0.5]]
     files = {
-        "GRAPH": write_model(tmp_path, {**VDW_LITERAL, "convention": "graph"}),
+        "MIXED": write_model(tmp_path, {**QUADRATIC, "partition": [1]}),
         "SINGULAR": write_model(
             tmp_path, {"model": "quadratic", "parameters": {"q": [[1.0, 0.0], [0.0, 0.0]]}}, "q.json"
         ),
@@ -637,6 +638,19 @@ class TestExitCodes:
             # null used to print as the model "None"
             ({**vdw(), "name": None}, "name must be a string"),
             ({**vdw(), "name": 1}, "name must be a string"),
+            # the only convention is the canonical one, and a file cannot name it
+            ({**vdw(), "convention": "canonical"}, "unknown key 'convention'"),
+            ({**vdw(), "convention": "graph"}, "unknown key 'convention'"),
+            # non-finite parameters used to fail every point, or pass some
+            (vdw(a=math.nan), "parameter 'a' must be finite"),
+            (vdw(b=math.inf), "parameter 'b' must be finite"),
+            ({"model": "linear", "parameters": {"a": [math.nan, 1]}}, "parameter 'a' must be finite"),
+            ({"model": "quadratic", "parameters": {"q": [[1.0, -math.inf], [-math.inf, 1.0]]}},
+             "parameter 'q' must be finite"),
+            ({"model": "ideal_gas_energy", "parameters": {"r": -math.inf}}, "parameter 'r' must be finite"),
+            # c_v = 0 used to be refused as "Fraction(1, 0)"
+            (vdw(c_v=0), "c_v must be nonzero"),
+            ({"model": "ideal_gas_energy", "parameters": {"c_v": 0.0}}, "c_v must be nonzero"),
         ],
     )
     def test_malformed_model_is_usage(self, tmp_path, capsys, spec, message):
@@ -644,6 +658,12 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, ["potential", "--model-file", path, "--grid", "1:2:2,2:3:2"])
         assert code == 2 and out == ""
         assert err.startswith(f"tpsgeo potential: bad model description: {message}") and err.count("\n") == 1
+
+    def test_the_readme_lists_the_model_file_keys(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            text = " ".join(fh.read().split())
+        (listed,) = re.findall(r"a top-level key other than ((?:`\w+`, )*`\w+` and `\w+`)", text)
+        assert tuple(re.findall(r"`(\w+)`", listed)) == legendre._SPEC_KEYS
 
     def test_a_quadratic_partition_of_integers_runs(self, tmp_path, capsys):
         path = write_model(tmp_path, {**QUADRATIC, "partition": [1]})
@@ -678,7 +698,7 @@ class TestExitCodes:
         assert len(fails) == 1
         assert fails[0]["witness"]["point"] == [0.5, 0.5]
 
-    @pytest.mark.parametrize("c_v", [0, "Infinity"])
+    @pytest.mark.parametrize("c_v", [0, "Infinity", "1e400", "NaN"])
     def test_unusable_model_parameter_is_usage(self, tmp_path, capsys, c_v):
         path = tmp_path / "model.json"
         path.write_text(
@@ -943,6 +963,7 @@ class TestPotential:
         assert code == 0
         inputs = strict_json(out)["inputs"]
         assert inputs["model"] == spec["model"]
+        assert inputs["convention"] == "canonical"
         assert spec["parameters"].items() <= inputs["parameters"].items()
         assert inputs["point_count"] == 100
 
@@ -1153,6 +1174,45 @@ class TestVerifyAll:
             assert hasattr(build, "cache_info"), f"{key[1]} is not cached"
             info = build.cache_info()
             assert asked[key] and info.misses == len(asked[key]) and info.hits > 0, (key, info)
+
+
+# ----------------------------------------------------------------------
+# interrupts and memory exhaustion: one stderr line and an exit code, never
+# a traceback, and never the exit 1 of a witnessed failure
+
+STOPS = [(KeyboardInterrupt, 130, "interrupted"), (MemoryError, 2, "out of memory")]
+
+
+@pytest.mark.parametrize("cpus", ["one_cpu", pytest.param("forks", marks=needs_fork)])
+@pytest.mark.parametrize("error, code, message", STOPS)
+def test_verify_all_ends_a_stopped_suite_with_one_line(
+    request, capsys, monkeypatch, cpus, error, code, message
+):
+    # on one CPU the suite runs in this process; on two, in the forked
+    # worker, which sends the stop back to the parent
+    started = request.getfixturevalue(cpus)
+
+    def stopped(n_max):
+        raise error()
+
+    monkeypatch.setitem(suites.SUITES, "heisenberg", stopped)
+    got, out, err = run_cli(capsys, ["verify-all", "--only", "sympl,heisenberg", "--n-max", "1"])
+    assert got == code and out == ""
+    assert err == f"tpsgeo verify-all: {message}\n"
+    assert len(started or []) == (cpus == "forks")
+    if hasattr(os, "fork"):
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("error, code, message", STOPS)
+def test_killing_ends_a_stopped_solve_with_one_line(capsys, monkeypatch, error, code, message):
+    def stopped(*args):
+        raise error()
+
+    monkeypatch.setattr(cli.suites, "suite_killing", stopped)
+    got, out, err = run_cli(capsys, ["killing", "--space", "sympl", "--n", "2"])
+    assert got == code and out == ""
+    assert err == f"tpsgeo killing: {message}\n"
 
 
 # ----------------------------------------------------------------------
