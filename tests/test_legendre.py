@@ -404,6 +404,25 @@ class TestModelSpecAndAnalyze:
         assert rep["block_agreement"] == 0.0
         assert rep["legendre_residual"] == 0.0
 
+    @pytest.mark.parametrize("part_i", [(), (1,)], ids=["canonical", "mixed"])
+    def test_analyze_evaluates_the_jet_once(self, part_i):
+        # one point at a time, with no momenta or with p1 in place of x^1
+        vdw = lg.van_der_waals()
+        calls = []
+
+        def counted(seeds):
+            calls.append(None)
+            return vdw.evaluator(seeds)
+
+        m = lg.PotentialModel("counted", 2, part_i, counted, vdw.plain,
+                              in_domain=vdw.in_domain)
+        draw = samplers(np.random.default_rng(7))["van_der_waals"]
+        for _ in range(10):
+            calls.clear()
+            (rep,) = lg.analyze(m, [draw()])
+            assert len(calls) == 1
+            assert rep["degenerate"] is False
+
     def test_positive_exponent_variant(self):
         m = lg.van_der_waals(positive_exponent=True)
         sp = lg.surface_point(m, [[1.0, 2.0]])
