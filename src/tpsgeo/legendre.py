@@ -4,11 +4,12 @@ metric, adapted tangent/normal frames, second fundamental form, homogeneity
 and stability reports, plus a small catalog of potentials.
 
 The surface is the canonical one: on the coordinate part J the momenta are
-p_j = -phi_j, so the contact form pulls back to zero.  Every function takes
-a batch of base points, of shape (N, n), and carries the batch axis N in
-front of every array it returns; one point is a batch of one.  Each point
-sees the same floating-point operations, in the same order, whatever batch
-it is in."""
+p_j = -phi_j, so the contact form pulls back to zero.  Ambient points and
+vectors are arrays in chart order (x0, p_1..p_n, x^1..x^n).  Every function
+takes a batch of base points, of shape (N, n), and carries the batch axis N
+in front of every array it returns; one point is a batch of one.  Each
+point sees the same floating-point operations, in the same order, whatever
+batch it is in."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .jets import DomainError, Jet3
 # a claim passes when the residual is below it.
 CONTACT_TOL = 1e-12  # surface_point's legendre_residual
 BLOCK_TOL = 1e-10  # induced_metric's block_agreement
-GEODESIC_TOL = 1e-12  # second_fundamental_form's ii_norm on a quadratic potential
+GEODESIC_TOL = 1e-12  # analyze's ii_norm on a quadratic potential
 DECOMPOSITION_TOL = 1e-9  # second_fundamental_form's decomposition_residual
 SCALING_TOL = 1e-10  # homogeneity_check's scaling_residual
 CONSTITUTIVE_TOL = 1e-12  # homogeneity_check's constitutive and Gibbs-Duhem residuals
@@ -114,10 +115,10 @@ class PotentialModel:
 
 @_quiet
 def surface_point(model: PotentialModel, base) -> dict:
-    """Ambient point of the surface over each base point, together with the
-    jet of phi there, the tangent frame (rows in chart order) and the
-    residual of the contact form on it (zero up to rounding: the surface is
-    Legendre)."""
+    """Ambient point of the surface over each base point, of shape
+    (N, 2n+1), together with the jet of phi there, the tangent frame (rows
+    in chart order) and the residual of the contact form on it (zero up to
+    rounding: the surface is Legendre)."""
     b = np.asarray(base, dtype=float)
     jet = model.jet(b)
     n = model.nvars
@@ -129,8 +130,7 @@ def surface_point(model: PotentialModel, base) -> dict:
     in_i = model._in_i()
     p = np.where(in_i, b, -grad)
     x = np.where(in_i, grad, b)
-    ambient = {"x0": x0, **{f"p{k}": p[..., k - 1] for k in range(1, n + 1)}}
-    ambient.update({f"x{k}": x[..., k - 1] for k in range(1, n + 1)})
+    ambient = np.concatenate([x0[..., None], p, x], axis=-1)
     t = _tangent_frame(model, jet, p)
     res = 0.0
     for k in range(n):
@@ -161,8 +161,9 @@ def _tangent_frame(model: PotentialModel, jet: Jet3, p: np.ndarray) -> np.ndarra
 @functools.cache
 def _float_tables(n: int) -> tuple:
     """Float term tables of the exact phase-space objects for one n: the
-    chart names, the metric G, the X fields of the canonical frame, and the
-    nonzero Christoffel symbols as (upper, lower1, lower2, terms)."""
+    metric G, the X fields of the canonical frame, and the nonzero
+    Christoffel symbols as (upper, lower1, lower2, terms), all indexed in
+    chart order."""
     metric = tps.phase_metric(n)
     chart = metric.chart
     g = tuple(tuple(_terms(e) for e in row) for row in metric.g.entries)
@@ -172,7 +173,7 @@ def _float_tables(n: int) -> tuple:
         (chart.index(up), chart.index(lo1), chart.index(lo2), _terms(poly))
         for (up, lo1, lo2), poly in metric.christoffel().nonzero().items()
     )
-    return chart.names, g, xrows, gamma
+    return g, xrows, gamma
 
 
 def _terms(poly) -> tuple:
@@ -199,19 +200,20 @@ def _evaluate(terms: tuple, point: list):
     return total
 
 
-def _table(rows: tuple, ambient: dict, n: int) -> np.ndarray:
+def _table(rows: tuple, ambient: np.ndarray) -> np.ndarray:
     """A matrix of term tables at the ambient point(s), in chart order."""
-    point = [ambient[nm] for nm in _float_tables(n)[0]]
-    out = np.empty(np.shape(point[0]) + (len(rows), len(rows[0])))
+    point = list(np.moveaxis(ambient, -1, 0))
+    out = np.empty(ambient.shape[:-1] + (len(rows), len(rows[0])))
     for r, row in enumerate(rows):
         for c, terms in enumerate(row):
             out[..., r, c] = _evaluate(terms, point)
     return out
 
 
-def ambient_metric(n: int, ambient: dict) -> np.ndarray:
-    """The phase-space metric at a point, as a float matrix in chart order."""
-    return _table(_float_tables(n)[1], ambient, n)
+def ambient_metric(n: int, ambient: np.ndarray) -> np.ndarray:
+    """The phase-space metric at the ambient point(s), as a float matrix in
+    chart order."""
+    return _table(_float_tables(n)[0], ambient)
 
 
 # ----------------------------------------------------------------------
@@ -240,25 +242,33 @@ def induced_metric(model: PotentialModel, base) -> dict:
 # adapted frames
 
 
-def _frame_vectors(n: int, ambient: dict) -> tuple[np.ndarray, np.ndarray]:
+def _frame_vectors(n: int, ambient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Momentum and horizontal frame vectors at a point, as rows."""
-    return np.eye(n, 2 * n + 1, 1), _table(_float_tables(n)[2], ambient, n)
+    return np.eye(n, 2 * n + 1, 1), _table(_float_tables(n)[1], ambient)
 
 
-def _block_inverse(model: PotentialModel, hess: np.ndarray, degenerate) -> tuple:
-    """Blockwise inverse of the Hessian: the I and J blocks inverted
-    separately, mixed entries zero.  A point with an exactly singular block
-    joins the degenerate ones, for which the identity is inverted instead,
-    so the inversion never fails."""
-    blocks = [(Ellipsis,) + np.ix_(*[sorted(k - 1 for k in part)] * 2)
-              for part in (model.part_i, model.part_j) if part]
-    for ix in blocks:
-        degenerate = degenerate | (np.linalg.slogdet(hess[ix])[0] == 0.0)
-    safe = np.where(degenerate[..., None, None], np.eye(model.nvars), hess)
+def _blocks(model: PotentialModel) -> list:
+    """Index tuples of the I x I and J x J blocks of an (n, n) matrix."""
+    return [(Ellipsis,) + np.ix_(*[sorted(k - 1 for k in part)] * 2)
+            for part in (model.part_i, model.part_j) if part]
+
+
+def _singular_blocks(model: PotentialModel, hess: np.ndarray) -> np.ndarray:
+    """Per point: is the I or the J block of the Hessian exactly singular,
+    so that np.linalg.inv would refuse it?"""
+    return np.any([np.linalg.slogdet(hess[ix])[0] == 0.0 for ix in _blocks(model)], axis=0)
+
+
+def _block_inverse(model: PotentialModel, hess: np.ndarray) -> tuple:
+    """Blockwise inverse of the Hessian (the I and J blocks inverted
+    separately, mixed entries zero) and the _singular_blocks flags; a
+    flagged point inverts the identity instead."""
+    singular = _singular_blocks(model, hess)
+    safe = np.where(singular[..., None, None], np.eye(model.nvars), hess)
     out = np.zeros(hess.shape)
-    for ix in blocks:
+    for ix in _blocks(model):
         out[ix] = np.linalg.inv(safe[ix])
-    return out, degenerate
+    return out, singular
 
 
 @_quiet
@@ -266,34 +276,26 @@ def frames(model: PotentialModel, base) -> dict:
     """Adapted frames along the surface: tangent Y_k = V_k + hess_kl W_l and
     normal Z_k = W_k - (1/2) hinv_kl Y_l, where V = P, W = X on the momentum
     part I and V = X, W = -P on J, and hinv inverts the Hessian blockwise.
-    A point whose surface metric is degenerate (or not finite) is flagged
-    in "degenerate", and its frame entries are meaningless."""
-    im = induced_metric(model, base)
-    sp = im["surface_point"]
-    hess = im["hessian"]
-    pullback = im["pullback"]
-    scale = np.max(np.abs(pullback), axis=(-2, -1))
-    det = np.linalg.det(pullback / scale[..., None, None])
-    hinv, degenerate = _block_inverse(model, hess, (scale == 0.0) | ~(np.abs(det) > 1e-10))
+    Y_k is the derivative of the embedding along the base coordinate b_k,
+    that is row k of surface_point's tangent frame, so Y is read from there.
+    Where a Hessian block is exactly singular ("singular"), hinv and Z are
+    meaningless."""
+    sp = surface_point(model, base)
+    hinv, singular = _block_inverse(model, sp["jet"].hess)
     pvec, xvec = _frame_vectors(model.nvars, sp["ambient"])
-    in_i = model._in_i()[:, None]
-    v = np.where(in_i, pvec, xvec)
-    w = np.where(in_i, xvec, -pvec)
-    y = v + hess @ w
-    return {
-        "surface_point": sp, "induced": im, "Y": y, "Z": w - 0.5 * (hinv @ y),
-        "hessian_inverse_blocks": hinv, "degenerate": degenerate,
-    }
+    w = np.where(model._in_i()[:, None], xvec, -pvec)
+    y = sp["tangent"]
+    return {"surface_point": sp, "Y": y, "Z": w - 0.5 * (hinv @ y),
+            "hessian_inverse_blocks": hinv, "singular": singular}
 
 
 # ----------------------------------------------------------------------
 # second fundamental form
 
-def _gamma_values(n: int, ambient: dict) -> list:
+def _gamma_values(n: int, ambient: np.ndarray) -> list:
     """Nonzero Christoffel symbols of the ambient metric at a point, as
     (upper, lower1, lower2, value)."""
-    names, _, _, gamma = _float_tables(n)
-    point = [ambient[nm] for nm in names]
+    point, gamma = list(np.moveaxis(ambient, -1, 0)), _float_tables(n)[2]
     return [(up, lo1, lo2, _evaluate(terms, point)) for up, lo1, lo2, terms in gamma]
 
 
@@ -332,19 +334,15 @@ def _tangent_derivative(model: PotentialModel, jet: Jet3, p: np.ndarray, k: int,
 
 @_quiet
 def second_fundamental_form(model: PotentialModel, base) -> dict:
-    """Third-derivative coefficients of the surface in the normal frame, their
-    largest magnitude, and the residual of the decomposition of the ambient
-    covariant derivative of the tangent frame into tangential and normal
-    parts."""
+    """Residual of the decomposition of the ambient covariant derivative of
+    the tangent frame into a tangential part (1/2) hinv c Y and a normal
+    part c Z, whose coefficients c are the third derivatives of phi (the
+    jet's third tensor), together with the frames it was built from."""
     fr = frames(model, base)
-    sp = fr["surface_point"]
-    jet = sp["jet"]
-    n = model.nvars
-    p = np.stack([sp["ambient"][f"p{k}"] for k in range(1, n + 1)], axis=-1)
-    hinv = fr["hessian_inverse_blocks"]
-    y, z = fr["Y"], fr["Z"]
+    sp, n = fr["surface_point"], model.nvars
+    jet, p = sp["jet"], sp["ambient"][..., 1 : n + 1]
+    hinv, y, z = fr["hessian_inverse_blocks"], fr["Y"], fr["Z"]
     gamma = _gamma_quadratic(_gamma_values(n, sp["ambient"]), y)
-    coeffs = jet.third.copy()
     worst = 0.0
     for k in range(1, n + 1):
         for l in range(1, n + 1):
@@ -352,15 +350,12 @@ def second_fundamental_form(model: PotentialModel, base) -> dict:
             tangential = np.zeros(cov.shape)
             normal = np.zeros(cov.shape)
             for s in range(n):
-                c = coeffs[..., l - 1, k - 1, s, None]
+                c = jet.third[..., l - 1, k - 1, s, None]
                 normal += c * z[..., s, :]
                 for r in range(n):
                     tangential += 0.5 * hinv[..., s, r, None] * c * y[..., r, :]
             worst = _max(worst, np.max(np.abs(cov - tangential - normal), axis=-1))
-    return {
-        "frames": fr, "coefficients": coeffs, "decomposition_residual": worst,
-        "ii_norm": np.max(np.abs(coeffs), axis=(-3, -2, -1)),
-    }
+    return {"frames": fr, "decomposition_residual": worst}
 
 
 # ----------------------------------------------------------------------
@@ -396,10 +391,10 @@ def homogeneity_check(model: PotentialModel, samples, lambdas=(0.5, 2.0, 3.0)) -
             amb, t, n = sp["ambient"], sp["tangent"], model.nvars
             total = scale = pairing = 0.0
             for k in range(1, n + 1):
-                term = amb[f"p{k}"] * amb[f"x{k}"]
+                term = amb[:, k] * amb[:, n + k]
                 total, scale = total + term, scale + np.abs(term)
-                pairing = pairing + amb[f"x{k}"][:, None] * t[:, :, k]
-            ratio = np.abs(amb["x0"] + total) / (1.0 + np.abs(amb["x0"]) + scale)
+                pairing = pairing + amb[:, n + k, None] * t[:, :, k]
+            ratio = np.abs(amb[:, 0] + total) / (1.0 + np.abs(amb[:, 0]) + scale)
             constitutive = max(0.0, *ratio.tolist())
             gibbs_duhem = max(0.0, *(np.abs(pairing) / (1.0 + np.abs(pairing))).ravel().tolist())
         report["constitutive_residual"] = constitutive
@@ -639,22 +634,26 @@ _REPORT_KEYS = ("classification", "definiteness", "legendre_residual", "block_ag
 @_quiet
 def analyze(model: PotentialModel, base) -> list[dict]:
     """One report per point of a batch: stability class and definiteness,
-    contact-form residual, metric block agreement, the degenerate flag and
-    the largest second-fundamental-form coefficient (meaningless where the
-    metric is degenerate).  The jet is evaluated once per batch."""
-    ii = second_fundamental_form(model, base)
-    fr = ii["frames"]
-    im = fr["induced"]
-    if not np.isfinite(im["hessian"]).all():
+    contact-form residual, metric block agreement, the degenerate flag (the
+    induced metric is numerically singular or not finite, or a Hessian block
+    is exactly singular) and ii_norm = max |d^3 phi|, the largest
+    second-fundamental-form coefficient.  The jet is evaluated once per
+    batch, and no normal frame is built."""
+    im = induced_metric(model, base)
+    sp, hess, pullback = im["surface_point"], im["hessian"], im["pullback"]
+    if not np.isfinite(hess).all():
         # its eigenvalues would be NaN: no stability class, no definiteness
         raise DomainError("the Hessian of the potential is not finite at the base point")
-    stab = _classify(im["hessian"])
+    scale = np.max(np.abs(pullback), axis=(-2, -1))
+    det = np.linalg.det(pullback / scale[..., None, None])
+    degenerate = (scale == 0.0) | ~(np.abs(det) > 1e-10) | _singular_blocks(model, hess)
+    stab = _classify(hess)
     columns = (
         stab["classification"],
         stab["definiteness"],
-        fr["surface_point"]["legendre_residual"].tolist(),
+        sp["legendre_residual"].tolist(),
         im["block_agreement"].tolist(),
-        fr["degenerate"].tolist(),
-        ii["ii_norm"].tolist(),
+        degenerate.tolist(),
+        np.max(np.abs(sp["jet"].third), axis=(-3, -2, -1)).tolist(),
     )
     return [dict(zip(_REPORT_KEYS, row)) for row in zip(*columns)]

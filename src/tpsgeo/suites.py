@@ -761,8 +761,8 @@ def suite_legendre() -> list[Result]:
     }
 
     quad = models["quadratic"][0]
-    rep = legendre.second_fundamental_form(quad, rng.uniform(-2.0, 2.0, size=(20, 2)))
-    ii_worst = max(0.0, *rep["ii_norm"].tolist())
+    reps = legendre.analyze(quad, rng.uniform(-2.0, 2.0, size=(20, 2)))
+    ii_worst = max(0.0, *(rep["ii_norm"] for rep in reps))
     geodesic = ii_worst < legendre.GEODESIC_TOL, {"worst_ii_norm": float(ii_worst)}
 
     vdw = models["van_der_waals"][0]

@@ -1215,6 +1215,76 @@ def test_killing_ends_a_stopped_solve_with_one_line(capsys, monkeypatch, error, 
     assert err == f"tpsgeo killing: {message}\n"
 
 
+# The child runs curvature with its suite replaced by STOPPED_SUITE, so it
+# stops at a known place whatever the speed of the host.  Python keeps SIGINT
+# ignored if the shell started it so (a background job), so the child puts
+# the KeyboardInterrupt handler back first.
+STOPPED_CHILD = """
+import signal, sys
+from tpsgeo import cli, suites
+signal.signal(signal.SIGINT, signal.default_int_handler)
+{suite}
+suites.suite_curvature = stopped
+sys.exit(cli.run())
+"""
+STOPPED_SUITE = {
+    # waits on stdin, which the test leaves open, for the interrupt
+    "interrupt": """
+def stopped(space, n):
+    print("ready", flush=True)
+    sys.stdin.readline()
+""",
+    # asks for twice the address space the child is allowed
+    "memory": """
+import resource
+def stopped(space, n):
+    return bytearray(2 * resource.getrlimit(resource.RLIMIT_AS)[0])
+""",
+}
+# bytes of address space the memory child may use, about five times what
+# importing the cli takes (about 103 MB)
+LIMIT = 512 * 2**20
+
+
+def stopped_child(case, **kwargs):
+    code = STOPPED_CHILD.format(suite=STOPPED_SUITE[case])
+    argv = [sys.executable, "-c", code, "curvature", "--space", "tps", "--n", "1"]
+    # one BLAS thread, whatever the caller set, keeps the import's address
+    # space well under LIMIT
+    return subprocess.Popen(argv, env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, **kwargs)
+
+
+def test_an_interrupted_child_exits_130_with_one_line():
+    proc = stopped_child("interrupt")
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130 and out == ""
+    assert err == "tpsgeo curvature: interrupted\n"
+
+
+def test_a_child_out_of_address_space_exits_2_with_one_line():
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT))
+
+    proc = stopped_child("memory", preexec_fn=limit)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2 and out == ""
+    assert err == "tpsgeo curvature: out of memory\n"
+
+
 # ----------------------------------------------------------------------
 # fuzzing the potential command
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tpsgeo import jets, legendre as lg, pcg, suites, tps
+from tpsgeo import cli, jets, legendre as lg, pcg, suites, tps
 from tpsgeo.jets import DomainError, Jet3, fd_oracle
 from tpsgeo.fields import PolyMap
 from tpsgeo.linalg import PolyMatrix
@@ -51,7 +51,8 @@ def frame_checks(model, fr):
     the normalised determinant of (Y, Z, xi), and the largest deviation of
     G(Y, Y) from the pullback."""
     n = model.nvars
-    g = lg.ambient_metric(n, fr["surface_point"]["ambient"])
+    sp = fr["surface_point"]
+    g = lg.ambient_metric(n, sp["ambient"])
     y, z = fr["Y"], fr["Z"]
     v, w = vw_pair(model, fr)
 
@@ -68,7 +69,7 @@ def frame_checks(model, fr):
         "vw_table": worst(gram(v, w) - np.diag(np.where(model._in_i(), 1.0, -1.0))),
         "yz_orthogonality": worst(gram(y, z)),
         "span_det": np.abs(np.linalg.det(span)),
-        "y_gram": worst(gram(y, y) - fr["induced"]["pullback"]),
+        "y_gram": worst(gram(y, y) - lg.induced_metric(model, sp["base"])["pullback"]),
     }
 
 
@@ -78,14 +79,30 @@ def frames_hold(checks):
 
 
 def ambient_rows(sp):
-    """The ambient point of each point of a batch, as a dict of floats."""
+    """The ambient point of each point of a batch, as floats keyed by the
+    names of the chart, whose order the ambient array follows."""
     amb = sp["ambient"]
-    return [dict(zip(amb, vals)) for vals in zip(*(v.tolist() for v in amb.values()))]
+    names = tps.tps_chart((amb.shape[-1] - 1) // 2).names
+    assert amb.shape == (len(sp["base"]), len(names))
+    return [dict(zip(names, row)) for row in amb.tolist()]
+
+
+def third(ii):
+    """The coefficients c_lks of the second fundamental form that ii was
+    built from: the third derivatives of the potential."""
+    return ii["frames"]["surface_point"]["jet"].third
 
 
 def symmetry_residual(coeffs):
     """Largest change of the coefficients c_lks under swapping l and k."""
     return np.max(np.abs(coeffs - coeffs.swapaxes(-3, -2)))
+
+
+def tangent_oracle(model, fr):
+    """The tangent frame built from the frame vectors, Y = V + hess @ W,
+    against which surface_point's tangent rows are checked."""
+    v, w = vw_pair(model, fr)
+    return v + fr["surface_point"]["jet"].hess @ w
 
 
 class TestSurfacePoint:
@@ -179,7 +196,7 @@ class TestFloatTables:
         drawn = [{nm: Fraction(float(v)) for nm, v in zip(names, rng.normal(0, 3, len(names)))}
                  for _ in range(20)]
         for exact in dyadic + drawn:
-            ambient = {nm: float(v) for nm, v in exact.items()}
+            ambient = np.array([float(exact[nm]) for nm in names])
             assert lg.ambient_metric(n, ambient).tolist() == [
                 [float(e.evaluate(exact)) for e in row] for row in metric.g.entries
             ]
@@ -204,7 +221,7 @@ class TestFrames:
         v, w = vw_pair(m, fr)
         g = lg.ambient_metric(2, fr["surface_point"]["ambient"])
         assert np.array_equal(v @ g @ w.swapaxes(-1, -2), [np.diag([1.0, -1.0])])
-        assert np.array_equal(fr["Y"], v + fr["induced"]["hessian"] @ w)
+        assert np.array_equal(fr["Y"], tangent_oracle(m, fr))
 
     def test_orthogonality_quadratic(self):
         m = lg.quadratic(np.diag([1.0, 2.0]))
@@ -234,10 +251,46 @@ class TestFrames:
         assert np.all(checks["span_det"] > 1e-8)
 
     def test_degenerate_metric(self):
-        fr = lg.frames(lg.quadratic(np.zeros((2, 2))), [[1.0, 1.0]])
-        assert fr["degenerate"].tolist() == [True]
-        fr = lg.frames(lg.quadratic([[0.0, 1.0], [1.0, 0.0]], part_i=(1,)), [[0.7, 1.3]])
-        assert fr["degenerate"].tolist() == [True]
+        # analyze flags the degenerate metric; frames flags the singular
+        # Hessian blocks it could not invert
+        for m, pt in ((lg.quadratic(np.zeros((2, 2))), [1.0, 1.0]),
+                      (lg.quadratic([[0.0, 1.0], [1.0, 0.0]], part_i=(1,)), [0.7, 1.3])):
+            assert lg.analyze(m, [pt])[0]["degenerate"] is True
+            assert lg.frames(m, [pt])["singular"].tolist() == [True]
+
+    @pytest.mark.parametrize("make,draw", [
+        (lg.van_der_waals, "van_der_waals"),
+        (lambda: lg.van_der_waals(positive_exponent=True), "van_der_waals"),
+        (lg.ideal_gas_energy, "ideal_gas_energy"),
+        (lambda: lg.quadratic([[2.0, 0.5], [0.5, 1.0]]), "quadratic"),
+        (lambda: lg.quadratic([[2.0, 0.5], [0.5, 1.0]], part_i=(1,)), "quadratic"),
+        (lambda: lg.linear([1.0, -2.0]), "linear"),
+        (lg.homogeneous_demo, "homogeneous_demo"),
+    ])
+    def test_the_tangent_frame_is_v_plus_hess_w_on_every_shipped_model(self, make, draw):
+        # Y = V + hess W is the derivative of the embedding, so the tangent
+        # frame of surface_point is Y to the last bit where at most one
+        # momentum enters the x0 row
+        m = make()
+        gen = samplers(np.random.default_rng(13))[draw]
+        fr = lg.frames(m, [gen() for _ in range(50)])
+        assert np.array_equal(fr["Y"], tangent_oracle(m, fr))
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("momenta", [0, 1, 2, "all"])
+    def test_the_tangent_frame_is_v_plus_hess_w_on_random_quadratics(self, n, momenta):
+        # two or more momenta sum the x0 row in another order, so the two
+        # constructions may differ in the last bits there
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-1.0, 1.0, size=(n, n))
+        part_i = range(1, 1 + (n if momenta == "all" else momenta))
+        m = lg.quadratic(a + a.T, part_i=tuple(part_i))
+        fr = lg.frames(m, rng.uniform(-2.0, 2.0, size=(50, n)))
+        old = tangent_oracle(m, fr)
+        if len(part_i) <= 1:
+            assert np.array_equal(fr["Y"], old)
+        else:
+            assert np.max(np.abs(fr["Y"] - old)) <= 1e-14
 
     def test_graph_convention_rejected(self):
         # x0 = phi, p = +grad(phi) is not a Legendre surface; a model file
@@ -252,10 +305,10 @@ class TestSecondFundamentalForm:
     def test_quadratic_totally_geodesic(self):
         m = lg.quadratic([[2.0, 1.0], [1.0, 3.0]])
         ii = lg.second_fundamental_form(m, [[0.3, -1.2]])
-        assert ii["ii_norm"].tolist() == [0.0]
+        assert lg.analyze(m, [[0.3, -1.2]])[0]["ii_norm"] == 0.0
         assert ii["decomposition_residual"][0] < 1e-9
         assert frames_hold(frame_checks(m, ii["frames"])).all()
-        assert symmetry_residual(ii["coefficients"]) == 0.0
+        assert symmetry_residual(third(ii)) == 0.0
 
     def test_cubic_coefficient(self):
         def ev(seeds):
@@ -263,7 +316,7 @@ class TestSecondFundamentalForm:
 
         m = lg.PotentialModel("cube", 1, (), ev, lambda xv: xv[0] ** 3)
         ii = lg.second_fundamental_form(m, [[1.0]])
-        assert ii["coefficients"][0, 0, 0, 0] == 6.0
+        assert third(ii)[0, 0, 0, 0] == 6.0
         assert ii["decomposition_residual"][0] < 1e-9
 
     def test_vdw_against_oracle(self):
@@ -271,17 +324,17 @@ class TestSecondFundamentalForm:
         ii = lg.second_fundamental_form(m, [[1.0, 2.0]])
         for ix in jets._sorted_indices(2, 3):
             est, _ = fd_oracle(m.plain, [1.0, 2.0], ix)
-            got = ii["coefficients"][0, ix[0], ix[1], ix[2]]
+            got = third(ii)[0, ix[0], ix[1], ix[2]]
             assert abs(got - est) <= 1e-7 * abs(est), ix
         assert ii["decomposition_residual"][0] < 1e-9
-        assert symmetry_residual(ii["coefficients"]) == 0.0
+        assert symmetry_residual(third(ii)) == 0.0
 
     def test_decomposition_random_vdw(self):
         rng = np.random.default_rng(9)
         draw = samplers(rng)["van_der_waals"]
         ii = lg.second_fundamental_form(lg.van_der_waals(), [draw() for _ in range(20)])
         assert np.all(ii["decomposition_residual"] < 1e-9)
-        assert symmetry_residual(ii["coefficients"]) == 0.0
+        assert symmetry_residual(third(ii)) == 0.0
 
     def test_decomposition_mixed_partition(self):
         def ev(seeds):
@@ -291,9 +344,10 @@ class TestSecondFundamentalForm:
         m = lg.PotentialModel(
             "mixed_cubic", 2, (1,), ev, lambda xv: xv[0] ** 2 * xv[1] + xv[0] * xv[1] ** 2
         )
-        ii = lg.second_fundamental_form(m, [[0.7, 1.3], [1.1, -0.6], [-0.8, 0.9]])
+        pts = [[0.7, 1.3], [1.1, -0.6], [-0.8, 0.9]]
+        ii = lg.second_fundamental_form(m, pts)
         assert np.all(ii["decomposition_residual"] < 1e-9)
-        assert np.all(ii["ii_norm"] > 0.0)
+        assert all(rep["ii_norm"] > 0.0 for rep in lg.analyze(m, pts))
 
 
 class TestHomogeneity:
@@ -471,19 +525,24 @@ class TestBatch:
             assert [r["degenerate"] for r in reps] == [p[0] == 0.0 for p in pts]
 
     def test_frames_flag_degenerate_points_of_a_batch(self):
+        # x1 = 0 makes the Hessian singular: analyze flags the metric
+        # degenerate there, and frames flags the block it could not invert
         pts = np.array([[0.0, 1.0], [1.0, 2.0], [0.0, -1.0], [-0.5, 0.3]])
+        reps = lg.analyze(cubic_on_one_axis(), pts)
+        assert [rep["degenerate"] for rep in reps] == [True, False, True, False]
         fr = lg.frames(cubic_on_one_axis(), pts)
-        assert fr["degenerate"].tolist() == [True, False, True, False]
+        assert fr["singular"].tolist() == [True, False, True, False]
         assert fr["Y"].shape == (4, 2, 5)
         assert frames_hold(frame_checks(cubic_on_one_axis(), fr))[[1, 3]].all()
         ii = lg.second_fundamental_form(cubic_on_one_axis(), pts[[1, 3]])
-        assert ii["coefficients"][:, 0, 0, 0].tolist() == [1.0, 1.0]
+        assert third(ii)[:, 0, 0, 0].tolist() == [1.0, 1.0]
+        assert [reps[i]["ii_norm"] for i in (1, 3)] == [1.0, 1.0]
 
     def test_nan_metric_is_degenerate(self):
         # at x = 1e308 the pullback overflows to NaN; the singular J block
         # must never reach the inversion
         m = lg.quadratic([[1.0, 0.0], [0.0, 0.0]])
-        assert lg.frames(m, [[1e308, 2.0]])["degenerate"].tolist() == [True]
+        assert lg.frames(m, [[1e308, 2.0]])["singular"].tolist() == [True]
         assert lg.analyze(m, [[1e308, 2.0]])[0]["degenerate"] is True
 
     def test_jet_overflow_is_a_domain_error(self):
@@ -525,6 +584,33 @@ class TestBatch:
             reps = lg.analyze(m, [draw() for _ in range(size)])
             assert len(reps) == size and len(calls) == 1
             assert not any(rep["degenerate"] for rep in reps)
+
+    def test_potential_builds_no_normal_frame(self, tmp_path, monkeypatch, capsys):
+        # analyze and the potential command print no frame and no
+        # decomposition residual, so they build neither; the legendre
+        # suite's decomposition claim still does, once
+        calls = dict.fromkeys(("frames", "second_fundamental_form", "_gamma_values"), 0)
+
+        def counted(name):
+            inner = getattr(lg, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lg, name, counted(name))
+        draw = samplers(np.random.default_rng(7))["van_der_waals"]
+        lg.analyze(lg.van_der_waals(), [draw() for _ in range(40)])
+        model = tmp_path / "vdw.json"
+        model.write_text(json.dumps({"model": "van_der_waals"}))
+        argv = ["potential", "--model-file", str(model), "--grid", "0.5:2:5,1.5:3:5"]
+        assert cli.main(argv) == 0
+        assert calls == {"frames": 0, "second_fundamental_form": 0, "_gamma_values": 0}
+        suites.suite_legendre()
+        assert calls == {"frames": 1, "second_fundamental_form": 1, "_gamma_values": 1}
 
 
 def test_a_mutated_hessian_fails_the_surface_claims_with_witnesses(monkeypatch):
