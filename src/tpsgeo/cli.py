@@ -37,16 +37,37 @@ class UsageError(Exception):
 
 
 def _emit(env: ReportEnvelope, args) -> None:
+    """Print the report, or write it to --out: through a temporary file in
+    the target's directory that replaces the target only once it is whole,
+    so an interrupt or a full disk leaves an earlier --out file as it was.
+    A target that exists and is not a regular file (a device or a pipe) is
+    written in place."""
     text = env.to_markdown() if args.markdown else env.to_json()
-    if args.out:
-        try:
+    if not args.out:
+        print(text)
+        return
+    try:
+        if os.path.exists(args.out) and not os.path.isfile(args.out):
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
                 fh.write("\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write report: {exc}")
-    else:
-        print(text)
+            return
+        # the target of a link is replaced, not the link
+        path = os.path.realpath(args.out)
+        tmp = os.path.join(os.path.dirname(path), f".tpsgeo-{os.getpid()}.tmp")
+        # O_EXCL refuses a file or link already at tmp; mode 0o666 less the
+        # umask is what open() gives a new file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write report: {exc}")
 
 
 def _admit(space: str, n: int, degree: int | None = None) -> None:
@@ -304,20 +325,24 @@ def cmd_verify_all(args) -> ReportEnvelope:
     return env
 
 
-# verify-all runs these suites in one forked worker process while the parent
-# runs the others and the negative control.  What the split buys is memory:
-# only the worker pages in LAPACK, for the legendre suite, so the parent peaks
-# at 32.5 MB instead of 34.7 MB in one process (medians of 31 verify-all
-# children on 2 vCPUs), while it saves no wall or CPU time there.
-WORKER_SUITES = ("tps", "heisenberg", "legendre")
+# verify-all runs these suites and the negative control in one forked worker
+# process while the parent runs the others.  What the split buys is memory:
+# a verify-all process peaks where its parent does, and the parent's import
+# alone reaches about 32.0 MB.  Run on their own after that import, tps,
+# sympl and heisenberg add about 0.1 MB, curvature, killing and the control
+# about 0.9 MB, and legendre (numpy's LAPACK pages) about 2.1 MB.  So the
+# parent keeps the first three, and peaks at about 32.1 MB against 32.6 MB
+# with the halves the other way round; the worker, which shares the parent's
+# imported pages, peaks at about 29.3 MB (medians of 9 runs, 2 vCPUs).
+WORKER_SUITES = ("curvature", "killing", "legendre")
 
 
 def _verify(names: list[str], n_max) -> list[Result]:
     """The results of the named suites, in names order, then the negative
-    control.  When both halves have a suite, the worker half runs in a
-    forked child that sends its results, or the exception or interrupt it
-    raised, back through a pipe; the parent re-raises that exception and
-    always reaps the child."""
+    control.  When both halves have a suite, the worker half and the control
+    run in a forked child that sends their results, or the exception or
+    interrupt it raised, back through a pipe; the parent re-raises that
+    exception and always reaps the child."""
     worker = [name for name in names if name in WORKER_SUITES]
     # The halves overlap only on a second usable CPU, and a fork copies only
     # the calling thread, so the locks and state of any other one would
@@ -341,7 +366,10 @@ def _verify(names: list[str], n_max) -> list[Result]:
         try:
             os.close(read_end)
             try:
-                payload = pickle.dumps([suites.SUITES[name](n_max) for name in worker])
+                payload = pickle.dumps(
+                    [suites.SUITES[name](n_max) for name in worker]
+                    + [suites.negative_control_result()]
+                )
             except (Exception, KeyboardInterrupt) as exc:
                 payload = pickle.dumps(exc)
             with os.fdopen(write_end, "wb") as pipe:
@@ -355,7 +383,6 @@ def _verify(names: list[str], n_max) -> list[Result]:
         # pipe fail its write and exit when this half raises.
         with os.fdopen(read_end, "rb") as pipe:
             results = {name: suites.SUITES[name](n_max) for name in names if name not in worker}
-            control = suites.negative_control_result()
             payload = pipe.read()
     finally:
         _, status = os.waitpid(pid, 0)
@@ -364,7 +391,8 @@ def _verify(names: list[str], n_max) -> list[Result]:
     sent = pickle.loads(payload)
     if isinstance(sent, BaseException):
         raise sent
-    results.update(zip(worker, sent))
+    *done, control = sent
+    results.update(zip(worker, done))
     return [r for name in names for r in results[name]] + [control]
 
 
@@ -429,6 +457,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
+    stop = None
     try:
         env = args.func(args)
         env.timing = {"seconds": round(time.perf_counter() - t0, 6)}
@@ -439,17 +468,21 @@ def main(argv=None) -> int:
         return 2
     except KeyboardInterrupt:
         # 128 + SIGINT, as a shell reports a command that SIGINT ended
-        print(f"tpsgeo {args.command}: interrupted", file=sys.stderr)
-        return 130
+        stop = ("interrupted", 130)
     except MemoryError:
         # an input too large for this host, like one past the ansatz cap
-        print(f"tpsgeo {args.command}: out of memory", file=sys.stderr)
-        return 2
+        stop = ("out of memory", 2)
     except BrokenPipeError:
         # The reader closed the pipe (say, `| head`).  What is left of the
         # output goes to devnull, so the flush at exit cannot fail again
         # (Python docs, signal module, "Note on SIGPIPE").
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if stop is not None:
+        # Printed only once the handler is left: until then the traceback
+        # holds the command's frames and all they allocated, and under an
+        # address-space limit the print itself could run out of memory.
+        print(f"tpsgeo {args.command}: {stop[0]}", file=sys.stderr)
+        return stop[1]
     return env.exit_code
 
 

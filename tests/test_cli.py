@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -995,6 +996,19 @@ class TestPotential:
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the verify-all worker is forked")
 
+# the two halves of verify-all's split, read from the cli so that the tests
+# follow it: a suite of each makes an --only that splits
+WORKER = cli.WORKER_SUITES
+PARENT = tuple(name for name in suites.SUITES if name not in WORKER)
+SPLIT = f"{PARENT[0]},{WORKER[0]}"
+
+
+def patch_worker_suite(monkeypatch, suite):
+    """Replace the worker suite that SPLIT names, after checking that it is
+    one: a suite that ends its process must never run in this one."""
+    assert WORKER[0] in cli.WORKER_SUITES and PARENT[0] not in cli.WORKER_SUITES
+    monkeypatch.setitem(suites.SUITES, WORKER[0], suite)
+
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -1058,7 +1072,11 @@ class TestVerifyAll:
 
     @needs_fork
     @pytest.mark.parametrize(
-        "argv", [[], ["--markdown"], ["--n-max", "1"], ["--only", "sympl, legendre"]]
+        "argv",
+        [[], ["--markdown"], ["--n-max", "1"]]
+        # every pair that splits, so the worker's negative control is
+        # compared with the serial run's too
+        + [["--only", f"{parent}, {worker}"] for parent in PARENT for worker in WORKER],
     )
     def test_the_forked_worker_changes_no_report_byte(self, capsys, monkeypatch, forks, argv):
         code, split, _ = run_cli(capsys, ["verify-all", *argv])
@@ -1070,7 +1088,7 @@ class TestVerifyAll:
         assert_no_child_left()
 
     @pytest.mark.parametrize(
-        "argv", [["--only", "tps,heisenberg,legendre"], ["--only", "curvature,sympl"], ["--tamper"]]
+        "argv", [["--only", ",".join(WORKER)], ["--only", ",".join(PARENT)], ["--tamper"]]
     )
     def test_one_half_alone_runs_in_process(self, capsys, forks, argv):
         code, _, _ = run_cli(capsys, ["verify-all", "--n-max", "1", *argv])
@@ -1084,7 +1102,7 @@ class TestVerifyAll:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            code, _, _ = run_cli(capsys, ["verify-all", "--only", "tps,sympl", "--n-max", "1"])
+            code, _, _ = run_cli(capsys, ["verify-all", "--only", SPLIT, "--n-max", "1"])
         finally:
             release.set()
             other.join(timeout=10)
@@ -1096,18 +1114,25 @@ class TestVerifyAll:
         def broken(n_max):
             raise ValueError("broken worker suite")
 
-        monkeypatch.setitem(suites.SUITES, "heisenberg", broken)
+        patch_worker_suite(monkeypatch, broken)
         with pytest.raises(ValueError, match="broken worker suite"):
-            cli.main(["verify-all", "--only", "sympl,heisenberg", "--n-max", "1"])
+            cli.main(["verify-all", "--only", SPLIT, "--n-max", "1"])
         assert len(forks) == 1
         assert_no_child_left()
 
     @needs_fork
     def test_a_worker_that_writes_no_result_is_an_error(self, capsys, monkeypatch, forks):
-        monkeypatch.setitem(suites.SUITES, "heisenberg", lambda n_max: os._exit(3))
+        here = os.getpid()
+
+        def ends_the_worker(n_max):
+            # never this process, even if the suite ran here
+            assert os.getpid() != here, "the worker suite ran in the test process"
+            os._exit(3)
+
+        patch_worker_suite(monkeypatch, ends_the_worker)
         # exit code 3 is wait status 3 << 8
         with pytest.raises(RuntimeError, match="wait status 768"):
-            cli.main(["verify-all", "--only", "sympl,heisenberg", "--n-max", "1"])
+            cli.main(["verify-all", "--only", SPLIT, "--n-max", "1"])
         assert len(forks) == 1
         assert_no_child_left()
 
@@ -1118,7 +1143,7 @@ class TestVerifyAll:
         # the worker's result is larger than any pipe buffer, so its write
         # blocks until the parent reads or closes the pipe
         big = [check("x" * (1 << 20), "plumbing", True)]
-        monkeypatch.setitem(suites.SUITES, "heisenberg", lambda n_max: big)
+        patch_worker_suite(monkeypatch, lambda n_max: big)
 
         def broken(n_max):
             raise ValueError("broken parent suite")
@@ -1126,12 +1151,12 @@ class TestVerifyAll:
         def stuck(signum, frame):
             raise TimeoutError("the parent waits on a worker blocked on the pipe")
 
-        monkeypatch.setitem(suites.SUITES, "sympl", broken)
+        monkeypatch.setitem(suites.SUITES, PARENT[0], broken)
         previous = signal.signal(signal.SIGALRM, stuck)
         signal.alarm(60)
         try:
             with pytest.raises(ValueError, match="broken parent suite"):
-                cli.main(["verify-all", "--only", "sympl,heisenberg", "--n-max", "1"])
+                cli.main(["verify-all", "--only", SPLIT, "--n-max", "1"])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -1195,8 +1220,8 @@ def test_verify_all_ends_a_stopped_suite_with_one_line(
     def stopped(n_max):
         raise error()
 
-    monkeypatch.setitem(suites.SUITES, "heisenberg", stopped)
-    got, out, err = run_cli(capsys, ["verify-all", "--only", "sympl,heisenberg", "--n-max", "1"])
+    patch_worker_suite(monkeypatch, stopped)
+    got, out, err = run_cli(capsys, ["verify-all", "--only", SPLIT, "--n-max", "1"])
     assert got == code and out == ""
     assert err == f"tpsgeo verify-all: {message}\n"
     assert len(started or []) == (cpus == "forks")
@@ -1213,6 +1238,111 @@ def test_killing_ends_a_stopped_solve_with_one_line(capsys, monkeypatch, error, 
     got, out, err = run_cli(capsys, ["killing", "--space", "sympl", "--n", "2"])
     assert got == code and out == ""
     assert err == f"tpsgeo killing: {message}\n"
+
+
+@pytest.mark.parametrize("error, code, message", STOPS)
+def test_a_stop_is_printed_once_the_command_frames_are_freed(capsys, monkeypatch, error, code, message):
+    # Inside the except block the traceback holds the stopped command's
+    # frames and all they allocated, so under an address-space limit the
+    # line itself could fail to print; the line must come after the block.
+    class Allocated:
+        pass
+
+    held = []
+
+    def stopped(*args):
+        allocated = Allocated()
+        held.append(weakref.ref(allocated))
+        raise error()
+
+    freed = []
+
+    def printed(*args, **kwargs):
+        freed.append(held[0]() is None)
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli.suites, "suite_killing", stopped)
+    monkeypatch.setattr(cli, "print", printed, raising=False)
+    got, out, err = run_cli(capsys, ["killing", "--space", "sympl", "--n", "2"])
+    assert got == code and err == f"tpsgeo killing: {message}\n"
+    assert freed == [True]
+
+
+class StopsMidWrite:
+    """A file whose first write puts down half the text and then raises."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error = fh, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (KeyboardInterrupt(), 130, "interrupted"),
+        (OSError(28, "No space left on device"), 2, "cannot write report: [Errno 28] No space left on device"),
+    ],
+    ids=["interrupt", "disk-full"],
+)
+def test_a_write_stopped_midway_leaves_the_out_file_as_it_was(
+    tmp_path, capsys, monkeypatch, error, code, message
+):
+    dest = tmp_path / "report.json"
+    dest.write_bytes(b"an earlier report\n")
+    monkeypatch.setattr(cli, "open", lambda *a, **k: StopsMidWrite(open(*a, **k), error), raising=False)
+    got, out, err = run_cli(capsys, ["curvature", "--space", "tps", "--n", "1", "--out", str(dest)])
+    assert got == code and out == ""
+    assert err == f"tpsgeo curvature: {message}\n"
+    assert dest.read_bytes() == b"an earlier report\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_out_through_a_link_replaces_its_target_and_keeps_the_link(tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    target, link = tmp_path / "dir" / "report.json", tmp_path / "link.json"
+    target.write_bytes(b"an earlier report\n")
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, ["curvature", "--space", "tps", "--n", "1", "--out", str(link)])
+    assert code == 0 and link.is_symlink()
+    assert json.loads(target.read_text())["command"] == "curvature"
+    assert sorted(os.listdir(tmp_path)) == ["dir", "link.json"]
+    assert os.listdir(tmp_path / "dir") == ["report.json"]
+
+
+def test_a_new_out_file_has_the_mode_open_gives(tmp_path, capsys):
+    previous = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(
+            capsys, ["curvature", "--space", "tps", "--n", "1", "--out", str(tmp_path / "r.json")]
+        )
+    finally:
+        os.umask(previous)
+    assert code == 0 and (tmp_path / "r.json").stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_an_out_that_is_not_a_regular_file_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    try:
+        code, _, _ = run_cli(capsys, ["curvature", "--space", "tps", "--n", "1", "--out", str(fifo)])
+    finally:
+        reader.join(timeout=10)
+    assert code == 0 and json.loads(got[0])["command"] == "curvature"
+    assert fifo.is_fifo() and os.listdir(tmp_path) == ["pipe"]
 
 
 # The child runs curvature with its suite replaced by STOPPED_SUITE, so it
